@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from importlib.metadata import PackageNotFoundError, version as _dist_version
 from pathlib import Path
 
@@ -63,7 +64,14 @@ from .simstudy import (
     run_study,
     utility_threshold_curves,
 )
-from .stats import BootstrapConfig, bootstrap_ci, paired_max_utility_test, sem
+from .stats import (
+    BOOTSTRAP_METRICS,
+    BootstrapConfig,
+    PairedTestResult,
+    percentile_interval,
+    resample,
+    sem,
+)
 from .learners import tune_and_compare
 from .utility import (
     _candidate_counts,
@@ -120,7 +128,10 @@ def _resolve_utility(spec: str, data: LabeledScores | None = None, age=None) -> 
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -152,18 +163,35 @@ def _unique_names(paths) -> list[str]:
     return names
 
 
-def _metric_intervals(data, coefficients, replicates, seed, bins):
-    """One bootstrap run per metric; both interval levels share its replicates."""
+def _read_same_rows(args) -> tuple[list[LabeledScores], list[str]]:
+    """Read the score files, which must describe the same labeled rows."""
+    datasets = [read_scores(path, delimiter=args.delimiter) for path in args.scores]
+    names = _unique_names(args.scores)
+    first = datasets[0]
+    for name, data in zip(names[1:], datasets[1:]):
+        if data.n != first.n or not np.array_equal(data.labels, first.labels):
+            raise ValidationError(
+                f"score files must describe the same rows: labels of {name!r} "
+                "differ from the first file"
+            )
+    return datasets, names
+
+
+def _bootstrap(datasets, coefficients, args, metrics=_INTERVAL_METRICS):
+    """Replicates of ``metrics`` on every file, all cut from one draw stream."""
+    config = BootstrapConfig(replicates=args.replicates or 100, seed=args.seed)
+    statistics = {name: partial(BOOTSTRAP_METRICS[name], bins=args.bins) for name in metrics}
+    return resample(datasets, statistics, config.replicates, config.seed, coefficients)
+
+
+def _intervals(values) -> dict:
+    """68% and 95% intervals of every metric from its one replicate sample."""
     intervals = {}
-    diagnostics = {}
-    config = BootstrapConfig(replicates=replicates, level=0.95, seed=seed)
     for metric in _INTERVAL_METRICS:
-        result = bootstrap_ci(data, metric, config, coefficients=coefficients, bins=bins)
-        low68, high68 = np.percentile(result.values, [16.0, 84.0])
+        low68, high68 = np.percentile(values[metric], [16.0, 84.0])
         intervals[f"{metric}@68"] = (float(low68), float(high68), 0.68)
-        intervals[f"{metric}@95"] = (result.low, result.high, 0.95)
-        diagnostics[metric] = {"redraws": result.redraws}
-    return intervals, diagnostics
+        intervals[f"{metric}@95"] = (*percentile_interval(values[metric], 0.95), 0.95)
+    return intervals
 
 
 def cmd_evaluate(args) -> int:
@@ -187,9 +215,9 @@ def cmd_evaluate(args) -> int:
     intervals: dict = {}
     diagnostics: dict = {}
     if args.replicates:
-        intervals, diagnostics = _metric_intervals(
-            data, coefficients, args.replicates, args.seed, args.bins
-        )
+        values, redraws = _bootstrap([data], coefficients, args)
+        intervals = _intervals(values[0])
+        diagnostics = {metric: {"redraws": count} for metric, count in redraws[0].items()}
     report = EvalReport(
         metrics=metrics,
         curves={
@@ -247,20 +275,12 @@ def cmd_compare(args) -> int:
     if len(args.scores) < 2:
         raise ValidationError("compare requires at least two score files")
     out = _out_dir(args)
-    datasets = [read_scores(path, delimiter=args.delimiter) for path in args.scores]
-    names = _unique_names(args.scores)
-    first = datasets[0]
-    for name, data in zip(names[1:], datasets[1:]):
-        if data.n != first.n or not np.array_equal(data.labels, first.labels):
-            raise ValidationError(
-                f"score files must describe the same rows: labels of {name!r} "
-                "differ from the first file"
-            )
-    coefficients = _resolve_utility(args.utility, data=first)
+    datasets, names = _read_same_rows(args)
+    coefficients = _resolve_utility(args.utility, data=datasets[0])
     table = {}
     for name, data in zip(names, datasets):
         curve = utility_curve(data, coefficients)
-        entry = {
+        table[name] = {
             "auc": auc_rank(data),
             "accuracy": accuracy(data, DecisionRule(0.5)),
             "brier": brier(data),
@@ -268,20 +288,25 @@ def cmd_compare(args) -> int:
             "u_max": curve.max_utility,
             "argmax_threshold": curve.best_threshold,
         }
-        if args.replicates:
-            intervals, _ = _metric_intervals(
-                data, coefficients, args.replicates, args.seed, args.bins
-            )
-            entry["intervals"] = {
+    # the paired tests reuse the u_max replicates behind the intervals (100
+    # replicates of u_max alone without --replicates)
+    values, _ = _bootstrap(
+        datasets, coefficients, args, _INTERVAL_METRICS if args.replicates else ("u_max",)
+    )
+    if args.replicates:
+        for name, replicates in zip(names, values):
+            table[name]["intervals"] = {
                 key: {"low": low, "high": high, "level": level}
-                for key, (low, high, level) in intervals.items()
+                for key, (low, high, level) in _intervals(replicates).items()
             }
-        table[name] = entry
     pairwise = []
-    config = BootstrapConfig(replicates=max(args.replicates, 100), level=0.95, seed=args.seed)
     for i in range(len(datasets)):
         for j in range(i + 1, len(datasets)):
-            result = paired_max_utility_test(datasets[i], datasets[j], coefficients, config)
+            result = PairedTestResult.from_diffs(
+                table[names[i]]["u_max"] - table[names[j]]["u_max"],
+                values[i]["u_max"] - values[j]["u_max"],
+                0.95,
+            )
             pairwise.append(
                 {
                     "a": names[i],
@@ -453,21 +478,13 @@ def _parse_grid(text: str, what: str) -> list[float]:
 
 def cmd_sweep_c(args) -> int:
     out = _out_dir(args)
-    datasets = [read_scores(path, delimiter=args.delimiter) for path in args.scores]
-    names = _unique_names(args.scores)
-    first = datasets[0]
-    for name, data in zip(names[1:], datasets[1:]):
-        if data.n != first.n or not np.array_equal(data.labels, first.labels):
-            raise ValidationError(
-                f"score files must describe the same rows: labels of {name!r} "
-                "differ from the first file"
-            )
+    datasets, names = _read_same_rows(args)
     grid = _parse_grid(args.grid, "cost")
     for c in grid:
         if c < 0:
             raise ValidationError(f"cost parameters must be >= 0, got {c}")
 
-    def sweep_maxima(data: LabeledScores) -> list[float]:
+    def sweep_maxima(data: LabeledScores, _=None) -> list[float]:
         thresholds, tp, fp, fn, tn = _candidate_counts(data)
         out = []
         for c in grid:
@@ -479,24 +496,18 @@ def cmd_sweep_c(args) -> int:
         return out
 
     points = {name: sweep_maxima(data) for name, data in zip(names, datasets)}
-    resampled = {name: np.empty((args.replicates, len(grid))) for name in names}
-    if args.replicates:
-        rng = np.random.default_rng(np.random.SeedSequence([int(args.seed)]))
-        for b in range(args.replicates):
-            idx = rng.integers(0, first.n, first.n)
-            for name, data in zip(names, datasets):
-                resampled[name][b] = sweep_maxima(data.take(idx))
+    values, _ = resample(datasets, {"u_max": sweep_maxima}, args.replicates, args.seed)
     rows = []
     models = {}
-    for name in names:
-        per_c = []
+    for name, replicates in zip(names, values):
+        models[name] = []
         for column, c in enumerate(grid):
             entry = {"c": c, "u_max": points[name][column]}
             if args.replicates >= 2:
-                values = resampled[name][:, column]
-                entry["u_max_mean"] = float(values.mean())
-                entry["u_max_sem"] = sem(values)
-            per_c.append(entry)
+                column_values = replicates["u_max"][:, column]
+                entry["u_max_mean"] = float(column_values.mean())
+                entry["u_max_sem"] = sem(column_values)
+            models[name].append(entry)
             rows.append(
                 (
                     name,
@@ -506,7 +517,6 @@ def cmd_sweep_c(args) -> int:
                     entry.get("u_max_sem", ""),
                 )
             )
-        models[name] = per_c
     outputs = ["sweep_c_report.json", "sweep_c.csv"]
     payload = {
         "manifest": _manifest(args, list(args.scores), outputs),
@@ -654,12 +664,6 @@ def cmd_equity(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; execution is single-threaded and deterministic",
-    )
     common.add_argument(
         "--out-dir", default=".", help="directory for report files (default .)"
     )

@@ -184,7 +184,7 @@ class LabeledScores:
         if np.any((scores < 0.0) | (scores > 1.0)):
             bad = int(np.flatnonzero((scores < 0.0) | (scores > 1.0))[0])
             raise ValidationError(
-                f"score out of range at row {bad}: {scores[bad]!r} not in [0, 1]"
+                f"score out of range at row {bad}: {scores[bad]} not in [0, 1]"
             )
         labels = _as_binary_vector(self.labels, "labels")
         n = scores.size

@@ -1,11 +1,12 @@
 """File formats: delimited score/feature tables, bonus tables, reports.
 
-Score files are UTF-8 delimited text with a header row.  ``score`` and
-``label`` are required; ``group``, ``reference_score`` and the coefficient
-quadruple ``a11,a01,a10,a00`` are recognized when present; any further numeric
-column is kept as named context (for example ``age``).  Numbers use ``.`` as
-the decimal separator.  Writing uses shortest round-trip float formatting, so
-a parse/emit cycle preserves every value exactly.
+Score files are UTF-8 delimited text (a leading byte-order mark is skipped)
+with a header row.  ``score`` and ``label`` are required; ``group``,
+``reference_score`` and the coefficient quadruple ``a11,a01,a10,a00`` are
+recognized when present; any further numeric column is kept as named context
+(for example ``age``).  Numbers use ``.`` as the decimal separator.  Writing
+uses shortest round-trip float formatting, so a parse/emit cycle preserves
+every value exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _parse_float(text: str, line: int, column: str) -> float:
 def _read_table(path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]:
     path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8", newline="")
+        handle = path.open("r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     with handle:
@@ -181,7 +182,7 @@ def read_bonus_table(path) -> np.ndarray:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     values = []

@@ -115,7 +115,7 @@ def _select_columns(matrix: FeatureMatrix, names: tuple[str, ...]) -> np.ndarray
     return matrix.values[:, index]
 
 
-def _as_features(features, context: str) -> FeatureMatrix:
+def _as_features(features) -> FeatureMatrix:
     if isinstance(features, FeatureMatrix):
         return features
     return FeatureMatrix.from_arrays(np.asarray(features, dtype=np.float64))
@@ -144,7 +144,7 @@ class LogisticModel:
     gradient_norm: float
 
     def predict_scores(self, features) -> np.ndarray:
-        matrix = _as_features(features, "features")
+        matrix = _as_features(features)
         values = _select_columns(matrix, self.feature_names)
         z = ((values - self.means) / self.stds) @ self.weights + self.intercept
         return expit(z)
@@ -171,7 +171,7 @@ def fit_logistic(
     change drops below ``tol``.  Failure to converge raises
     :class:`ConvergenceError` with the final diagnostics attached.
     """
-    matrix = _as_features(features, "features").standardize()
+    matrix = _as_features(features).standardize()
     y = _binary_labels(labels, matrix.n).astype(np.float64)
     if y.sum() == 0 or y.sum() == y.size:
         raise DegenerateDataError("logistic fit requires both classes present")
@@ -270,8 +270,8 @@ def _knn_score_grid(
 
 def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarray:
     """Fraction of positives among the k nearest training points."""
-    train = _as_features(train_features, "train_features")
-    test = _as_features(test_features, "test_features")
+    train = _as_features(train_features)
+    test = _as_features(test_features)
     y = _binary_labels(train_labels, train.n)
     k = int(k)
     if not 1 <= k <= train.n:
@@ -323,7 +323,7 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     chunks of the permutation.  Each fold is scored with every k from one
     distance computation.
     """
-    matrix = _as_features(features, "features")
+    matrix = _as_features(features)
     y = _binary_labels(labels, matrix.n)
     n = matrix.n
     n_folds = int(n_folds)
@@ -445,11 +445,12 @@ def tune_and_compare(
 
     Each repeat draws a fresh seeded train/test split, picks k by
     cross-validated AUC and by cross-validated accuracy on the training part,
-    refits both choices, and records their utility on the held-out part (both
-    the sweep maximum and the curve on a fixed threshold grid).  Per-sample
-    coefficients are subset alongside the rows they describe.
+    scores both choices on the held-out part from one distance computation,
+    and records their utility (both the sweep maximum and the curve on a fixed
+    threshold grid).  Per-sample coefficients are subset alongside the rows
+    they describe.
     """
-    matrix = _as_features(features, "features")
+    matrix = _as_features(features)
     y = _binary_labels(labels, matrix.n)
     n = matrix.n
     repeats = int(repeats)
@@ -466,6 +467,8 @@ def tune_and_compare(
         raise ValidationError(
             f"coefficient length {own} does not match feature rows {n}"
         )
+    if not 2 <= n_folds <= n_train:
+        raise ValidationError(f"n_folds must be in [2, {n_train}], got {n_folds}")
     grid = _validate_k_grid(k_grid, n_train - (-(-n_train // n_folds)))
     thresholds = np.linspace(0.0, 1.0, grid_size)
     chosen_k = {"auc": np.empty(repeats, dtype=np.int64), "accuracy": np.empty(repeats, dtype=np.int64)}
@@ -488,12 +491,10 @@ def tune_and_compare(
         cv_auc[r] = cv.mean_auc
         cv_accuracy[r] = cv.mean_accuracy
         test_coefficients = coefficients.take(test_idx)
-        for criterion, k in (
-            ("auc", cv.best_k_by_auc),
-            ("accuracy", cv.best_k_by_accuracy),
-        ):
-            scores = knn_scores(train, y[train_idx], test, k)
-            data = LabeledScores(scores=scores, labels=y[test_idx])
+        chosen = {"auc": cv.best_k_by_auc, "accuracy": cv.best_k_by_accuracy}
+        scores = _knn_score_grid(train, y[train_idx], test, list(chosen.values()))
+        for column, (criterion, k) in enumerate(chosen.items()):
+            data = LabeledScores(scores=scores[:, column], labels=y[test_idx])
             chosen_k[criterion][r] = k
             max_utility[criterion][r] = utility_curve(
                 data, test_coefficients

@@ -1,15 +1,20 @@
-"""Resampling-based uncertainty: percentile bootstrap and a paired test.
+"""Resampling-based uncertainty: one bootstrap engine, intervals, a paired test.
 
 All resampling draws whole rows jointly, so scores, labels and any per-sample
-side information stay aligned.  Intervals are plain percentile intervals of
-the replicate values; with a shared seed the replicate stream is identical
-across levels, which makes narrower intervals exact subsets of wider ones.
+side information stay aligned.  :func:`resample` draws each row sample once
+from the seeded stream and offers it to every statistic of every row-aligned
+dataset; a statistic undefined on a draw (AUC on a single-class sample) skips
+it, so each statistic gets exactly the values it would get if it were
+resampled alone.  Intervals are plain percentile intervals of the replicate
+values; with a shared seed the replicate stream is identical across levels,
+which makes narrower intervals exact subsets of wider ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +34,8 @@ __all__ = [
     "PairedTestResult",
     "bootstrap_ci",
     "paired_max_utility_test",
+    "percentile_interval",
+    "resample",
     "sem",
     "BOOTSTRAP_METRICS",
 ]
@@ -38,7 +45,10 @@ _MIN_INTERVAL_REPLICATES = 100
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Replicate count, interval level and seed for bootstrap procedures."""
+    """Replicate count, interval level and seed for bootstrap intervals.
+
+    Interval estimation requires at least 100 replicates.
+    """
 
     replicates: int = 1000
     level: float = 0.95
@@ -48,49 +58,76 @@ class BootstrapConfig:
         if int(self.replicates) != self.replicates or self.replicates < 1:
             raise ValidationError(f"replicates must be a positive integer, got {self.replicates}")
         object.__setattr__(self, "replicates", int(self.replicates))
+        if self.replicates < _MIN_INTERVAL_REPLICATES:
+            raise ValidationError(
+                f"interval estimation requires >= {_MIN_INTERVAL_REPLICATES} replicates, "
+                f"got {self.replicates}"
+            )
         if not 0.0 < self.level < 1.0:
             raise ValidationError(f"level must be in (0, 1), got {self.level}")
 
 
-def _metric_accuracy(data: LabeledScores, _: CostCoefficients | None, bins: int) -> float:
-    return accuracy(data, DecisionRule(0.5))
-
-
-def _metric_auc(data: LabeledScores, _: CostCoefficients | None, bins: int) -> float:
-    return auc_rank(data)
-
-
-def _metric_brier(data: LabeledScores, _: CostCoefficients | None, bins: int) -> float:
-    return brier(data)
-
-
-def _metric_ece(data: LabeledScores, _: CostCoefficients | None, bins: int) -> float:
-    return ece(calibration_curve(data, bins=bins))
-
-
-def _metric_net_trust(data: LabeledScores, _: CostCoefficients | None, bins: int) -> float:
-    return net_trust(data)
-
-
-def _metric_max_utility(
-    data: LabeledScores, coefficients: CostCoefficients | None, bins: int
+def _max_utility(
+    data: LabeledScores, coefficients: CostCoefficients | None, bins: int = 10
 ) -> float:
     if coefficients is None:
         raise ValidationError("the u_max metric requires cost coefficients")
     return utility_curve(data, coefficients).max_utility
 
 
+# name -> statistic(data, coefficients, bins=10)
 BOOTSTRAP_METRICS = {
-    "auc": _metric_auc,
-    "brier": _metric_brier,
-    "accuracy": _metric_accuracy,
-    "ece": _metric_ece,
-    "net_trust": _metric_net_trust,
-    "u_max": _metric_max_utility,
+    "auc": lambda data, _, bins=10: auc_rank(data),
+    "brier": lambda data, _, bins=10: brier(data),
+    "accuracy": lambda data, _, bins=10: accuracy(data, DecisionRule(0.5)),
+    "ece": lambda data, _, bins=10: ece(calibration_curve(data, bins=bins)),
+    "net_trust": lambda data, _, bins=10: net_trust(data),
+    "u_max": _max_utility,
 }
 
-# metrics undefined on single-class resamples, which are redrawn
-_NEEDS_BOTH_CLASSES = {"auc"}
+
+def resample(datasets, statistics, replicates: int, seed: int, coefficients=None):
+    """Bootstrap every statistic on every row-aligned dataset from one stream.
+
+    Each step draws ``integers(0, n, n)`` row indices from the stream seeded
+    with ``SeedSequence([seed])``, takes every dataset (and per-row
+    ``coefficients``) once, and calls ``statistics[name](data, coefficients)``
+    on the resampled pair for every dataset and statistic that still has
+    fewer than ``replicates`` values.  A statistic raising
+    :class:`DegenerateDataError` skips the draw, which counts as one of its
+    redraws; 100 redraws per replicate exhaust its budget.  Returns
+    ``(values, redraws)``: per dataset, a mapping from statistic name to its
+    replicate array (one row per replicate) and to its redraw count.
+    """
+    if replicates < 0:
+        raise ValidationError(f"replicates must be >= 0, got {replicates}")
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    n = datasets[0].n
+    values = [{name: [] for name in statistics} for _ in datasets]
+    redraws = [dict.fromkeys(statistics, 0) for _ in datasets]
+    pending = [(i, name) for i in range(len(datasets)) for name in statistics]
+    while pending := [(i, name) for i, name in pending if len(values[i][name]) < replicates]:
+        idx = rng.integers(0, n, n)
+        resampled = [data.take(idx) for data in datasets]
+        sub = None if coefficients is None else coefficients.take(idx)
+        for i, name in pending:
+            try:
+                values[i][name].append(statistics[name](resampled[i], sub))
+            except DegenerateDataError:
+                redraws[i][name] += 1
+                if redraws[i][name] >= 100 * replicates:
+                    raise DegenerateDataError(
+                        f"bootstrap for {name!r} exhausted its redraw budget; "
+                        "the data is too close to single-class"
+                    ) from None
+    return [{name: np.array(v) for name, v in per.items()} for per in values], redraws
+
+
+def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]:
+    """Central percentile interval of replicate values at ``level``."""
+    tail = 100.0 * (1.0 - level) / 2.0
+    low, high = np.percentile(values, [tail, 100.0 - tail])
+    return float(low), float(high)
 
 
 @dataclass(frozen=True)
@@ -106,14 +143,6 @@ class BootstrapResult:
     values: np.ndarray
 
 
-def _resample_coefficients(
-    data: LabeledScores, coefficients: CostCoefficients | None, idx: np.ndarray
-) -> CostCoefficients | None:
-    if coefficients is None:
-        return None
-    return coefficients.take(idx)
-
-
 def bootstrap_ci(
     data: LabeledScores,
     metric: str,
@@ -125,50 +154,26 @@ def bootstrap_ci(
 
     Rows are resampled with replacement; resamples on which the metric is
     undefined (a single-class draw for AUC) are redrawn and counted in
-    ``redraws``.  Interval output requires at least 100 replicates.
+    ``redraws``.
     """
     if metric not in BOOTSTRAP_METRICS:
         raise ValidationError(
             f"unknown metric {metric!r}; expected one of {sorted(BOOTSTRAP_METRICS)}"
         )
-    if config.replicates < _MIN_INTERVAL_REPLICATES:
-        raise ValidationError(
-            f"interval estimation requires >= {_MIN_INTERVAL_REPLICATES} replicates, "
-            f"got {config.replicates}"
-        )
-    evaluate = BOOTSTRAP_METRICS[metric]
-    point = evaluate(data, coefficients, bins)
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed)]))
-    n = data.n
-    needs_both = metric in _NEEDS_BOTH_CLASSES
-    values = np.empty(config.replicates)
-    redraws = 0
-    budget = 100 * config.replicates
-    for b in range(config.replicates):
-        while True:
-            idx = rng.integers(0, n, n)
-            resample = data.take(idx)
-            if needs_both and (resample.n_positive == 0 or resample.n_negative == 0):
-                redraws += 1
-                budget -= 1
-                if budget <= 0:
-                    raise DegenerateDataError(
-                        f"bootstrap for {metric!r} exhausted its redraw budget; "
-                        "the data is too close to single-class"
-                    )
-                continue
-            values[b] = evaluate(resample, _resample_coefficients(data, coefficients, idx), bins)
-            break
-    tail = 100.0 * (1.0 - config.level) / 2.0
-    low, high = np.percentile(values, [tail, 100.0 - tail])
+    evaluate = partial(BOOTSTRAP_METRICS[metric], bins=bins)
+    point = evaluate(data, coefficients)
+    values, redraws = resample(
+        [data], {metric: evaluate}, config.replicates, config.seed, coefficients
+    )
+    low, high = percentile_interval(values[0][metric], config.level)
     return BootstrapResult(
         point=float(point),
-        low=float(low),
-        high=float(high),
+        low=low,
+        high=high,
         level=config.level,
         replicates=config.replicates,
-        redraws=redraws,
-        values=values,
+        redraws=redraws[0][metric],
+        values=values[0][metric],
     )
 
 
@@ -184,6 +189,20 @@ class PairedTestResult:
     replicates: int
     diffs: np.ndarray
 
+    @classmethod
+    def from_diffs(cls, diff: float, diffs: np.ndarray, level: float) -> "PairedTestResult":
+        """Interval and two-sided p-value of paired replicate differences.
+
+        The p-value is twice the smaller tail fraction of ``diffs`` around
+        zero, clamped to [2/replicates, 1].
+        """
+        replicates = diffs.size
+        low, high = percentile_interval(diffs, level)
+        frac_low = np.count_nonzero(diffs <= 0.0) / replicates
+        frac_high = np.count_nonzero(diffs >= 0.0) / replicates
+        p_value = min(1.0, max(2.0 / replicates, 2.0 * min(frac_low, frac_high)))
+        return cls(float(diff), low, high, float(p_value), level, replicates, diffs)
+
 
 def paired_max_utility_test(
     data_a: LabeledScores,
@@ -195,9 +214,7 @@ def paired_max_utility_test(
 
     Both datasets must score the same labeled rows; each replicate resamples
     one set of row indices and applies it to both sides, so the replicate
-    differences are paired.  The two-sided p-value is twice the smaller tail
-    fraction of the replicate differences around zero, clamped to
-    [2/replicates, 1].
+    differences are paired.
     """
     if data_a.n != data_b.n:
         raise ValidationError(
@@ -205,41 +222,13 @@ def paired_max_utility_test(
         )
     if not np.array_equal(data_a.labels, data_b.labels):
         raise ValidationError("paired test needs identical labels on both sides")
-    if config.replicates < _MIN_INTERVAL_REPLICATES:
-        raise ValidationError(
-            f"interval estimation requires >= {_MIN_INTERVAL_REPLICATES} replicates, "
-            f"got {config.replicates}"
-        )
-    point = (
-        utility_curve(data_a, coefficients).max_utility
-        - utility_curve(data_b, coefficients).max_utility
+    values, _ = resample(
+        [data_a, data_b], {"u_max": _max_utility}, config.replicates, config.seed, coefficients
     )
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed)]))
-    n = data_a.n
-    diffs = np.empty(config.replicates)
-    for b in range(config.replicates):
-        idx = rng.integers(0, n, n)
-        resample_a = data_a.take(idx)
-        resample_b = data_b.take(idx)
-        sub = coefficients.take(idx)
-        diffs[b] = (
-            utility_curve(resample_a, sub).max_utility
-            - utility_curve(resample_b, sub).max_utility
-        )
-    tail = 100.0 * (1.0 - config.level) / 2.0
-    low, high = np.percentile(diffs, [tail, 100.0 - tail])
-    frac_low = np.count_nonzero(diffs <= 0.0) / config.replicates
-    frac_high = np.count_nonzero(diffs >= 0.0) / config.replicates
-    p_value = 2.0 * min(frac_low, frac_high)
-    p_value = min(1.0, max(2.0 / config.replicates, p_value))
-    return PairedTestResult(
-        diff=float(point),
-        low=float(low),
-        high=float(high),
-        p_value=float(p_value),
-        level=config.level,
-        replicates=config.replicates,
-        diffs=diffs,
+    return PairedTestResult.from_diffs(
+        _max_utility(data_a, coefficients) - _max_utility(data_b, coefficients),
+        values[0]["u_max"] - values[1]["u_max"],
+        config.level,
     )
 
 

@@ -250,7 +250,7 @@ def age_discounted_coeffs(data: LabeledScores) -> CostCoefficients:
     if np.any((age < 0.0) | (age > 100.0)):
         bad = int(np.flatnonzero((age < 0.0) | (age > 100.0))[0])
         raise ValidationError(
-            f"age out of range at row {bad}: {age[bad]!r} not in [0, 100]"
+            f"age out of range at row {bad}: {age[bad]} not in [0, 100]"
         )
     weight = 1.0 - age / 100.0
     return CostCoefficients(1.0, 3.0 * weight, 0.5 * weight, 1.0)

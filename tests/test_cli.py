@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from utileval import BootstrapConfig, CostCoefficients, paired_max_utility_test, read_scores
 from utileval.cli import main
 
 
@@ -105,6 +106,15 @@ def test_exit_codes(tmp_path):
     single = _write_scores(tmp_path / "single.csv", single_class=True, with_extras=False)
     assert main(["evaluate", str(single), "--out-dir", str(tmp_path / "o3")]) == 3
 
+    sweep = ["sweep-c", str(scores), "--out-dir", str(tmp_path / "o4")]
+    assert main(sweep + ["--replicates", "-1"]) == 2
+
+    # an output directory that cannot be created is an input error
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["evaluate", str(scores), "--out-dir", str(blocker / "out")]) == 2
+    assert main(["evaluate", str(scores), "--out-dir", str(blocker)]) == 2
+
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2
     assert main(["--version"]) == 0
@@ -151,6 +161,28 @@ def test_compare(tmp_path):
     assert main(["compare", str(a), "--out-dir", str(out)]) == 2
     mismatched = _write_scores(tmp_path / "other.csv", seed=6, with_extras=False)
     assert main(["compare", str(a), str(mismatched), "--out-dir", str(out)]) == 2
+
+
+@pytest.mark.parametrize("replicates", [0, 120])
+def test_compare_paired_entry_matches_paired_test(tmp_path, replicates):
+    a = _write_scores(tmp_path / "a.csv", seed=5, with_extras=False)
+    # same rows, reversed ranking
+    header, *rows = a.read_text().splitlines()
+    flipped = [f"{1.0 - float(score)!r},{label}" for score, label in (r.split(",") for r in rows)]
+    b = tmp_path / "b.csv"
+    b.write_text("\n".join([header, *flipped]) + "\n")
+    out = tmp_path / "out"
+    argv = ["compare", str(a), str(b), "--out-dir", str(out), "--seed", "9"]
+    assert main(argv + ["--replicates", str(replicates)]) == 0
+    entry = json.loads((out / "compare_report.json").read_text())["paired_u_max_tests"][0]
+    config = BootstrapConfig(replicates=max(replicates, 100), level=0.95, seed=9)
+    expected = paired_max_utility_test(
+        read_scores(a), read_scores(b), CostCoefficients.zero_one(), config
+    )
+    assert (entry["a"], entry["b"]) == ("a", "b")
+    assert entry["diff_u_max"] == expected.diff
+    assert (entry["low"], entry["high"], entry["level"]) == (expected.low, expected.high, 0.95)
+    assert entry["p_value"] == expected.p_value
 
 
 def test_simulate_small(tmp_path):

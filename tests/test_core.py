@@ -39,6 +39,12 @@ def test_score_range_is_validated():
         LabeledScores(scores=[-0.1], labels=[1])
 
 
+def test_score_range_message_prints_plain_number():
+    with pytest.raises(ValidationError) as excinfo:
+        LabeledScores(scores=[0.5, 1.5], labels=[0, 1])
+    assert str(excinfo.value) == "score out of range at row 1: 1.5 not in [0, 1]"
+
+
 def test_labels_must_be_binary():
     with pytest.raises(ValidationError, match="must be 0 or 1"):
         LabeledScores(scores=[0.5, 0.5], labels=[0, 2])

@@ -43,6 +43,14 @@ def test_read_scores_minimal_and_blank_lines(tmp_path):
     assert data.context == {} and data.coefficients is None
 
 
+def test_read_scores_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"\xef\xbb\xbfscore,label\n0.5,1\n0.25,0\n")
+    data = read_scores(path)
+    assert data.scores.tolist() == [0.5, 0.25]
+    assert data.labels.tolist() == [1, 0]
+
+
 def test_read_scores_errors(tmp_path):
     def attempt(text):
         path = tmp_path / "bad.csv"

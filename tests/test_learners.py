@@ -169,6 +169,15 @@ def test_kfold_cv_validation(rng):
         kfold_cv(X, y, n_folds=4, k_grid=[16], seed=0)
 
 
+def test_tune_checks_fold_count_before_k_grid(rng):
+    X, y = _blobs(rng, 20)
+    for folds in (0, 1, 100):
+        with pytest.raises(ValidationError, match=rf"n_folds must be in \[2, 28\], got {folds}$"):
+            tune_and_compare(
+                X, y, k_grid=[201], coefficients=cost_family(1.0), repeats=1, n_folds=folds
+            )
+
+
 def test_tune_and_compare_smoke(rng):
     X, y = _blobs(rng, 90, spread=2.0, gap=1.8)
     coefficients = cost_family(1.0)

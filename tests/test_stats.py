@@ -6,10 +6,13 @@ import pytest
 from utileval import (
     BootstrapConfig,
     CostCoefficients,
+    DecisionRule,
     DegenerateDataError,
     LabeledScores,
     SimStudyConfig,
     ValidationError,
+    accuracy,
+    auc_rank,
     bootstrap_ci,
     cost_family,
     generate_realization,
@@ -17,6 +20,7 @@ from utileval import (
     paired_max_utility_test,
     sem,
 )
+from utileval.stats import resample
 from conftest import make_dataset
 
 
@@ -71,6 +75,61 @@ def test_bootstrap_redraws_counted(rng):
     result = bootstrap_ci(data, "auc", config)
     assert result.redraws > 0
     assert result.values.shape == (150,)
+
+
+def test_resample_matches_separate_loops_per_statistic(rng):
+    # the redraw-heavy data above, plus a noisy scorer of the same rows whose
+    # accuracy varies from draw to draw
+    scores = np.concatenate([rng.random(40) * 0.5, [0.9]])
+    labels = np.array([0] * 40 + [1])
+    datasets = [
+        LabeledScores(scores=scores, labels=labels),
+        LabeledScores(scores=rng.random(41), labels=labels),
+    ]
+    statistics = {
+        "auc": lambda data, _: auc_rank(data),
+        "accuracy": lambda data, _: accuracy(data, DecisionRule(0.5)),
+    }
+    values, redraws = resample(datasets, statistics, 150, seed=4)
+
+    def alone(data, metric):
+        rng = np.random.default_rng(np.random.SeedSequence([4]))
+        out, skipped = [], 0
+        while len(out) < 150:
+            sample = data.take(rng.integers(0, data.n, data.n))
+            if metric == "auc" and sample.labels.min() == sample.labels.max():
+                skipped += 1
+                continue
+            out.append(statistics[metric](sample, None))
+        return np.array(out), skipped
+
+    for i, data in enumerate(datasets):
+        for metric in statistics:
+            expected, skipped = alone(data, metric)
+            assert values[i][metric].tobytes() == expected.tobytes()
+            assert redraws[i][metric] == skipped
+    assert redraws[0]["auc"] > 0 and redraws[0]["accuracy"] == 0
+    assert np.unique(values[1]["accuracy"]).size > 1
+
+
+def test_resample_vector_statistic_and_validation(rng):
+    data = make_dataset(rng, 30)
+    values, _ = resample([data], {"pair": lambda d, _: [d.scores.min(), d.scores.max()]}, 7, 0)
+    assert values[0]["pair"].shape == (7, 2)
+    empty, _ = resample([data], {"pair": lambda d, _: [0.0, 1.0]}, 0, 0)
+    assert empty[0]["pair"].size == 0
+    with pytest.raises(ValidationError, match="replicates must be >= 0"):
+        resample([data], {}, -1, 0)
+
+
+def test_resample_redraw_budget_is_exhausted():
+    data = LabeledScores(scores=[0.2, 0.8], labels=[0, 1])
+
+    def never(_data, _coefficients):
+        raise DegenerateDataError("undefined")
+
+    with pytest.raises(DegenerateDataError, match="'never' exhausted its redraw budget"):
+        resample([data], {"never": never}, 3, 0)
 
 
 def test_bootstrap_point_usually_inside_interval(rng):

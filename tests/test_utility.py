@@ -206,6 +206,13 @@ def test_age_discounted_coefficients():
         )
 
 
+def test_age_range_message_prints_plain_number():
+    data = LabeledScores(scores=[0.5, 0.5], labels=[1, 0], context={"age": [40.0, 120.0]})
+    with pytest.raises(ValidationError) as excinfo:
+        age_discounted_coeffs(data)
+    assert str(excinfo.value) == "age out of range at row 1: 120.0 not in [0, 100]"
+
+
 def test_monotone_transform_validation():
     scores = np.array([0.1, 0.5, 0.9])
     with pytest.raises(ValidationError, match="leaves"):
