@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from importlib.metadata import PackageNotFoundError, version as _dist_version
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -74,17 +74,17 @@ from .stats import (
 )
 from .learners import tune_and_compare
 from .utility import (
-    _candidate_counts,
-    _utility_from_counts,
     age_discounted_coeffs,
     bayes_threshold,
+    candidate_thresholds,
     cost_family,
+    utility_at_thresholds,
     utility_curve,
 )
 
 try:
-    VERSION = _dist_version("utileval")
-except PackageNotFoundError:  # running from a source tree
+    VERSION = metadata.version("utileval")
+except metadata.PackageNotFoundError:  # running from a source tree
     VERSION = "0.1.0"
 
 _INTERVAL_METRICS = ("auc", "brier", "accuracy", "ece", "net_trust", "u_max")
@@ -485,15 +485,11 @@ def cmd_sweep_c(args) -> int:
             raise ValidationError(f"cost parameters must be >= 0, got {c}")
 
     def sweep_maxima(data: LabeledScores, _=None) -> list[float]:
-        thresholds, tp, fp, fn, tn = _candidate_counts(data)
-        out = []
-        for c in grid:
-            family = cost_family(c)
-            utilities = _utility_from_counts(
-                tp, fp, fn, tn, data.n, family.a11, family.a01, family.a10, family.a00
-            )
-            out.append(float(np.max(utilities)))
-        return out
+        thresholds = candidate_thresholds(data)
+        return [
+            float(np.max(utility_at_thresholds(data, cost_family(c), thresholds)))
+            for c in grid
+        ]
 
     points = {name: sweep_maxima(data) for name, data in zip(names, datasets)}
     values, _ = resample(datasets, {"u_max": sweep_maxima}, args.replicates, args.seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "ValidationError",
     "DegenerateDataError",
     "CostCoefficients",
+    "ScoreRuns",
     "LabeledScores",
     "DecisionRule",
     "ConfusionCounts",
@@ -43,14 +45,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise ValidationError(f"{name} contains a non-finite value at row {bad}: {arr[bad]}")
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
+    _check_finite(arr, name)
     return arr
 
 
@@ -59,8 +66,7 @@ def _as_binary_vector(values, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     out = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} contains non-finite values")
+    _check_finite(out, name)
     ints = out.astype(np.int64)
     if np.any(out != ints) or np.any((ints != 0) & (ints != 1)):
         raise ValidationError(f"{name} values must be 0 or 1")
@@ -98,8 +104,7 @@ class CostCoefficients:
             elif arr.ndim == 1:
                 if arr.size == 0:
                     raise ValidationError(f"coefficient {name} must be non-empty")
-                if not np.all(np.isfinite(arr)):
-                    raise ValidationError(f"coefficient {name} contains non-finite values")
+                _check_finite(arr, f"coefficient {name}")
                 if np.any(arr < 0.0):
                     raise ValidationError(f"coefficient {name} must be >= 0 everywhere")
                 if n is not None and arr.size != n:
@@ -158,6 +163,31 @@ class CostCoefficients:
             value = getattr(self, name)
             parts.append(value[indices] if isinstance(value, np.ndarray) else value)
         return CostCoefficients(*parts)
+
+
+@dataclass(frozen=True)
+class ScoreRuns:
+    """Scores sorted once and cut into runs of equal value.
+
+    Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]`` and
+    ``positives_before[k]`` counts the positives sorted before it; both arrays
+    end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
+    """
+
+    sorted_scores: np.ndarray
+    starts: np.ndarray
+    positives_before: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """The unique scores, ascending: the value of each run."""
+        return self.sorted_scores[self.starts[:-1]]
+
+    def accepted(self, thresholds) -> tuple[np.ndarray, np.ndarray]:
+        """Accepted-row and true-positive counts of ``score >= t`` per threshold."""
+        run = np.searchsorted(self.values, thresholds, side="left")
+        n, n_pos = self.starts[-1], self.positives_before[-1]
+        return n - self.starts[run], n_pos - self.positives_before[run]
 
 
 @dataclass(frozen=True)
@@ -233,6 +263,15 @@ class LabeledScores:
     @property
     def n_negative(self) -> int:
         return self.n - self.n_positive
+
+    @cached_property
+    def runs(self) -> ScoreRuns:
+        """The one sort of the scores, made on first use and then shared."""
+        order = np.argsort(self.scores, kind="mergesort")
+        ordered = self.scores[order]
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [self.n]])
+        positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
+        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives)))
 
     def take(self, indices) -> "LabeledScores":
         """Row subset (used by split and resampling code); keeps all columns."""

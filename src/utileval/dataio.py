@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,8 @@ def _parse_float(text: str, line: int, column: str) -> float:
 
 
 def _read_table(path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     try:
         handle = path.open("r", encoding="utf-8-sig", newline="")
@@ -221,15 +224,25 @@ def _jsonable(value):
     return value
 
 
+@contextmanager
+def _writing(path):
+    try:
+        with Path(path).open("w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path, payload) -> None:
     """Deterministic JSON: sorted keys, NaN as null, round-trip floats."""
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with _writing(path) as handle:
+        handle.write(text + "\n")
 
 
 def write_csv(path, header, rows) -> None:
     """Deterministic CSV table; floats use round-trip formatting."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with _writing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

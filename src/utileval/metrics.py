@@ -5,6 +5,9 @@ comparison (the definition, quadratic in the class sizes) and a mid-rank
 estimator (the fast path).  They agree to within accumulated rounding error on
 every dataset with both classes present, and the test suite holds them to 1e-12
 of each other.
+
+The mid-rank AUC, the ROC points and the calibration bins read the dataset's
+one sort, ``LabeledScores.runs``; none of them sorts the scores itself.
 """
 
 from __future__ import annotations
@@ -65,26 +68,17 @@ def auc_pairwise(data: LabeledScores) -> float:
     return total / (float(positive.size) * float(negative.size))
 
 
-def _mid_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average (mid) rank."""
-    n = values.size
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # a tie run occupying sorted positions [start, end) has mid-rank
-    # (start + 1 + end) / 2 in 1-based terms
-    mid = (starts + ends + 1) / 2.0
-    return mid[inverse]
-
-
 def auc_rank(data: LabeledScores) -> float:
     """AUC via the rank-sum identity with mid-ranks for ties."""
     if data.n_positive == 0 or data.n_negative == 0:
         raise DegenerateDataError("AUC undefined: dataset contains only one class")
-    ranks = _mid_ranks(data.scores)
+    starts = data.runs.starts
+    positives = np.diff(data.runs.positives_before)
+    # a tie run occupying sorted positions [start, end) has mid-rank
+    # (start + 1 + end) / 2 in 1-based terms; the sum is exact in integers
+    rank_sum = int(positives @ (starts[:-1] + starts[1:] + 1)) / 2
     n_pos = data.n_positive
     n_neg = data.n_negative
-    rank_sum = float(ranks[data.labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (float(n_pos) * float(n_neg))
 
 
@@ -98,17 +92,9 @@ def roc_points(data: LabeledScores) -> np.ndarray:
     """
     if data.n_positive == 0 or data.n_negative == 0:
         raise DegenerateDataError("ROC undefined: dataset contains only one class")
-    order = np.argsort(data.scores, kind="mergesort")[::-1]
-    sorted_scores = data.scores[order]
-    sorted_labels = data.labels[order]
-    cum_tp = np.cumsum(sorted_labels)
-    cum_fp = np.cumsum(1 - sorted_labels)
-    # inclusive thresholds realize the cumulative counts at the end of each
-    # equal-score run
-    run_ends = np.flatnonzero(np.diff(sorted_scores) != 0)
-    run_ends = np.concatenate([run_ends, [data.n - 1]])
-    tpr = cum_tp[run_ends] / data.n_positive
-    fpr = cum_fp[run_ends] / data.n_negative
+    accepted, tp = data.runs.accepted(data.runs.values[::-1])
+    tpr = tp / data.n_positive
+    fpr = (accepted - tp) / data.n_negative
     return np.concatenate([[[0.0, 0.0]], np.column_stack([fpr, tpr])])
 
 
@@ -150,21 +136,24 @@ def calibration_curve(data: LabeledScores, bins: int = 10) -> CalibrationCurve:
     """
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
-    order = np.argsort(data.scores, kind="mergesort")
-    scores = data.scores[order]
-    labels = data.labels[order]
-    index = np.minimum((scores * bins).astype(np.int64), bins - 1)
+    runs = data.runs
+    # equal scores share a bin, so each bin is a block of whole runs and a
+    # contiguous slice of the sorted scores
+    run_bin = np.minimum((runs.values * bins).astype(np.int64), bins - 1)
+    edges = np.searchsorted(run_bin, np.arange(bins + 1), side="left")
     out = []
     for b in range(bins):
-        mask = index == b
-        count = int(np.count_nonzero(mask))
-        if count == 0:
+        first, last = edges[b], edges[b + 1]
+        if first == last:
             continue
+        start, end = runs.starts[first], runs.starts[last]
+        count = int(end - start)
+        positives = runs.positives_before[last] - runs.positives_before[first]
         out.append(
             CalibrationBin(
                 bin_index=b,
-                mean_predicted=float(scores[mask].sum() / count),
-                observed_frequency=float(labels[mask].sum() / count),
+                mean_predicted=float(runs.sorted_scores[start:end].sum() / count),
+                observed_frequency=float(positives / count),
                 count=count,
             )
         )

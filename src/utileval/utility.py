@@ -13,6 +13,10 @@ same elementwise selection and mean (per-sample coefficients).  The maximum is
 therefore not merely close to, but bitwise equal to, the best pointwise value —
 a property the rest of the package relies on, e.g. to show that strictly
 increasing score transforms leave the attainable utility exactly unchanged.
+
+Every threshold statistic reads the dataset's one sort, ``LabeledScores.runs``:
+the candidate thresholds are its run values and the constant-coefficient
+confusion counts are its run counts, so no sweep sorts the scores again.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .ranking import preserves_ranking
 __all__ = [
     "UtilityCurve",
     "empirical_utility",
+    "candidate_thresholds",
     "utility_curve",
     "utility_at_thresholds",
     "bayes_threshold",
@@ -106,55 +111,41 @@ class UtilityCurve:
         return [(float(t), float(u)) for t, u in zip(self.thresholds, self.utilities)]
 
 
-def _candidate_counts(data: LabeledScores):
-    """Unique ascending thresholds with confusion counts, plus all-reject."""
-    n = data.n
-    order = np.argsort(data.scores, kind="mergesort")
-    sorted_scores = data.scores[order]
-    sorted_labels = data.labels[order]
-    prefix_pos = np.concatenate([[0], np.cumsum(sorted_labels)])
-    unique_scores, first_index = np.unique(sorted_scores, return_index=True)
-    n_pos = data.n_positive
-    n_neg = data.n_negative
-    tp = n_pos - prefix_pos[first_index]
-    accepted = n - first_index
-    fp = accepted - tp
-    sentinel = math.nextafter(float(sorted_scores[-1]), math.inf)
-    thresholds = np.append(unique_scores, sentinel)
-    tp = np.append(tp, 0)
-    fp = np.append(fp, 0)
-    return thresholds, tp, fp, n_pos - tp, n_neg - fp
+def candidate_thresholds(data: LabeledScores) -> np.ndarray:
+    """Every unique score, ascending, then a sentinel just above the largest."""
+    values = data.runs.values
+    return np.append(values, math.nextafter(float(values[-1]), math.inf))
+
+
+def _sweep(
+    data: LabeledScores, coefficients: CostCoefficients, thresholds: np.ndarray
+) -> np.ndarray:
+    if coefficients.is_constant:
+        accepted, tp = data.runs.accepted(thresholds)
+        fp = accepted - tp
+        c = coefficients
+        return _utility_from_counts(
+            tp, fp, data.n_positive - tp, data.n_negative - fp, data.n, c.a11, c.a01, c.a10, c.a00
+        )
+    when_accepted, when_rejected = _contributions(data, coefficients)
+    out = np.empty(thresholds.size)
+    for start in range(0, thresholds.size, _SWEEP_CHUNK):
+        block = thresholds[start : start + _SWEEP_CHUNK]
+        decided = data.scores[None, :] >= block[:, None]
+        out[start : start + _SWEEP_CHUNK] = np.where(
+            decided, when_accepted[None, :], when_rejected[None, :]
+        ).mean(axis=1)
+    return out
 
 
 def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:
     """Evaluate the utility of every achievable threshold rule on ``data``."""
-    if coefficients.is_constant:
-        thresholds, tp, fp, fn, tn = _candidate_counts(data)
-        utilities = _utility_from_counts(
-            tp,
-            fp,
-            fn,
-            tn,
-            data.n,
-            coefficients.a11,
-            coefficients.a01,
-            coefficients.a10,
-            coefficients.a00,
-        )
-    else:
-        thresholds, _, _, _, _ = _candidate_counts(data)
-        when_accepted, when_rejected = _contributions(data, coefficients)
-        utilities = np.empty(thresholds.size)
-        for start in range(0, thresholds.size, _SWEEP_CHUNK):
-            block = thresholds[start : start + _SWEEP_CHUNK]
-            decided = data.scores[None, :] >= block[:, None]
-            utilities[start : start + _SWEEP_CHUNK] = np.where(
-                decided, when_accepted[None, :], when_rejected[None, :]
-            ).mean(axis=1)
+    thresholds = candidate_thresholds(data)
+    utilities = _sweep(data, coefficients, thresholds)
     best = int(np.argmax(utilities))
     return UtilityCurve(
         thresholds=thresholds,
-        utilities=np.asarray(utilities),
+        utilities=utilities,
         best_threshold=float(thresholds[best]),
         max_utility=float(utilities[best]),
     )
@@ -173,37 +164,7 @@ def utility_at_thresholds(
         raise ValidationError("thresholds must be a non-empty one-dimensional array")
     if not np.all(np.isfinite(grid)):
         raise ValidationError("thresholds contain non-finite values")
-    if coefficients.is_constant:
-        order = np.argsort(data.scores, kind="mergesort")
-        sorted_scores = data.scores[order]
-        prefix_pos = np.concatenate([[0], np.cumsum(data.labels[order])])
-        first_accepted = np.searchsorted(sorted_scores, grid, side="left")
-        n_pos = data.n_positive
-        n_neg = data.n_negative
-        tp = n_pos - prefix_pos[first_accepted]
-        fp = (data.n - first_accepted) - tp
-        return np.asarray(
-            _utility_from_counts(
-                tp,
-                fp,
-                n_pos - tp,
-                n_neg - fp,
-                data.n,
-                coefficients.a11,
-                coefficients.a01,
-                coefficients.a10,
-                coefficients.a00,
-            )
-        )
-    when_accepted, when_rejected = _contributions(data, coefficients)
-    out = np.empty(grid.size)
-    for start in range(0, grid.size, _SWEEP_CHUNK):
-        block = grid[start : start + _SWEEP_CHUNK]
-        decided = data.scores[None, :] >= block[:, None]
-        out[start : start + _SWEEP_CHUNK] = np.where(
-            decided, when_accepted[None, :], when_rejected[None, :]
-        ).mean(axis=1)
-    return out
+    return _sweep(data, coefficients, grid)
 
 
 def bayes_threshold(coefficients: CostCoefficients) -> float:

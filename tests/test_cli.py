@@ -115,6 +115,14 @@ def test_exit_codes(tmp_path):
     assert main(["evaluate", str(scores), "--out-dir", str(blocker / "out")]) == 2
     assert main(["evaluate", str(scores), "--out-dir", str(blocker)]) == 2
 
+    # so is a report path that cannot be written
+    (tmp_path / "o5" / "evaluate_report.json").mkdir(parents=True)
+    assert main(["evaluate", str(scores), "--out-dir", str(tmp_path / "o5")]) == 2
+
+    # and a delimiter that is not one character
+    wide = ["evaluate", str(scores), "--out-dir", str(tmp_path / "o6"), "--delimiter", ";;"]
+    assert main(wide) == 2
+
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2
     assert main(["--version"]) == 0

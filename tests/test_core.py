@@ -70,6 +70,25 @@ def test_empty_and_nonfinite_rejected():
         LabeledScores(scores=[np.inf], labels=[1])
 
 
+def test_nonfinite_message_names_first_bad_row():
+    cases = [
+        ({"scores": [0.5, np.nan, np.inf]}, "scores contains a non-finite value at row 1: nan"),
+        (
+            {"reference_scores": [0.5, 0.5, -np.inf]},
+            "reference_scores contains a non-finite value at row 2: -inf",
+        ),
+        (
+            {"context": {"age": [np.inf, 30.0, np.nan]}},
+            "context column 'age' contains a non-finite value at row 0: inf",
+        ),
+    ]
+    for override, message in cases:
+        columns = {"scores": [0.5, 0.5, 0.5], "labels": [0, 1, 0], **override}
+        with pytest.raises(ValidationError) as excinfo:
+            LabeledScores(**columns)
+        assert str(excinfo.value) == message
+
+
 def test_arrays_are_readonly():
     data = LabeledScores(scores=[0.5, 0.6], labels=[1, 0])
     with pytest.raises(ValueError):
