@@ -571,8 +571,8 @@ def cmd_tune(args) -> int:
     }
     write_json(out / "tune_report.json", payload)
     cv_rows = []
-    sem_auc = result._sem(result.cv_auc)
-    sem_accuracy = result._sem(result.cv_accuracy)
+    sem_auc = result.cv_sem_auc
+    sem_accuracy = result.cv_sem_accuracy
     for column, k in enumerate(result.k_grid):
         cv_rows.append(
             (

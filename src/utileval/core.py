@@ -169,11 +169,14 @@ class CostCoefficients:
 class ScoreRuns:
     """Scores sorted once and cut into runs of equal value.
 
-    Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]`` and
-    ``positives_before[k]`` counts the positives sorted before it; both arrays
-    end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
+    ``order`` is the stable sort permutation (``sorted_scores`` is
+    ``scores[order]``).  Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]``
+    and ``positives_before[k]`` counts the positives sorted before it; both
+    arrays end with one extra entry (``n`` and ``n_pos``), the empty all-reject
+    tail.
     """
 
+    order: np.ndarray
     sorted_scores: np.ndarray
     starts: np.ndarray
     positives_before: np.ndarray
@@ -271,7 +274,7 @@ class LabeledScores:
         ordered = self.scores[order]
         starts = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [self.n]])
         positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
-        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives)))
+        return ScoreRuns(*(_readonly(a) for a in (order, ordered, starts, positives)))
 
     def take(self, indices) -> "LabeledScores":
         """Row subset (used by split and resampling code); keeps all columns."""

@@ -422,6 +422,14 @@ class TuneResult:
         return None if out is None else float(out)
 
     @property
+    def cv_sem_auc(self) -> np.ndarray | None:
+        return self._sem(self.cv_auc)
+
+    @property
+    def cv_sem_accuracy(self) -> np.ndarray | None:
+        return self._sem(self.cv_accuracy)
+
+    @property
     def utility_grid_sem_auc(self) -> np.ndarray | None:
         return self._sem(self.utility_grid_auc)
 

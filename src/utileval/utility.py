@@ -8,21 +8,25 @@ inclusive >= convention, this candidate set realizes every achievable decision
 vector, so the sweep maximum dominates the utility of any real threshold.
 
 Both the sweep and the pointwise evaluator reduce to the same arithmetic
-expression over exact integer confusion counts (constant coefficients) or the
-same elementwise selection and mean (per-sample coefficients).  The maximum is
-therefore not merely close to, but bitwise equal to, the best pointwise value —
-a property the rest of the package relies on, e.g. to show that strictly
-increasing score transforms leave the attainable utility exactly unchanged.
+expression over exact integer confusion counts (constant coefficients) or to
+the correctly rounded mean of the per-sample contributions, summed exactly as
+integers (per-sample coefficients).  The maximum is therefore not merely close
+to, but bitwise equal to, the best pointwise value — a property the rest of the
+package relies on, e.g. to show that strictly increasing score transforms leave
+the attainable utility exactly unchanged.
 
 Every threshold statistic reads the dataset's one sort, ``LabeledScores.runs``:
-the candidate thresholds are its run values and the constant-coefficient
-confusion counts are its run counts, so no sweep sorts the scores again.
+the candidate thresholds are its run values, the constant-coefficient
+confusion counts are its run counts and the per-sample sums are prefix sums in
+its order, so no sweep sorts the scores again and every sweep takes
+O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit, logit
@@ -48,9 +52,6 @@ __all__ = [
     "monotone_transform",
 ]
 
-_SWEEP_CHUNK = 128
-
-
 def _utility_from_counts(tp, fp, fn, tn, n, a11, a01, a10, a00):
     # shared between the pointwise evaluator (scalars) and the sweep (vectors);
     # identical operation order keeps the two bit-for-bit consistent
@@ -59,13 +60,27 @@ def _utility_from_counts(tp, fp, fn, tn, n, a11, a01, a10, a00):
 
 def _contributions(
     data: LabeledScores, coefficients: CostCoefficients
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample utility contribution when predicted positive / negative."""
+) -> tuple[list[int], list[int], int]:
+    """Per-sample utility contribution when predicted positive / negative, as
+    integers ``accepted``, ``rejected`` and one shared exponent ``lo``: row
+    ``i`` contributes exactly ``accepted[i] * 2**lo`` when accepted."""
     a11, a01, a10, a00 = coefficients.as_vectors(data.n)
     positive = data.labels == 1
-    when_accepted = np.where(positive, a11, -a01)
-    when_rejected = np.where(positive, -a10, a00)
-    return when_accepted, when_rejected
+    values = np.concatenate([np.where(positive, a11, -a01), np.where(positive, -a10, a00)])
+    mantissa, exponent = np.frexp(values)
+    # |mantissa| is 0 or in [0.5, 1), so scaling by 2**53 gives an exact int64
+    mantissa = (mantissa * 2.0**53).astype(np.int64)
+    exponent -= 53
+    lo = int(exponent.min())
+    ints = [m << s for m, s in zip(mantissa.tolist(), (exponent - lo).tolist())]
+    return ints[: data.n], ints[data.n :], lo
+
+
+def _exact_mean(total: int, n: int, lo: int) -> float:
+    """The float nearest ``total * 2**lo / n``: Python's int / int rounds
+    correctly, subnormal results included, and the mean of finite values
+    cannot overflow."""
+    return total / (n << -lo) if lo < 0 else (total << lo) / n
 
 
 def empirical_utility(
@@ -87,9 +102,10 @@ def empirical_utility(
                 coefficients.a00,
             )
         )
-    when_accepted, when_rejected = _contributions(data, coefficients)
-    predicted = rule.apply(data.scores)
-    return float(np.where(predicted, when_accepted, when_rejected).mean())
+    accepted, rejected, lo = _contributions(data, coefficients)
+    predicted = rule.apply(data.scores).tolist()
+    total = sum(a if p else r for a, r, p in zip(accepted, rejected, predicted))
+    return _exact_mean(total, data.n, lo)
 
 
 @dataclass(frozen=True)
@@ -127,15 +143,13 @@ def _sweep(
         return _utility_from_counts(
             tp, fp, data.n_positive - tp, data.n_negative - fp, data.n, c.a11, c.a01, c.a10, c.a00
         )
-    when_accepted, when_rejected = _contributions(data, coefficients)
-    out = np.empty(thresholds.size)
-    for start in range(0, thresholds.size, _SWEEP_CHUNK):
-        block = thresholds[start : start + _SWEEP_CHUNK]
-        decided = data.scores[None, :] >= block[:, None]
-        out[start : start + _SWEEP_CHUNK] = np.where(
-            decided, when_accepted[None, :], when_rejected[None, :]
-        ).mean(axis=1)
-    return out
+    accepted, rejected, lo = _contributions(data, coefficients)
+    runs = data.runs
+    # change[k]: how the all-accept total moves when the k lowest scores are rejected
+    change = [0, *accumulate(rejected[i] - accepted[i] for i in runs.order.tolist())]
+    total = sum(accepted)
+    rejected_rows = data.n - runs.accepted(thresholds)[0]
+    return np.array([_exact_mean(total + change[k], data.n, lo) for k in rejected_rows.tolist()])
 
 
 def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:

@@ -83,6 +83,19 @@ def test_evaluate_interval_nesting(tmp_path):
         assert wide["low"] <= narrow["low"] <= narrow["high"] <= wide["high"]
 
 
+def test_evaluate_huge_finite_per_row_coefficients(tmp_path, capsys):
+    # two rewards of 1.5e308 sum past the largest float; their mean over three rows does not
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "score,label,a11,a01,a10,a00\n0.9,1,1.5e308,0,0,1\n0.8,1,1.5e308,0,0,1\n0.1,0,0,0,0,0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["evaluate", str(scores), "--out-dir", str(out), "--utility", "columns"]) == 0
+    assert capsys.readouterr().err == ""
+    metrics = json.loads((out / "evaluate_report.json").read_text())["report"]["metrics"]
+    assert (metrics["u_max"], metrics["argmax_threshold"]) == (1e308, 0.1)
+
+
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("score\n0.5\n")

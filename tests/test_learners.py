@@ -195,6 +195,10 @@ def test_tune_and_compare_smoke(rng):
         result.utility_grid_accuracy <= result.max_utility_accuracy[:, None]
     )
     assert result.sem_max_utility_auc > 0.0
+    np.testing.assert_array_equal(
+        result.cv_sem_auc, np.std(result.cv_auc, axis=0, ddof=1) / np.sqrt(3)
+    )
+    assert result.cv_sem_accuracy.shape == (3,)
     again = tune_and_compare(
         X, y, k_grid=[1, 5, 15], coefficients=coefficients, repeats=3, seed=21, n_folds=4
     )
@@ -209,6 +213,7 @@ def test_tune_single_repeat_has_no_sem(rng):
     )
     assert result.sem_max_utility_auc is None
     assert result.utility_grid_sem_accuracy is None
+    assert result.cv_sem_auc is None and result.cv_sem_accuracy is None
 
 
 def test_tune_per_sample_coefficients_follow_rows(rng):

@@ -1,11 +1,14 @@
 """The one sorted-score representation and every statistic that reads it.
 
 The references below work from the raw scores only (``confusion_at`` per
-threshold, boolean masks per calibration bin), so they share nothing with
-``LabeledScores.runs`` and each comparison is bit for bit.
+threshold, boolean masks per calibration bin, an exact ``Fraction`` mean of the
+per-sample contributions), so they share nothing with ``LabeledScores.runs``
+and each comparison is bit for bit.
 """
 
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from utileval import (
     auc_rank,
     calibration_curve,
     confusion_at,
+    empirical_utility,
     roc_points,
     utility_at_thresholds,
     utility_curve,
@@ -66,9 +70,12 @@ def _utility_reference(data, coefficients, thresholds):
     positive = data.labels == 1
     accepted = np.where(positive, a11, -a01)
     rejected = np.where(positive, -a10, a00)
-    return np.asarray(
-        [np.where(data.scores >= t, accepted, rejected).mean() for t in thresholds]
-    )
+    return np.asarray([_fraction_mean(np.where(data.scores >= t, accepted, rejected)) for t in thresholds])
+
+
+def _fraction_mean(values):
+    # the exact mean, rounded once to the nearest float
+    return float(sum(map(Fraction, values.tolist())) / values.size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +117,7 @@ def test_runs_of_a_small_dataset():
     data = LabeledScores(scores=[0.5, 0.2, 0.9, 0.5, 0.2], labels=[1, 0, 1, 0, 1])
     runs = data.runs
     assert runs is data.runs
+    assert runs.order.tolist() == [1, 4, 0, 3, 2]
     assert runs.sorted_scores.tolist() == [0.2, 0.2, 0.5, 0.5, 0.9]
     assert runs.starts.tolist() == [0, 2, 4, 5]
     assert runs.positives_before.tolist() == [0, 1, 2, 3]
@@ -117,17 +125,19 @@ def test_runs_of_a_small_dataset():
     accepted, tp = runs.accepted([0.0, 0.2, 0.3, 0.9, 1.0])
     assert accepted.tolist() == [5, 5, 3, 1, 0]
     assert tp.tolist() == [3, 3, 2, 1, 0]
-    for array in (runs.sorted_scores, runs.starts, runs.positives_before):
+    for array in (runs.order, runs.sorted_scores, runs.starts, runs.positives_before):
         with pytest.raises(ValueError):
             array[0] = 0
 
 
-def test_evaluate_sorts_the_scores_once(tmp_path, monkeypatch):
+def _argsort_calls_of_evaluate(tmp_path, monkeypatch, utility):
     rng = np.random.default_rng(3)
     scores = np.round(rng.random(200), 2)
     labels = (rng.random(200) < scores).astype(int)
+    ages = np.round(rng.random(200) * 100, 1)
     path = tmp_path / "scores.csv"
-    path.write_text("score,label\n" + "".join(f"{s!r},{y}\n" for s, y in zip(scores.tolist(), labels)))
+    rows = zip(scores.tolist(), labels.tolist(), ages.tolist())
+    path.write_text("score,label,age\n" + "".join(f"{s!r},{y},{a!r}\n" for s, y, a in rows))
     calls = []
     original = np.argsort
 
@@ -136,5 +146,56 @@ def test_evaluate_sorts_the_scores_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
-    assert main(["evaluate", str(path), "--out-dir", str(tmp_path / "out"), "--utility", "c:1"]) == 0
-    assert len(calls) == 1
+    argv = ["evaluate", str(path), "--out-dir", str(tmp_path / "out"), "--utility", utility]
+    assert main(argv) == 0
+    return len(calls)
+
+
+def test_evaluate_sorts_the_scores_once(tmp_path, monkeypatch):
+    assert _argsort_calls_of_evaluate(tmp_path, monkeypatch, "c:1") == 1
+
+
+def test_evaluate_sorts_the_scores_once_with_per_sample_coefficients(tmp_path, monkeypatch):
+    assert _argsort_calls_of_evaluate(tmp_path, monkeypatch, "age-contextual") == 1
+
+
+def test_per_sample_utility_is_the_exact_mean_of_extreme_coefficients():
+    # magnitudes 1e-300 beside 1e300, zeros and subnormals: a float
+    # accumulation loses the small terms or rounds twice
+    tiny = [1e-300, 5e-324, 2.5e-310, 0.0]
+    huge = [1e300, 3e299, 7.0, 0.0]
+    rng = np.random.default_rng(11)
+    n = 64
+    data = LabeledScores(scores=np.round(rng.random(n), 1), labels=(rng.random(n) < 0.5).astype(int))
+    # the second set has only tiny contributions, so its means are subnormal
+    for pools in ((huge, tiny, tiny, huge), (tiny,) * 4):
+        coefficients = CostCoefficients(*(rng.choice(pool, n) for pool in pools))
+        curve = utility_curve(data, coefficients)
+        at = utility_at_thresholds(data, coefficients, curve.thresholds)
+        pointwise = [empirical_utility(data, coefficients, DecisionRule(t)) for t in curve.thresholds]
+        exact = _utility_reference(data, coefficients, curve.thresholds)
+        assert curve.utilities.tolist() == at.tolist() == pointwise == exact.tolist()
+
+
+def test_per_sample_utility_of_huge_finite_coefficients_does_not_overflow():
+    # the sum 3e308 overflows a float, the mean 1e308 does not
+    data = LabeledScores(scores=[0.9, 0.8, 0.1], labels=[1, 1, 0])
+    coefficients = CostCoefficients([1.5e308, 1.5e308, 0.0], 0.0, 0.0, [1.0, 1.0, 0.0])
+    curve = utility_curve(data, coefficients)
+    assert curve.utilities.tolist() == [1e308, 1e308, 5e307, 0.0]
+    assert (curve.best_threshold, curve.max_utility) == (0.1, 1e308)
+    assert empirical_utility(data, coefficients, DecisionRule(0.1)) == 1e308
+    assert utility_at_thresholds(data, coefficients, [0.0, 0.85]).tolist() == [1e308, 5e307]
+
+
+def test_per_sample_sweep_scales_to_100k_rows():
+    # an O(n * u) sweep would visit 10**10 (row, threshold) cells at this size
+    rng = np.random.default_rng(5)
+    n = 100_000
+    data = LabeledScores(scores=rng.random(n), labels=(rng.random(n) < 0.5).astype(int))
+    coefficients = CostCoefficients(1.0, 3.0 * rng.random(n), 0.5 * rng.random(n), 1.0)
+    start = time.perf_counter()
+    curve = utility_curve(data, coefficients)
+    assert time.perf_counter() - start < 5.0
+    assert curve.utilities.size == n + 1
+    assert np.all(np.isfinite(curve.utilities))
