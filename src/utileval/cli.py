@@ -76,9 +76,7 @@ from .learners import tune_and_compare
 from .utility import (
     age_discounted_coeffs,
     bayes_threshold,
-    candidate_thresholds,
     cost_family,
-    utility_at_thresholds,
     utility_curve,
 )
 
@@ -485,11 +483,7 @@ def cmd_sweep_c(args) -> int:
             raise ValidationError(f"cost parameters must be >= 0, got {c}")
 
     def sweep_maxima(data: LabeledScores, _=None) -> list[float]:
-        thresholds = candidate_thresholds(data)
-        return [
-            float(np.max(utility_at_thresholds(data, cost_family(c), thresholds)))
-            for c in grid
-        ]
+        return [utility_curve(data, cost_family(c)).max_utility for c in grid]
 
     points = {name: sweep_maxima(data) for name, data in zip(names, datasets)}
     values, _ = resample(datasets, {"u_max": sweep_maxima}, args.replicates, args.seed)
@@ -657,9 +651,20 @@ def cmd_equity(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """Parse --seed: NumPy seeds every stream from a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    common.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     common.add_argument(
         "--out-dir", default=".", help="directory for report files (default .)"
     )

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -169,17 +169,55 @@ class CostCoefficients:
 class ScoreRuns:
     """Scores sorted once and cut into runs of equal value.
 
-    ``order`` is the stable sort permutation (``sorted_scores`` is
-    ``scores[order]``).  Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]``
-    and ``positives_before[k]`` counts the positives sorted before it; both
-    arrays end with one extra entry (``n`` and ``n_pos``), the empty all-reject
-    tail.
+    Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]`` and
+    ``positives_before[k]`` counts the positives sorted before it; both arrays
+    end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
+    :meth:`resampled` derives the runs of a row sample from them without
+    sorting again.  ``make_order`` gives :attr:`order` when it is first read.
     """
 
-    order: np.ndarray
     sorted_scores: np.ndarray
     starts: np.ndarray
     positives_before: np.ndarray
+    make_order: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """A permutation of the rows that sorts the scores: ``scores[order]``
+        is ``sorted_scores``.  Made on first use for resampled runs."""
+        return self.make_order()
+
+    def resampled(
+        self, labels: np.ndarray, indices: np.ndarray, counts: np.ndarray
+    ) -> "ScoreRuns":
+        """The runs of the row sample ``indices``, derived from this sort.
+
+        ``labels`` are the labels of the sorted rows, in row order, and
+        ``counts`` is ``np.bincount(indices, minlength=n)``.  With
+        ``w = counts[order]``, row ``order[p]`` appears ``w[p]`` times in the
+        sample, so the sample's sorted scores repeat this sort's and its run
+        boundaries are running sums of ``w`` read at this sort's run starts;
+        runs the sample misses are dropped.  Every array equals that of a
+        fresh sort of ``scores[indices]``.
+        """
+        w = counts[self.order]
+        before = np.concatenate([[0], np.cumsum(w)])[self.starts]
+        positives = np.concatenate([[0], np.cumsum((counts * labels)[self.order])])[self.starts]
+        hit = np.flatnonzero(np.append(np.diff(before) > 0, True))
+
+        def make_order() -> np.ndarray:
+            # ties keep this sort's order, then draw order: any order of a
+            # run is valid, as every reader looks only at run boundaries
+            rank = np.empty_like(self.order)
+            rank[self.order] = np.arange(self.order.size)
+            return _readonly(np.argsort(rank[indices], kind="stable"))
+
+        return ScoreRuns(
+            _readonly(np.repeat(self.sorted_scores, w)),
+            _readonly(before[hit]),
+            _readonly(positives[hit]),
+            make_order,
+        )
 
     @property
     def values(self) -> np.ndarray:
@@ -270,16 +308,21 @@ class LabeledScores:
     @cached_property
     def runs(self) -> ScoreRuns:
         """The one sort of the scores, made on first use and then shared."""
-        order = np.argsort(self.scores, kind="mergesort")
+        order = _readonly(np.argsort(self.scores, kind="mergesort"))
         ordered = self.scores[order]
         starts = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [self.n]])
         positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
-        return ScoreRuns(*(_readonly(a) for a in (order, ordered, starts, positives)))
+        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives)), lambda: order)
 
-    def take(self, indices) -> "LabeledScores":
-        """Row subset (used by split and resampling code); keeps all columns."""
+    def take(self, indices, counts=None) -> "LabeledScores":
+        """Row subset (used by resampling code); keeps all columns.
+
+        The subset's ``runs`` come from :meth:`ScoreRuns.resampled`, never
+        from a sort; ``counts`` is ``np.bincount(indices, minlength=n)``,
+        made here unless the caller has it.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledScores(
+        subset = LabeledScores(
             scores=self.scores[idx],
             labels=self.labels[idx],
             group=None if self.group is None else self.group[idx],
@@ -289,6 +332,11 @@ class LabeledScores:
             context={k: v[idx] for k, v in self.context.items()},
             coefficients=None if self.coefficients is None else self.coefficients.take(idx),
         )
+        if counts is None:
+            counts = np.bincount(idx, minlength=self.n)
+        # seeds the subset's cached ``runs`` property
+        subset.__dict__["runs"] = self.runs.resampled(self.labels, idx, counts)
+        return subset
 
 
 def validate(data: LabeledScores) -> LabeledScores:

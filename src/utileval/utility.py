@@ -134,11 +134,11 @@ def candidate_thresholds(data: LabeledScores) -> np.ndarray:
 
 
 def _sweep(
-    data: LabeledScores, coefficients: CostCoefficients, thresholds: np.ndarray
+    data: LabeledScores, coefficients: CostCoefficients, accepted_rows: np.ndarray, tp: np.ndarray
 ) -> np.ndarray:
+    """Utility of each rule that accepts ``accepted_rows`` rows, ``tp`` of them positive."""
     if coefficients.is_constant:
-        accepted, tp = data.runs.accepted(thresholds)
-        fp = accepted - tp
+        fp = accepted_rows - tp
         c = coefficients
         return _utility_from_counts(
             tp, fp, data.n_positive - tp, data.n_negative - fp, data.n, c.a11, c.a01, c.a10, c.a00
@@ -148,14 +148,18 @@ def _sweep(
     # change[k]: how the all-accept total moves when the k lowest scores are rejected
     change = [0, *accumulate(rejected[i] - accepted[i] for i in runs.order.tolist())]
     total = sum(accepted)
-    rejected_rows = data.n - runs.accepted(thresholds)[0]
+    rejected_rows = data.n - accepted_rows
     return np.array([_exact_mean(total + change[k], data.n, lo) for k in rejected_rows.tolist()])
 
 
 def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:
     """Evaluate the utility of every achievable threshold rule on ``data``."""
     thresholds = candidate_thresholds(data)
-    utilities = _sweep(data, coefficients, thresholds)
+    # candidate k accepts every run from k on
+    runs = data.runs
+    utilities = _sweep(
+        data, coefficients, data.n - runs.starts, data.n_positive - runs.positives_before
+    )
     best = int(np.argmax(utilities))
     return UtilityCurve(
         thresholds=thresholds,
@@ -178,7 +182,7 @@ def utility_at_thresholds(
         raise ValidationError("thresholds must be a non-empty one-dimensional array")
     if not np.all(np.isfinite(grid)):
         raise ValidationError("thresholds contain non-finite values")
-    return _sweep(data, coefficients, grid)
+    return _sweep(data, coefficients, *data.runs.accepted(grid))
 
 
 def bayes_threshold(coefficients: CostCoefficients) -> float:

@@ -136,6 +136,16 @@ def test_exit_codes(tmp_path):
     wide = ["evaluate", str(scores), "--out-dir", str(tmp_path / "o6"), "--delimiter", ";;"]
     assert main(wide) == 2
 
+    # NumPy seeds only from non-negative integers, so --seed rejects the rest
+    features = tmp_path / "features.csv"
+    features.write_text("label,x\n" + "".join(f"{i % 2},{i % 7}\n" for i in range(60)))
+    for argv in (
+        ["evaluate", str(scores), "--replicates", "100"],
+        ["simulate", "--samples", "50", "--realizations", "1"],
+        ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"],
+    ):
+        assert main(argv + ["--out-dir", str(tmp_path / "o7"), "--seed", "-1"]) == 2
+
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2
     assert main(["--version"]) == 0

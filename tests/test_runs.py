@@ -18,6 +18,7 @@ from utileval import (
     CostCoefficients,
     DecisionRule,
     LabeledScores,
+    age_discounted_coeffs,
     auc_rank,
     calibration_curve,
     confusion_at,
@@ -130,14 +131,17 @@ def test_runs_of_a_small_dataset():
             array[0] = 0
 
 
-def _argsort_calls_of_evaluate(tmp_path, monkeypatch, utility):
+def _argsort_calls(tmp_path, monkeypatch, command, files, options):
     rng = np.random.default_rng(3)
-    scores = np.round(rng.random(200), 2)
-    labels = (rng.random(200) < scores).astype(int)
+    labels = (rng.random(200) < 0.5).astype(int)
     ages = np.round(rng.random(200) * 100, 1)
-    path = tmp_path / "scores.csv"
-    rows = zip(scores.tolist(), labels.tolist(), ages.tolist())
-    path.write_text("score,label,age\n" + "".join(f"{s!r},{y},{a!r}\n" for s, y, a in rows))
+    paths = []
+    for k in range(files):
+        scores = np.round(np.clip(0.3 * labels + 0.7 * rng.random(200), 0, 1), 2)
+        path = tmp_path / f"{command}{k}.csv"
+        rows = zip(scores.tolist(), labels.tolist(), ages.tolist())
+        path.write_text("score,label,age\n" + "".join(f"{s!r},{y},{a!r}\n" for s, y, a in rows))
+        paths.append(str(path))
     calls = []
     original = np.argsort
 
@@ -146,17 +150,76 @@ def _argsort_calls_of_evaluate(tmp_path, monkeypatch, utility):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
-    argv = ["evaluate", str(path), "--out-dir", str(tmp_path / "out"), "--utility", utility]
-    assert main(argv) == 0
+    assert main([command, *paths, "--out-dir", str(tmp_path / command), *options]) == 0
     return len(calls)
 
 
 def test_evaluate_sorts_the_scores_once(tmp_path, monkeypatch):
-    assert _argsort_calls_of_evaluate(tmp_path, monkeypatch, "c:1") == 1
+    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, ["--utility", "c:1"]) == 1
 
 
 def test_evaluate_sorts_the_scores_once_with_per_sample_coefficients(tmp_path, monkeypatch):
-    assert _argsort_calls_of_evaluate(tmp_path, monkeypatch, "age-contextual") == 1
+    options = ["--utility", "age-contextual"]
+    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
+
+
+def test_bootstrap_replicates_do_not_sort(tmp_path, monkeypatch):
+    # each replicate derives its runs from the input's one sort
+    options = ["--utility", "c:2", "--replicates", "100"]
+    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
+    assert _argsort_calls(tmp_path, monkeypatch, "compare", 2, options) == 2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 120),
+    tie_decimals=st.sampled_from([None, 0, 1, 2, 3]),
+    hit=st.floats(0.05, 1.0),
+    bins=st.integers(2, 12),
+)
+def test_resampled_runs_equal_a_fresh_sort(seed, n, tie_decimals, hit, bins):
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    if tie_decimals is not None:
+        scores = np.round(scores, tie_decimals)
+    labels = (rng.random(n) < 0.5).astype(np.int64)
+    ages = np.round(rng.random(n) * 100, 1)
+    data = LabeledScores(scores=scores, labels=labels, context={"age": ages})
+    # draw only rows of some runs, so that the draw misses whole runs
+    values = np.unique(scores)
+    kept = values[rng.random(values.size) < hit]
+    pool = np.flatnonzero(np.isin(scores, kept if kept.size else values[:1]))
+    idx = rng.choice(pool, size=n)
+
+    derived = data.take(idx)
+    fresh = LabeledScores(scores=scores[idx], labels=labels[idx], context={"age": ages[idx]})
+    for name in ("sorted_scores", "starts", "positives_before"):
+        assert _same_bits(getattr(derived.runs, name), getattr(fresh.runs, name))
+    order = derived.runs.order
+    assert sorted(order.tolist()) == list(range(n))
+    assert _same_bits(derived.scores[order], fresh.runs.sorted_scores)
+
+    if 0 < fresh.n_positive < n:
+        assert _same_bits(auc_rank(derived), auc_rank(fresh))
+    for left, right in (
+        (CostCoefficients.constant(*(rng.random(4) * 3 + 0.01)),) * 2,
+        (age_discounted_coeffs(derived), age_discounted_coeffs(fresh)),
+    ):
+        a, b = utility_curve(derived, left), utility_curve(fresh, right)
+        assert _same_bits(a.thresholds, b.thresholds)
+        assert _same_bits(a.utilities, b.utilities)
+        assert (a.best_threshold, a.max_utility) == (b.best_threshold, b.max_utility)
+    a, b = (
+        [(c.bin_index, c.count, c.mean_predicted.hex(), c.observed_frequency.hex()) for c in d.bins]
+        for d in (calibration_curve(derived, bins=bins), calibration_curve(fresh, bins=bins))
+    )
+    assert a == b
 
 
 def test_per_sample_utility_is_the_exact_mean_of_extreme_coefficients():
