@@ -56,14 +56,8 @@ from .ranking import (
     preserves_ranking,
     preserves_ranking_by_group,
 )
-from .simstudy import (
-    CLASSIFIERS,
-    NORMAL_METHOD,
-    SimStudyConfig,
-    generate_realization,
-    run_study,
-    utility_threshold_curves,
-)
+from .simstudy import CLASSIFIERS, NORMAL_METHOD, SimStudyConfig, simulate
+from .simstudy import generate_realization  # noqa: F401  perfbench traces it through cli
 from .stats import (
     BOOTSTRAP_METRICS,
     BootstrapConfig,
@@ -359,47 +353,15 @@ def cmd_simulate(args) -> int:
         n_realizations=args.realizations,
         master_seed=args.seed,
     )
-    summary = run_study(config)
-    zero_one_bands = utility_threshold_curves(
-        config, CostCoefficients.zero_one(), grid_size=args.grid
+    summary, curves, calibration = simulate(
+        config, (CostCoefficients.zero_one(), cost_family(args.cost)), args.grid, args.bins
     )
-    cost_bands = utility_threshold_curves(
-        config, cost_family(args.cost), grid_size=args.grid
-    )
-    # aggregate per-bin calibration across realizations
-    observed: dict = {name: {} for name in CLASSIFIERS}
-    predicted: dict = {name: {} for name in CLASSIFIERS}
-    counts: dict = {name: {} for name in CLASSIFIERS}
-    for r in range(config.n_realizations):
-        realization = generate_realization(config, r)
-        for name in CLASSIFIERS:
-            curve = calibration_curve(realization.dataset(name), bins=args.bins)
-            for b in curve.bins:
-                observed[name].setdefault(b.bin_index, []).append(b.observed_frequency)
-                predicted[name].setdefault(b.bin_index, []).append(b.mean_predicted)
-                counts[name].setdefault(b.bin_index, []).append(b.count)
-    calibration_rows = []
-    for name in CLASSIFIERS:
-        for bin_index in sorted(observed[name]):
-            obs = np.asarray(observed[name][bin_index])
-            p16, p84 = np.percentile(obs, [16.0, 84.0])
-            calibration_rows.append(
-                (
-                    name,
-                    bin_index,
-                    float(np.mean(predicted[name][bin_index])),
-                    float(obs.mean()),
-                    float(p16),
-                    float(p84),
-                    float(np.mean(counts[name][bin_index])),
-                )
-            )
+    curve_files = ("simulate_utility_zero_one.csv", "simulate_utility_cost.csv")
     outputs = [
         "simulate_summary.json",
         "simulate_distributions.csv",
         "simulate_calibration.csv",
-        "simulate_utility_zero_one.csv",
-        "simulate_utility_cost.csv",
+        *curve_files,
     ]
     rate = summary.positive_rate
     payload = {
@@ -421,12 +383,11 @@ def cmd_simulate(args) -> int:
     }
     write_json(out / "simulate_summary.json", payload)
     metric_names = sorted(next(iter(summary.values.values())).keys())
-    rows = []
-    for name in CLASSIFIERS:
-        for r in range(config.n_realizations):
-            rows.append(
-                (name, r, *(summary.values[name][metric][r] for metric in metric_names))
-            )
+    rows = [
+        (name, r, *(summary.values[name][metric][r] for metric in metric_names))
+        for name in CLASSIFIERS
+        for r in range(config.n_realizations)
+    ]
     write_csv(
         out / "simulate_distributions.csv",
         ["classifier", "realization", *metric_names],
@@ -443,19 +404,14 @@ def cmd_simulate(args) -> int:
             "observed_p84",
             "mean_count",
         ],
-        calibration_rows,
+        [(name, *row) for name in CLASSIFIERS for row in calibration[name]],
     )
-    for bands, filename in (
-        (zero_one_bands, "simulate_utility_zero_one.csv"),
-        (cost_bands, "simulate_utility_cost.csv"),
-    ):
-        rows = []
-        for name in CLASSIFIERS:
-            stats = bands.stats[name]
-            for t, mean, p16, p84 in zip(
-                bands.thresholds, stats["mean"], stats["p16"], stats["p84"]
-            ):
-                rows.append((name, t, mean, p16, p84))
+    for bands, filename in zip(curves, curve_files):
+        rows = [
+            (name, *row)
+            for name, stats in bands.stats.items()
+            for row in zip(bands.thresholds, stats["mean"], stats["p16"], stats["p84"])
+        ]
         write_csv(
             out / filename,
             ["classifier", "threshold", "mean_utility", "p16", "p84"],

@@ -45,6 +45,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, without ``__post_init__``.
+
+    Only for row subsets of an instance that passed its checks: the subset's
+    arrays are slices of arrays that already did, made read-only here.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = _readonly(value)
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
@@ -155,14 +169,17 @@ class CostCoefficients:
         return tuple(out)
 
     def take(self, indices: np.ndarray) -> "CostCoefficients":
-        """Row-subset contextual coefficients; constants pass through."""
+        """Row-subset contextual coefficients; constants pass through.
+
+        The subset is not checked again: its values passed the checks already.
+        """
         if self.is_constant:
             return self
-        parts = []
+        parts = {}
         for name in ("a11", "a01", "a10", "a00"):
             value = getattr(self, name)
-            parts.append(value[indices] if isinstance(value, np.ndarray) else value)
-        return CostCoefficients(*parts)
+            parts[name] = value[indices] if isinstance(value, np.ndarray) else value
+        return _unchecked(CostCoefficients, **parts)
 
 
 @dataclass(frozen=True)
@@ -317,19 +334,21 @@ class LabeledScores:
     def take(self, indices, counts=None) -> "LabeledScores":
         """Row subset (used by resampling code); keeps all columns.
 
-        The subset's ``runs`` come from :meth:`ScoreRuns.resampled`, never
-        from a sort; ``counts`` is ``np.bincount(indices, minlength=n)``,
+        The subset's rows passed the construction checks already, so they are
+        not run again.  Its ``runs`` come from :meth:`ScoreRuns.resampled`,
+        never from a sort; ``counts`` is ``np.bincount(indices, minlength=n)``,
         made here unless the caller has it.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        subset = LabeledScores(
+        subset = _unchecked(
+            LabeledScores,
             scores=self.scores[idx],
             labels=self.labels[idx],
             group=None if self.group is None else self.group[idx],
             reference_scores=None
             if self.reference_scores is None
             else self.reference_scores[idx],
-            context={k: v[idx] for k, v in self.context.items()},
+            context={k: _readonly(v[idx]) for k, v in self.context.items()},
             coefficients=None if self.coefficients is None else self.coefficients.take(idx),
         )
         if counts is None:

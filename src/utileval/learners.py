@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DegenerateDataError, LabeledScores, ValidationError
 from .metrics import auc_rank
@@ -144,6 +143,8 @@ class LogisticModel:
     gradient_norm: float
 
     def predict_scores(self, features) -> np.ndarray:
+        from scipy.special import expit
+
         matrix = _as_features(features)
         values = _select_columns(matrix, self.feature_names)
         z = ((values - self.means) / self.stds) @ self.weights + self.intercept
@@ -171,6 +172,8 @@ def fit_logistic(
     change drops below ``tol``.  Failure to converge raises
     :class:`ConvergenceError` with the final diagnostics attached.
     """
+    from scipy.special import expit
+
     matrix = _as_features(features).standardize()
     y = _binary_labels(labels, matrix.n).astype(np.float64)
     if y.sum() == 0 or y.sum() == y.size:

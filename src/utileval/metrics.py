@@ -34,11 +34,16 @@ __all__ = [
     "CalibrationBin",
     "CalibrationCurve",
     "calibration_curve",
+    "MAX_BINS",
     "ece",
     "net_trust",
 ]
 
 _PAIRWISE_CHUNK = 512
+
+# above 2**53 not every bin count is a float, so ``scores * bins`` would bin
+# by a rounded count
+MAX_BINS = 2**53
 
 
 def _split_classes(data: LabeledScores) -> tuple[np.ndarray, np.ndarray]:
@@ -132,26 +137,28 @@ def calibration_curve(data: LabeledScores, bins: int = 10) -> CalibrationCurve:
 
     Samples are processed in score order so the per-bin sums — and therefore
     the curve and anything derived from it — are exactly invariant to
-    permutations of the input rows.
+    permutations of the input rows.  ``bins`` may be at most
+    :data:`MAX_BINS`; only occupied bins are visited, so the cost does not
+    grow with ``bins``.
     """
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
+    if bins > MAX_BINS:
+        raise ValidationError(f"bins must be <= 2**53 ({MAX_BINS}), got {bins}")
     runs = data.runs
-    # equal scores share a bin, so each bin is a block of whole runs and a
-    # contiguous slice of the sorted scores
+    # equal scores share a bin, so each occupied bin is a block of whole runs,
+    # ending where the bin index changes, and a contiguous slice of the sorted
+    # scores
     run_bin = np.minimum((runs.values * bins).astype(np.int64), bins - 1)
-    edges = np.searchsorted(run_bin, np.arange(bins + 1), side="left")
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(run_bin)) + 1, [run_bin.size]])
     out = []
-    for b in range(bins):
-        first, last = edges[b], edges[b + 1]
-        if first == last:
-            continue
+    for first, last in zip(edges[:-1], edges[1:]):
         start, end = runs.starts[first], runs.starts[last]
         count = int(end - start)
         positives = runs.positives_before[last] - runs.positives_before[first]
         out.append(
             CalibrationBin(
-                bin_index=b,
+                bin_index=int(run_bin[first]),
                 mean_predicted=float(runs.sorted_scores[start:end].sum() / count),
                 observed_frequency=float(positives / count),
                 count=count,

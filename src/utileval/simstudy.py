@@ -19,6 +19,10 @@ its own stream from (master_seed, realization_index), so results are
 bit-reproducible for a fixed configuration no matter how realizations are
 scheduled.  The drawing order within a realization is fixed: the three feature
 vectors, then one uniform vector for the labels.
+
+:func:`simulate` draws each realization once and fills every table of the
+study from it; :func:`run_study` and :func:`utility_threshold_curves` call it.
+SciPy is imported where it is used, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .core import CostCoefficients, DecisionRule, LabeledScores, ValidationError
 from .metrics import brier, calibration_curve, ece, net_trust
@@ -41,6 +44,7 @@ __all__ = [
     "StudySummary",
     "ThresholdBands",
     "generate_realization",
+    "simulate",
     "run_study",
     "utility_threshold_curves",
 ]
@@ -48,6 +52,13 @@ __all__ = [
 CLASSIFIERS = ("bayes", "shifted", "coarse")
 NORMAL_METHOD = "inverse-cdf"
 BAND_PERCENTILES = (16.0, 50.0, 84.0)
+
+# size limits, checked before any allocation; per scorer, the pooled calibration
+# keeps one entry (a few hundred bytes) per realization and occupied bin
+MAX_SAMPLES = 10_000_000
+MAX_REALIZATIONS = 1_000_000
+MAX_GRID_CELLS = 4_000_000
+MAX_CALIBRATION_CELLS = 1_000_000
 
 _METRICS = (
     "max_utility",
@@ -67,11 +78,13 @@ class SimStudyConfig:
     coefficients: CostCoefficients = field(default_factory=CostCoefficients.zero_one)
 
     def __post_init__(self) -> None:
-        if self.n_samples < 10:
-            raise ValidationError(f"n_samples must be >= 10, got {self.n_samples}")
-        if self.n_realizations < 1:
+        if not 10 <= self.n_samples <= MAX_SAMPLES:
             raise ValidationError(
-                f"n_realizations must be >= 1, got {self.n_realizations}"
+                f"n_samples must be in [10, {MAX_SAMPLES}], got {self.n_samples}"
+            )
+        if not 1 <= self.n_realizations <= MAX_REALIZATIONS:
+            raise ValidationError(
+                f"n_realizations must be in [1, {MAX_REALIZATIONS}], got {self.n_realizations}"
             )
 
 
@@ -95,14 +108,17 @@ class Realization:
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    from scipy.special import ndtri
+
     u = rng.random(n)
     # rng.random can return exactly 0.0; nudge into (0, 1) for the inverse CDF
-    u = np.where(u > 0.0, u, 2.0**-54)
-    return ndtri(u)
+    return ndtri(np.where(u > 0.0, u, 2.0**-54))
 
 
 def generate_realization(config: SimStudyConfig, index: int) -> Realization:
     """Draw realization ``index`` of the study, deterministically."""
+    from scipy.special import expit
+
     if index < 0 or index >= config.n_realizations:
         raise ValidationError(
             f"realization index {index} outside [0, {config.n_realizations})"
@@ -111,9 +127,7 @@ def generate_realization(config: SimStudyConfig, index: int) -> Realization:
         np.random.SeedSequence([int(config.master_seed), int(index)])
     )
     n = config.n_samples
-    x1 = _standard_normals(rng, n)
-    x2 = _standard_normals(rng, n)
-    x3 = _standard_normals(rng, n)
+    x1, x2, x3 = (_standard_normals(rng, n) for _ in range(3))
     log_odds = 0.5 * x1 - x2 + 0.5 * x3
     bayes = expit(log_odds)
     shifted = expit(log_odds + 1.0)
@@ -145,57 +159,6 @@ class StudySummary:
     bands: dict[str, dict[str, tuple[float, float, float]]]
 
 
-def _zero_one_is_configured(config: SimStudyConfig) -> bool:
-    c = config.coefficients
-    return c.is_constant and (c.a11, c.a01, c.a10, c.a00) == (1.0, 0.0, 0.0, 1.0)
-
-
-def run_study(config: SimStudyConfig) -> StudySummary:
-    """Evaluate all realizations and summarize with 16/50/84 bands."""
-    zero_one = CostCoefficients.zero_one()
-    reuse_sweep = _zero_one_is_configured(config)
-    values = {
-        name: {metric: np.empty(config.n_realizations) for metric in _METRICS}
-        for name in CLASSIFIERS
-    }
-    positive_rate = np.empty(config.n_realizations)
-    half = DecisionRule(0.5)
-    for r in range(config.n_realizations):
-        realization = generate_realization(config, r)
-        positive_rate[r] = realization.labels.mean()
-        for name in CLASSIFIERS:
-            data = realization.dataset(name)
-            curve = utility_curve(data, config.coefficients)
-            accuracy_best = (
-                curve.max_utility
-                if reuse_sweep
-                else utility_curve(data, zero_one).max_utility
-            )
-            store = values[name]
-            store["max_utility"][r] = curve.max_utility
-            store["accuracy_best"][r] = accuracy_best
-            store["accuracy_at_half"][r] = np.mean(
-                half.apply(data.scores) == (data.labels == 1)
-            )
-            store["brier"][r] = brier(data)
-            store["ece"][r] = ece(calibration_curve(data, bins=10))
-            store["net_trust"][r] = net_trust(data)
-    bands = {
-        name: {
-            metric: tuple(np.percentile(series, BAND_PERCENTILES))
-            for metric, series in values[name].items()
-        }
-        for name in CLASSIFIERS
-    }
-    return StudySummary(
-        config=config,
-        normal_method=NORMAL_METHOD,
-        values=values,
-        positive_rate=positive_rate,
-        bands=bands,
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdBands:
     """Pointwise utility-versus-threshold summary across realizations.
@@ -209,31 +172,104 @@ class ThresholdBands:
     stats: dict[str, dict[str, np.ndarray]]
 
 
+def _mean_and_band(block: np.ndarray) -> tuple:
+    """Mean, 16th and 84th percentile over the realizations (axis 0)."""
+    p16, p84 = np.percentile(block, [16.0, 84.0], axis=0)
+    return block.mean(axis=0), p16, p84
+
+
+def _pooled_bin(bin_index: int, bins: list) -> tuple:
+    mean, p16, p84 = _mean_and_band(np.array([b.observed_frequency for b in bins]))
+    predicted = np.mean([b.mean_predicted for b in bins])
+    count = np.mean([b.count for b in bins])
+    return (bin_index, float(predicted), float(mean), float(p16), float(p84), float(count))
+
+
+def simulate(
+    config: SimStudyConfig, curve_coefficients=(), grid_size: int = 201, bins: int = 10
+) -> tuple[StudySummary, tuple[ThresholdBands, ...], dict[str, list[tuple]]]:
+    """Draw every realization once and fill every table of the study from it.
+
+    Each scorer's dataset, and so its one sort, feeds the metric series, one
+    ``grid_size``-point threshold grid over [0, 1] (a :class:`ThresholdBands`)
+    per ``curve_coefficients`` entry, and the ``bins``-bin calibration.
+    Returns ``(summary, curves, calibration)``; ``calibration[classifier]``
+    holds ``(bin_index, mean_predicted, observed_mean, observed_p16,
+    observed_p84, mean_count)`` per bin, pooled over the realizations in it.
+    """
+    if grid_size < 2:
+        raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
+    realizations = config.n_realizations
+    occupied = min(bins, config.n_samples)  # calibration bins a realization can occupy
+    if realizations * grid_size > MAX_GRID_CELLS or realizations * occupied > MAX_CALIBRATION_CELLS:
+        raise ValidationError(
+            f"realizations x grid_size must be <= {MAX_GRID_CELLS} and realizations x min(bins, "
+            f"n_samples) <= {MAX_CALIBRATION_CELLS}, got {realizations} x {grid_size}, {occupied}"
+        )
+    zero_one = CostCoefficients.zero_one()
+    reuse_sweep = config.coefficients.is_constant and config.coefficients == zero_one
+    half = DecisionRule(0.5)
+    # [classifier, metric, realization] and [curve, classifier, realization, threshold]
+    series = np.empty((len(CLASSIFIERS), len(_METRICS), realizations))
+    grids = np.empty((len(curve_coefficients), len(CLASSIFIERS), realizations, grid_size))
+    positive_rate = np.empty(realizations)
+    thresholds = np.linspace(0.0, 1.0, grid_size)
+    pooled: dict = {name: {} for name in CLASSIFIERS}
+    for r in range(realizations):
+        realization = generate_realization(config, r)
+        positive_rate[r] = realization.labels.mean()
+        for k, name in enumerate(CLASSIFIERS):
+            data = realization.dataset(name)
+            u_max = utility_curve(data, config.coefficients).max_utility
+            calibration = calibration_curve(data, bins=10)
+            series[k, :, r] = (
+                u_max,
+                u_max if reuse_sweep else utility_curve(data, zero_one).max_utility,
+                np.mean(half.apply(data.scores) == (data.labels == 1)),
+                brier(data),
+                ece(calibration),
+                net_trust(data),
+            )
+            for grid, coefficients in zip(grids, curve_coefficients):
+                grid[k, r] = utility_at_thresholds(data, coefficients, thresholds)
+            if bins != 10:  # else the ECE's curve is the one pooled
+                calibration = calibration_curve(data, bins=bins)
+            for b in calibration.bins:
+                pooled[name].setdefault(b.bin_index, []).append(b)
+    values = {name: dict(zip(_METRICS, rows)) for name, rows in zip(CLASSIFIERS, series)}
+    bands = {
+        name: {metric: tuple(np.percentile(s, BAND_PERCENTILES)) for metric, s in per.items()}
+        for name, per in values.items()
+    }
+    curves = tuple(
+        ThresholdBands(
+            thresholds,
+            coefficients,
+            {
+                name: dict(zip(("mean", "p16", "p84"), _mean_and_band(block)))
+                for name, block in zip(CLASSIFIERS, grid)
+            },
+        )
+        for grid, coefficients in zip(grids, curve_coefficients)
+    )
+    calibration = {
+        name: [_pooled_bin(index, pooled[name][index]) for index in sorted(pooled[name])]
+        for name in CLASSIFIERS
+    }
+    return StudySummary(config, NORMAL_METHOD, values, positive_rate, bands), curves, calibration
+
+
+def run_study(config: SimStudyConfig) -> StudySummary:
+    """Evaluate all realizations and summarize with 16/50/84 bands."""
+    return simulate(config)[0]
+
+
 def utility_threshold_curves(
     config: SimStudyConfig,
     coefficients: CostCoefficients | None = None,
     grid_size: int = 201,
 ) -> ThresholdBands:
     """Mean and 16/84 bands of utility on a fixed threshold grid over [0, 1]."""
-    if grid_size < 2:
-        raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
     if coefficients is None:
         coefficients = config.coefficients
-    thresholds = np.linspace(0.0, 1.0, grid_size)
-    curves = {
-        name: np.empty((config.n_realizations, grid_size)) for name in CLASSIFIERS
-    }
-    for r in range(config.n_realizations):
-        realization = generate_realization(config, r)
-        for name in CLASSIFIERS:
-            curves[name][r] = utility_at_thresholds(
-                realization.dataset(name), coefficients, thresholds
-            )
-    stats = {}
-    for name in CLASSIFIERS:
-        block = curves[name]
-        p16, p84 = np.percentile(block, [16.0, 84.0], axis=0)
-        stats[name] = {"mean": block.mean(axis=0), "p16": p16, "p84": p84}
-    return ThresholdBands(
-        thresholds=thresholds, coefficients=coefficients, stats=stats
-    )
+    return simulate(config, (coefficients,), grid_size)[1][0]

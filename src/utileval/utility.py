@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import (
     CostCoefficients,
@@ -266,6 +265,8 @@ def monotone_transform(scores: np.ndarray, kind: str, parameter) -> np.ndarray:
             raise ValidationError(f"power exponent must be > 0, got {exponent}")
         out = scores**exponent
     elif kind == "logit-shift":
+        from scipy.special import expit, logit
+
         shift = float(parameter)
         if not math.isfinite(shift):
             raise ValidationError("logit shift must be finite")

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import utileval
 
 from utileval import BootstrapConfig, CostCoefficients, paired_max_utility_test, read_scores
 from utileval.cli import main
@@ -122,6 +128,18 @@ def test_exit_codes(tmp_path):
     sweep = ["sweep-c", str(scores), "--out-dir", str(tmp_path / "o4")]
     assert main(sweep + ["--replicates", "-1"]) == 2
 
+    # size options above their documented limits are refused before anything
+    # of that size is allocated
+    too_many_bins = ["--bins", str(2**53 + 1)]
+    assert main(["evaluate", str(scores), "--out-dir", str(tmp_path / "o8"), *too_many_bins]) == 2
+    for options in (
+        ["--samples", "10000001"],
+        ["--realizations", "1000001"],
+        ["--realizations", "400", "--grid", "10001"],
+        ["--realizations", "400", "--bins", "2501"],
+    ):
+        assert main(["simulate", *options, "--out-dir", str(tmp_path / "o9")]) == 2
+
     # an output directory that cannot be created is an input error
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -149,6 +167,34 @@ def test_exit_codes(tmp_path):
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2
     assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("bins", [10**12, 2**53])
+def test_evaluate_with_far_more_bins_than_rows(tmp_path, bins):
+    scores = _write_scores(tmp_path / "scores.csv", with_extras=False)
+    out = tmp_path / "out"
+    assert main(["evaluate", str(scores), "--bins", str(bins), "--out-dir", str(out)]) == 0
+    data = read_scores(scores)
+    index = np.minimum(np.floor(data.scores * bins).astype(np.int64), bins - 1)
+    expected = []
+    for b in np.unique(index):
+        mask = index == b
+        count = int(mask.sum())
+        predicted = float(np.sort(data.scores[mask]).sum() / count)
+        expected.append((int(b), predicted, float(data.labels[mask].sum() / count), count))
+    lines = (out / "evaluate_calibration.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    assert [(int(b), float(p), float(o), int(c)) for b, p, o, c in rows] == expected
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # SciPy is imported where it is used; loading it costs every command
+    env = {**os.environ, "PYTHONPATH": str(Path(utileval.__file__).parents[1])}
+    code = "import sys, utileval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_compare(tmp_path):

@@ -115,6 +115,45 @@ def test_take_keeps_all_columns():
     assert sub.coefficients.a10 == 0.5
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_take_equals_the_validated_construction():
+    data = LabeledScores(
+        scores=[0.1, 0.5, 0.9, 0.5],
+        labels=[0, 1, 1, 0],
+        group=[0, 1, 0, 1],
+        reference_scores=[0.2, 0.4, 0.8, 0.3],
+        context={"age": [30.0, 40.0, 50.0, 60.0]},
+        coefficients=CostCoefficients([1, 1, 1, 2], [0, 1, 2, 3], 0.5, 1.0),
+    )
+    idx = np.array([3, 0, 3, 2])
+    sub = data.take(idx)
+    coefficients = data.coefficients
+    built = LabeledScores(
+        scores=data.scores[idx],
+        labels=data.labels[idx],
+        group=data.group[idx],
+        reference_scores=data.reference_scores[idx],
+        context={"age": data.context["age"][idx]},
+        coefficients=CostCoefficients(coefficients.a11[idx], coefficients.a01[idx], 0.5, 1.0),
+    )
+    for name in ("scores", "labels", "group", "reference_scores"):
+        got, want = getattr(sub, name), getattr(built, name)
+        assert _same_bits(got, want) and not got.flags.writeable
+    assert list(sub.context) == ["age"]
+    assert _same_bits(sub.context["age"], built.context["age"])
+    assert not sub.context["age"].flags.writeable
+    for name in ("a11", "a01", "a10", "a00"):
+        got, want = getattr(sub.coefficients, name), getattr(built.coefficients, name)
+        if isinstance(want, np.ndarray):
+            assert _same_bits(got, want) and not got.flags.writeable
+        else:
+            assert type(got) is float and got == want
+    assert validate(sub) is sub
+
+
 def test_counts_properties():
     data = LabeledScores(scores=[0.1, 0.5, 0.9], labels=[0, 1, 1])
     assert (data.n, data.n_positive, data.n_negative) == (3, 2, 1)

@@ -27,6 +27,7 @@ from utileval import (
     utility_at_thresholds,
     utility_curve,
 )
+from utileval import simstudy
 from utileval.cli import main
 from conftest import make_dataset
 
@@ -168,6 +169,21 @@ def test_bootstrap_replicates_do_not_sort(tmp_path, monkeypatch):
     options = ["--utility", "c:2", "--replicates", "100"]
     assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
     assert _argsort_calls(tmp_path, monkeypatch, "compare", 2, options) == 2
+
+
+def test_simulate_draws_and_sorts_each_realization_once(tmp_path, monkeypatch):
+    drawn = []
+    original = simstudy.generate_realization
+
+    def counting_generate(config, index):
+        drawn.append(index)
+        return original(config, index)
+
+    monkeypatch.setattr(simstudy, "generate_realization", counting_generate)
+    options = ["--samples", "300", "--realizations", "4", "--grid", "11", "--bins", "7"]
+    # one sort per scorer and realization
+    assert _argsort_calls(tmp_path, monkeypatch, "simulate", 0, options) == 3 * 4
+    assert drawn == [0, 1, 2, 3]
 
 
 def _same_bits(a, b):

@@ -6,13 +6,18 @@ from utileval import (
     CostCoefficients,
     SimStudyConfig,
     ValidationError,
+    brier,
+    calibration_curve,
     cost_family,
+    ece,
     generate_realization,
+    net_trust,
     preserves_ranking,
     run_study,
     utility_at_thresholds,
     utility_curve,
 )
+from utileval.cli import main
 
 SMALL = SimStudyConfig(n_samples=600, n_realizations=6, master_seed=42)
 
@@ -139,3 +144,59 @@ def test_config_validation():
     assert default.n_samples == 15000
     assert default.n_realizations == 400
     assert default.coefficients.is_constant
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("bins", [10, 7])
+def test_simulate_tables_match_per_realization_references(tmp_path, bins):
+    config = SimStudyConfig(n_samples=400, n_realizations=5, master_seed=23)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--samples", "400", "--realizations", "5", "--seed", "23"]
+    options = ["--grid", "21", "--cost", "2", "--bins", str(bins), "--out-dir", str(out)]
+    assert main(argv + options) == 0
+
+    zero_one = CostCoefficients.zero_one()
+    panels = {"zero_one": zero_one, "cost": cost_family(2.0)}
+    thresholds = np.linspace(0.0, 1.0, 21)
+    metrics = []
+    grids = {panel: {name: [] for name in CLASSIFIERS} for panel in panels}
+    pooled = {name: {} for name in CLASSIFIERS}
+    for r in range(config.n_realizations):
+        realization = generate_realization(config, r)
+        for name in CLASSIFIERS:
+            data = realization.dataset(name)
+            best = utility_curve(data, zero_one).max_utility
+            at_half = np.mean((data.scores >= 0.5) == (data.labels == 1))
+            calibration = ece(calibration_curve(data, bins=10))
+            # columns in sorted metric-name order
+            values = (at_half, best, brier(data), calibration, best, net_trust(data))
+            metrics.append((name, r, *values))
+            for panel, coefficients in panels.items():
+                grids[panel][name].append(utility_at_thresholds(data, coefficients, thresholds))
+            for b in calibration_curve(data, bins=bins).bins:
+                pooled[name].setdefault(b.bin_index, []).append(b)
+    metrics.sort(key=lambda row: CLASSIFIERS.index(row[0]))
+
+    rows = _csv_rows(out / "simulate_distributions.csv")
+    assert [(c, int(r), *map(float, v)) for c, r, *v in rows] == metrics
+    for panel in panels:
+        expected = []
+        for name in CLASSIFIERS:
+            block = np.array(grids[panel][name])
+            p16, p84 = np.percentile(block, [16.0, 84.0], axis=0)
+            expected += zip([name] * 21, thresholds, block.mean(axis=0), p16, p84)
+        rows = _csv_rows(out / f"simulate_utility_{panel}.csv")
+        assert [(c, *map(float, v)) for c, *v in rows] == expected
+    expected = []
+    for name in CLASSIFIERS:
+        for index, group in sorted(pooled[name].items()):
+            observed = np.array([b.observed_frequency for b in group])
+            p16, p84 = np.percentile(observed, [16.0, 84.0])
+            predicted = np.mean([b.mean_predicted for b in group])
+            count = np.mean([b.count for b in group])
+            expected.append((name, index, predicted, observed.mean(), p16, p84, count))
+    rows = _csv_rows(out / "simulate_calibration.csv")
+    assert [(c, int(i), *map(float, v)) for c, i, *v in rows] == expected
