@@ -485,11 +485,10 @@ def cmd_tune(args) -> int:
     if args.utility == "columns":
         raise ValidationError("--utility columns is not available for feature files")
     coefficients = _resolve_utility(args.utility, age=table.age)
-    k_grid = [int(k) for k in _parse_grid(args.k_grid, "k")]
     result = tune_and_compare(
         table.features,
         table.labels,
-        k_grid,
+        _parse_grid(args.k_grid, "k"),
         coefficients,
         repeats=args.repeats,
         seed=args.seed,

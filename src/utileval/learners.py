@@ -10,17 +10,20 @@ seeds; repeated calls with the same arguments return identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import DegenerateDataError, LabeledScores, ValidationError
-from .metrics import auc_rank
+from .metrics import auc_from_runs
+from .metrics import auc_rank  # noqa: F401  perfbench traces it through learners
 from .utility import utility_at_thresholds, utility_curve
 
 __all__ = [
     "ConvergenceError",
     "FeatureMatrix",
+    "MAX_REPEATS",
+    "MAX_TUNE_CELLS",
     "LogisticModel",
     "fit_logistic",
     "knn_scores",
@@ -29,6 +32,15 @@ __all__ = [
     "TuneResult",
     "tune_and_compare",
 ]
+
+# ``tune_and_compare`` keeps repeats x grid_size and repeats x len(k_grid)
+# tables
+MAX_REPEATS = 1_000_000
+MAX_TUNE_CELLS = 4_000_000
+
+# distance comparisons (test rows x k values x training rows) per block of
+# test rows in ``_knn_counts``
+_KNN_BLOCK_CELLS = 1 << 22
 
 
 class ConvergenceError(RuntimeError):
@@ -78,6 +90,10 @@ class FeatureMatrix:
     @property
     def n(self) -> int:
         return int(self.values.shape[0])
+
+    def take(self, indices) -> "FeatureMatrix":
+        """The rows at ``indices``; they were validated with this matrix."""
+        return replace(self, values=self.values[indices])
 
     @property
     def is_standardized(self) -> bool:
@@ -246,29 +262,50 @@ def fit_logistic(
     )
 
 
-def _knn_score_grid(
+def _knn_counts(
     train: FeatureMatrix, train_labels: np.ndarray, test: FeatureMatrix, ks
 ) -> np.ndarray:
-    """kNN positive-fraction scores on ``test`` for every k, one sort per call.
+    """Positives among the k nearest training rows, per test row and k (int64).
 
     Distances are squared Euclidean on standardized features; equal distances
-    are broken toward the lowest training index via a stable sort.
+    are broken toward the lowest training index.  Each row's distances are
+    sorted once.  Where the k-th and (k+1)-th smallest differ, the k nearest
+    are exactly the rows within the k-th smallest distance, whatever their
+    order.  Only rows where a tie straddles some k take a stable argsort.
+    Test rows are processed in blocks, so memory does not grow with them.
     """
     standardized = train.standardize()
     train_values = standardized.values
     test_values = standardized.transform(test).values
-    d2 = (
-        (test_values**2).sum(axis=1)[:, None]
-        + (train_values**2).sum(axis=1)[None, :]
-        - 2.0 * (test_values @ train_values.T)
-    )
-    order = np.argsort(d2, axis=1, kind="stable")
-    neighbor_labels = train_labels[order]
-    cumulative = np.cumsum(neighbor_labels, axis=1)
-    out = np.empty((test_values.shape[0], len(ks)))
-    for column, k in enumerate(ks):
-        out[:, column] = cumulative[:, k - 1] / k
-    return out
+    ks = np.asarray(ks, dtype=np.int64)
+    n_train = train_values.shape[0]
+    train_sq = (train_values**2).sum(axis=1)
+    test_sq = (test_values**2).sum(axis=1)
+    positive = train_labels == 1
+    past_last = ks == n_train
+    counts = np.empty((test_values.shape[0], ks.size), dtype=np.int64)
+    rows = max(1, _KNN_BLOCK_CELLS // (ks.size * n_train))
+    for start in range(0, test_values.shape[0], rows):
+        block = slice(start, start + rows)
+        d2 = test_sq[block, None] + train_sq[None, :] - 2.0 * (test_values[block] @ train_values.T)
+        ordered = np.sort(d2, axis=1)
+        kth = ordered[:, ks - 1]
+        counts[block] = (d2[:, None, positive] <= kth[:, :, None]).sum(axis=2)
+        after = ordered[:, np.minimum(ks, n_train - 1)]
+        after[:, past_last] = np.inf
+        # also true where a NaN sorts into position k or k + 1
+        tied = np.flatnonzero(~np.all(kth < after, axis=1))
+        if tied.size:
+            order = np.argsort(d2[tied], axis=1, kind="stable")
+            counts[start + tied] = np.cumsum(train_labels[order], axis=1)[:, ks - 1]
+    return counts
+
+
+def _knn_score_grid(
+    train: FeatureMatrix, train_labels: np.ndarray, test: FeatureMatrix, ks
+) -> np.ndarray:
+    """kNN positive-fraction scores on ``test`` for every k."""
+    return _knn_counts(train, train_labels, test, ks) / np.asarray(ks)
 
 
 def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarray:
@@ -276,7 +313,7 @@ def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarra
     train = _as_features(train_features)
     test = _as_features(test_features)
     y = _binary_labels(train_labels, train.n)
-    k = int(k)
+    k = _integer_k(k)
     if not 1 <= k <= train.n:
         raise ValidationError(f"k must be in [1, {train.n}], got {k}")
     return _knn_score_grid(train, y, test, [k])[:, 0]
@@ -304,8 +341,14 @@ class CvResult:
     skipped_auc_folds: tuple[int, ...]
 
 
+def _integer_k(k) -> int:
+    if isinstance(k, (float, np.floating)) and not float(k).is_integer():
+        raise ValidationError(f"k must be an integer, got {k}")
+    return int(k)
+
+
 def _validate_k_grid(k_grid, limit: int) -> tuple[int, ...]:
-    grid = tuple(int(k) for k in k_grid)
+    grid = tuple(_integer_k(k) for k in k_grid)
     if len(grid) == 0:
         raise ValidationError("k grid must be non-empty")
     if any(k < 1 for k in grid):
@@ -324,7 +367,7 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
 
     Rows are permuted once with the seed and split into ``n_folds`` contiguous
     chunks of the permutation.  Each fold is scored with every k from one
-    distance computation.
+    distance computation, and its AUCs are read from its neighbour counts.
     """
     matrix = _as_features(features)
     y = _binary_labels(labels, matrix.n)
@@ -334,6 +377,7 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
         raise ValidationError(f"n_folds must be in [2, {n}], got {n_folds}")
     largest_fold = -(-n // n_folds)
     grid = _validate_k_grid(k_grid, n - largest_fold)
+    ks = np.asarray(grid)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     permutation = rng.permutation(n)
     folds = np.array_split(permutation, n_folds)
@@ -342,23 +386,14 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     skipped = []
     for f, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != f])
-        train = FeatureMatrix.from_arrays(matrix.values[train_idx], matrix.names)
-        test = FeatureMatrix.from_arrays(matrix.values[test_idx], matrix.names)
-        scores = _knn_score_grid(train, y[train_idx], test, grid)
+        counts = _knn_counts(matrix.take(train_idx), y[train_idx], matrix.take(test_idx), grid)
         test_labels = y[test_idx]
-        single_class = test_labels.min() == test_labels.max()
-        if single_class:
+        fold_accuracy[f] = np.mean((counts / ks >= 0.5) == (test_labels == 1)[:, None], axis=0)
+        if test_labels.min() == test_labels.max():
             skipped.append(f)
-        for column in range(len(grid)):
-            fold_accuracy[f, column] = np.mean(
-                (scores[:, column] >= 0.5) == (test_labels == 1)
-            )
-            if single_class:
-                fold_auc[f, column] = np.nan
-            else:
-                fold_auc[f, column] = auc_rank(
-                    LabeledScores(scores=scores[:, column], labels=test_labels)
-                )
+            fold_auc[f] = np.nan
+        else:
+            fold_auc[f] = _count_auc(counts, test_labels, ks)
     if len(skipped) == n_folds:
         raise DegenerateDataError("AUC undefined in every fold (single-class test folds)")
     mean_auc = np.nanmean(fold_auc, axis=0)
@@ -375,6 +410,24 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
         best_k_by_accuracy=grid[int(np.argmax(mean_accuracy))],
         skipped_auc_folds=tuple(skipped),
     )
+
+
+def _count_auc(counts: np.ndarray, labels: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """AUC of the scores ``counts / ks`` in every column, from count histograms.
+
+    ``c -> c / k`` is strictly increasing, so the bins 0..k of a column's
+    counts are its tie runs in score order; empty bins are empty runs.
+    """
+    width = int(ks[-1]) + 1
+    bins = counts + width * np.arange(ks.size)
+    shape = (ks.size, width)
+    rows = np.bincount(bins.ravel(), minlength=ks.size * width).reshape(shape)
+    positives = np.bincount(bins[labels == 1].ravel(), minlength=ks.size * width).reshape(shape)
+    starts = np.zeros((ks.size, width + 1), dtype=np.int64)
+    positives_before = np.zeros_like(starts)
+    np.cumsum(rows, axis=1, out=starts[:, 1:])
+    np.cumsum(positives, axis=1, out=positives_before[:, 1:])
+    return auc_from_runs(starts, positives_before)
 
 
 @dataclass(frozen=True)
@@ -465,8 +518,10 @@ def tune_and_compare(
     y = _binary_labels(labels, matrix.n)
     n = matrix.n
     repeats = int(repeats)
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    if not 1 <= repeats <= MAX_REPEATS:
+        raise ValidationError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
+    if grid_size < 1:
+        raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = max(1, int(round(n * test_fraction)))
@@ -481,6 +536,11 @@ def tune_and_compare(
     if not 2 <= n_folds <= n_train:
         raise ValidationError(f"n_folds must be in [2, {n_train}], got {n_folds}")
     grid = _validate_k_grid(k_grid, n_train - (-(-n_train // n_folds)))
+    if repeats * max(grid_size, len(grid)) > MAX_TUNE_CELLS:
+        raise ValidationError(
+            f"repeats x grid_size and repeats x k grid length must be <= {MAX_TUNE_CELLS}, "
+            f"got {repeats} x {grid_size} and {repeats} x {len(grid)}"
+        )
     thresholds = np.linspace(0.0, 1.0, grid_size)
     chosen_k = {"auc": np.empty(repeats, dtype=np.int64), "accuracy": np.empty(repeats, dtype=np.int64)}
     max_utility = {"auc": np.empty(repeats), "accuracy": np.empty(repeats)}
@@ -496,8 +556,8 @@ def tune_and_compare(
         cv_seed = int(rng.integers(0, 2**31 - 1))
         train_idx = permutation[:n_train]
         test_idx = permutation[n_train:]
-        train = FeatureMatrix.from_arrays(matrix.values[train_idx], matrix.names)
-        test = FeatureMatrix.from_arrays(matrix.values[test_idx], matrix.names)
+        train = matrix.take(train_idx)
+        test = matrix.take(test_idx)
         cv = kfold_cv(train, y[train_idx], n_folds, grid, cv_seed)
         cv_auc[r] = cv.mean_auc
         cv_accuracy[r] = cv.mean_accuracy

@@ -7,7 +7,9 @@ every dataset with both classes present, and the test suite holds them to 1e-12
 of each other.
 
 The mid-rank AUC, the ROC points and the calibration bins read the dataset's
-one sort, ``LabeledScores.runs``; none of them sorts the scores itself.
+one sort, ``LabeledScores.runs``; none of them sorts the scores itself.  The
+AUC itself is :func:`auc_from_runs`, which also reads runs built without a
+sort (kNN cross-validation bins its integer neighbour counts).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
 __all__ = [
     "auc_pairwise",
     "auc_rank",
+    "auc_from_runs",
     "roc_points",
     "brier",
     "accuracy",
@@ -77,14 +80,26 @@ def auc_rank(data: LabeledScores) -> float:
     """AUC via the rank-sum identity with mid-ranks for ties."""
     if data.n_positive == 0 or data.n_negative == 0:
         raise DegenerateDataError("AUC undefined: dataset contains only one class")
-    starts = data.runs.starts
-    positives = np.diff(data.runs.positives_before)
+    return float(auc_from_runs(data.runs.starts, data.runs.positives_before))
+
+
+def auc_from_runs(starts, positives_before):
+    """Mid-rank AUC from tie runs in ascending score order, along the last axis.
+
+    ``starts`` and ``positives_before`` are laid out as in
+    :class:`~utileval.core.ScoreRuns`: each run's first sorted position and
+    the positives sorted before it, followed by the row and positive totals.
+    A 2-D pair gives one AUC per row.  Empty runs add nothing, so empty
+    histogram bins may stand in the run list.  Both classes must be present.
+    """
+    positives = np.diff(positives_before, axis=-1)
     # a tie run occupying sorted positions [start, end) has mid-rank
     # (start + 1 + end) / 2 in 1-based terms; the sum is exact in integers
-    rank_sum = int(positives @ (starts[:-1] + starts[1:] + 1)) / 2
-    n_pos = data.n_positive
-    n_neg = data.n_negative
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (float(n_pos) * float(n_neg))
+    twice_ranks = starts[..., :-1] + starts[..., 1:] + 1
+    rank_sum = np.matmul(positives[..., None, :], twice_ranks[..., :, None])[..., 0, 0] / 2
+    n_pos = positives_before[..., -1]
+    n_neg = starts[..., -1] - n_pos
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / np.multiply(n_pos, n_neg, dtype=np.float64)
 
 
 def roc_points(data: LabeledScores) -> np.ndarray:

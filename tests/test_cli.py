@@ -102,7 +102,7 @@ def test_evaluate_huge_finite_per_row_coefficients(tmp_path, capsys):
     assert (metrics["u_max"], metrics["argmax_threshold"]) == (1e308, 0.1)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("score\n0.5\n")
     assert main(["evaluate", str(bad), "--out-dir", str(tmp_path / "o1")]) == 2
@@ -163,6 +163,24 @@ def test_exit_codes(tmp_path):
         ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"],
     ):
         assert main(argv + ["--out-dir", str(tmp_path / "o7"), "--seed", "-1"]) == 2
+
+    # tune's k grid holds integers, and its tables have documented limits,
+    # checked before they are allocated
+    tune = ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"]
+    tune += ["--out-dir", str(tmp_path / "o10")]
+    assert main(tune) == 0
+    for options, message in (
+        (["--grid", "-1"], "grid_size must be >= 1"),
+        (["--grid", "0"], "grid_size must be >= 1"),
+        (["--k-grid", "inf"], "k must be an integer"),
+        (["--k-grid", "nan"], "k must be an integer"),
+        (["--k-grid", "5.5,15"], "k must be an integer"),
+        (["--repeats", "1000001"], "repeats must be in [1, 1000000]"),
+        (["--repeats", "20000", "--grid", "201"], "repeats x grid_size"),
+    ):
+        capsys.readouterr()
+        assert main(tune + options) == 2
+        assert message in capsys.readouterr().err
 
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2

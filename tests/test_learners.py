@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from utileval import learners
 from utileval import (
     ConvergenceError,
     CostCoefficients,
@@ -118,6 +120,91 @@ def test_knn_k_validation(rng):
         knn_scores(X, y, X, k=0)
     with pytest.raises(ValidationError):
         knn_scores(X, y, X, k=11)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        knn_scores(X, y, X, k=2.5)
+
+
+def _counts_reference(train, labels, test, ks):
+    # positives among the first k of a stable argsort of the squared distances
+    standardized = FeatureMatrix.from_arrays(train).standardize()
+    a = standardized.values
+    b = standardized.transform(FeatureMatrix.from_arrays(test)).values
+    d2 = (b**2).sum(axis=1)[:, None] + (a**2).sum(axis=1)[None, :] - 2.0 * (b @ a.T)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return np.cumsum(labels[order], axis=1)[:, np.asarray(ks) - 1]
+
+
+def _knn_counts(train, labels, test, ks):
+    return learners._knn_counts(
+        FeatureMatrix.from_arrays(train), labels, FeatureMatrix.from_arrays(test), ks
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_train=st.integers(1, 60),
+    n_test=st.integers(1, 30),
+    d=st.integers(1, 3),
+    levels=st.sampled_from([None, 2, 3, 5]),
+)
+def test_knn_counts_match_a_stable_argsort(seed, n_train, n_test, d, levels):
+    # small integer levels tie distances across every k; None is continuous
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        train, test = rng.normal(size=(n_train, d)), rng.normal(size=(n_test, d))
+    else:
+        train, test = rng.integers(0, levels, (n_train, d)), rng.integers(0, levels, (n_test, d))
+    labels = rng.integers(0, 2, n_train)
+    every_k = np.arange(1, n_train + 1)
+    some_k = np.unique(rng.integers(1, n_train + 1, 3))
+    for ks in (every_k, some_k, [n_train]):
+        got = _knn_counts(train, labels, test, ks)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _counts_reference(train, labels, test, ks))
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7, 1000])
+def test_knn_counts_blocks_over_test_rows(monkeypatch, rows_per_block):
+    # balanced +-1 training columns standardize to themselves and integer
+    # test rows stay integers, so every distance is exact however the
+    # products are blocked
+    rng = np.random.default_rng(rows_per_block)
+    n_train, ks = 40, np.arange(1, 41)
+    train = np.column_stack([rng.permutation(np.repeat([-1.0, 1.0], n_train // 2)) for _ in range(3)])
+    test = rng.integers(-2, 3, (50, 3)).astype(float)
+    labels = rng.integers(0, 2, n_train)
+    monkeypatch.setattr(learners, "_KNN_BLOCK_CELLS", rows_per_block * ks.size * n_train)
+    got = _knn_counts(train, labels, test, ks)
+    assert np.array_equal(got, _counts_reference(train, labels, test, ks))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kfold_cv_fold_metrics_equal_per_column_references(seed):
+    # tied integer features; some 6-row folds hold a single class
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, (60, 2)).astype(float)
+    y = (rng.random(60) < 0.1 + 0.1 * X[:, 0]).astype(int)
+    k_grid = [1, 2, 4, 9, 20, 54]
+    result = kfold_cv(X, y, n_folds=10, k_grid=k_grid, seed=seed)
+    folds = np.array_split(np.random.default_rng(np.random.SeedSequence([seed])).permutation(60), 10)
+    auc = np.empty((10, len(k_grid)))
+    accuracy = np.empty((10, len(k_grid)))
+    for f, test_idx in enumerate(folds):
+        train_idx = np.concatenate(folds[:f] + folds[f + 1 :])
+        for column, k in enumerate(k_grid):
+            scores = knn_scores(X[train_idx], y[train_idx], X[test_idx], k)
+            labels = y[test_idx]
+            accuracy[f, column] = np.mean((scores >= 0.5) == (labels == 1))
+            auc[f, column] = (
+                np.nan
+                if labels.min() == labels.max()
+                else auc_rank(LabeledScores(scores=scores, labels=labels))
+            )
+    assert result.fold_auc.tobytes() == auc.tobytes()
+    assert result.fold_accuracy.tobytes() == accuracy.tobytes()
+    assert result.skipped_auc_folds == tuple(np.flatnonzero(np.isnan(auc[:, 0])))
+    assert result.skipped_auc_folds
 
 
 def test_kfold_cv_shapes_and_determinism(rng):
@@ -167,6 +254,9 @@ def test_kfold_cv_validation(rng):
     with pytest.raises(ValidationError, match="exceeds"):
         # 20 rows in 4 folds leave only 15 training rows per fold
         kfold_cv(X, y, n_folds=4, k_grid=[16], seed=0)
+    for k in (5.5, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            kfold_cv(X, y, n_folds=4, k_grid=[1, k], seed=0)
 
 
 def test_tune_checks_fold_count_before_k_grid(rng):
@@ -244,6 +334,9 @@ def test_feature_matrix_basics():
     with pytest.raises(ValidationError, match="non-finite"):
         FeatureMatrix.from_arrays([[np.nan]])
     matrix = FeatureMatrix.from_arrays([[1.0, 5.0], [3.0, 5.0]], ["x", "const"])
+    subset = matrix.take([1])
+    assert subset.names == matrix.names
+    assert subset.values.tolist() == [[3.0, 5.0]]
     standardized = matrix.standardize()
     assert standardized.names == ("x",)
     assert np.allclose(standardized.values.mean(axis=0), 0.0)

@@ -143,6 +143,10 @@ def _argsort_calls(tmp_path, monkeypatch, command, files, options):
         rows = zip(scores.tolist(), labels.tolist(), ages.tolist())
         path.write_text("score,label,age\n" + "".join(f"{s!r},{y},{a!r}\n" for s, y, a in rows))
         paths.append(str(path))
+    return _count_argsorts(monkeypatch, [command, *paths, "--out-dir", str(tmp_path / command), *options])
+
+
+def _count_argsorts(monkeypatch, argv):
     calls = []
     original = np.argsort
 
@@ -151,7 +155,7 @@ def _argsort_calls(tmp_path, monkeypatch, command, files, options):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
-    assert main([command, *paths, "--out-dir", str(tmp_path / command), *options]) == 0
+    assert main(argv) == 0
     return len(calls)
 
 
@@ -184,6 +188,21 @@ def test_simulate_draws_and_sorts_each_realization_once(tmp_path, monkeypatch):
     # one sort per scorer and realization
     assert _argsort_calls(tmp_path, monkeypatch, "simulate", 0, options) == 3 * 4
     assert drawn == [0, 1, 2, 3]
+
+
+def test_tune_sorts_only_the_held_out_scores(tmp_path, monkeypatch):
+    # on continuous features no distance tie straddles a k, so neighbour
+    # counts need no argsort; each repeat sorts the held-out scores of its
+    # two chosen k
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(150, 3))
+    labels = (features[:, 0] + rng.normal(size=150) > 0).astype(int)
+    path = tmp_path / "features.csv"
+    rows = "".join(f"{y},{a!r},{b!r},{c!r}\n" for y, (a, b, c) in zip(labels, features.tolist()))
+    path.write_text("label,x1,x2,x3\n" + rows)
+    repeats = 3
+    argv = ["tune", str(path), "--k-grid", "1,4,9,30", "--folds", "5", "--repeats", str(repeats)]
+    assert _count_argsorts(monkeypatch, argv + ["--out-dir", str(tmp_path / "tune")]) <= 2 * repeats
 
 
 def _same_bits(a, b):
