@@ -213,11 +213,11 @@ def cmd_evaluate(args) -> int:
     report = EvalReport(
         metrics=metrics,
         curves={
-            "roc": [(float(x), float(y)) for x, y in roc],
+            "roc": roc,
             "calibration": [
                 (b.mean_predicted, b.observed_frequency) for b in calibration.bins
             ],
-            "utility": curve.points,
+            "utility": np.column_stack([curve.thresholds, curve.utilities]),
         },
         intervals=intervals,
     )
@@ -243,7 +243,7 @@ def cmd_evaluate(args) -> int:
         "bootstrap": diagnostics,
     }
     write_json(out / "evaluate_report.json", payload)
-    write_csv(out / "evaluate_roc.csv", ["fpr", "tpr"], roc)
+    write_csv(out / "evaluate_roc.csv", ["fpr", "tpr"], report.curves["roc"])
     write_csv(
         out / "evaluate_calibration.csv",
         ["bin_index", "mean_predicted", "observed_frequency", "count"],
@@ -252,11 +252,7 @@ def cmd_evaluate(args) -> int:
             for b in calibration.bins
         ],
     )
-    write_csv(
-        out / "evaluate_utility.csv",
-        ["threshold", "utility"],
-        zip(curve.thresholds, curve.utilities),
-    )
+    write_csv(out / "evaluate_utility.csv", ["threshold", "utility"], report.curves["utility"])
     return 0
 
 

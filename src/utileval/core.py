@@ -9,7 +9,6 @@ expressed by a threshold strictly above every observed score.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -417,18 +416,27 @@ def confusion_at(data: LabeledScores, rule: DecisionRule) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def _check_curve(name: str, points) -> list[tuple[float, float]]:
-    cleaned = []
-    prev_x = -math.inf
-    for point in points:
-        x, y = (float(point[0]), float(point[1]))
+def _check_curve(name: str, points) -> np.ndarray:
+    """``points`` as a read-only (m, 2) float array of finite, x-ordered points."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    try:
+        curve = np.array(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"curve {name!r} is not a sequence of (x, y) points") from exc
+    if curve.size == 0:
+        curve = curve.reshape(0, 2)
+    if curve.ndim != 2 or curve.shape[1] != 2:
+        raise ValidationError(f"curve {name!r} is not a sequence of (x, y) points")
+    # the first point that is not finite or lies left of its predecessor
+    bad = ~np.isfinite(curve).all(axis=1)
+    bad[1:] |= curve[1:, 0] < curve[:-1, 0]
+    if bad.any():
+        x, y = curve[int(np.argmax(bad))].tolist()
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValidationError(f"curve {name!r} contains non-finite point ({x}, {y})")
-        if x < prev_x:
-            raise ValidationError(f"curve {name!r} is not ordered by x at x={x}")
-        prev_x = x
-        cleaned.append((x, y))
-    return cleaned
+        raise ValidationError(f"curve {name!r} is not ordered by x at x={x}")
+    return _readonly(curve)
 
 
 @dataclass(frozen=True)
@@ -436,14 +444,15 @@ class EvalReport:
     """Structured evaluation result: flat metrics, curves, and intervals.
 
     ``metrics`` maps metric name to value; ``curves`` maps curve name to an
-    x-ordered list of (x, y) points; ``intervals`` maps a name such as
-    ``"auc@95"`` to a (low, high, level) triple.  Serialization uses shortest
-    round-trip float representation, so every value survives a JSON round trip
-    bit-exactly (within the usual 17 significant digits of a double).
+    x-ordered sequence of (x, y) points, stored as a read-only (m, 2) float
+    array; ``intervals`` maps a name such as ``"auc@95"`` to a (low, high,
+    level) triple.  Serialization uses shortest round-trip float
+    representation, so every value survives a JSON round trip bit-exactly
+    (within the usual 17 significant digits of a double).
     """
 
     metrics: dict[str, float]
-    curves: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    curves: dict[str, np.ndarray] = field(default_factory=dict)
     intervals: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -469,9 +478,11 @@ class EvalReport:
         object.__setattr__(self, "intervals", intervals)
 
     def to_dict(self) -> dict:
+        """The report as a dict; curves stay (m, 2) arrays, which
+        :func:`utileval.dataio.encode_json` writes as lists of [x, y]."""
         return {
             "metrics": dict(self.metrics),
-            "curves": {k: [[x, y] for x, y in v] for k, v in self.curves.items()},
+            "curves": dict(self.curves),
             "intervals": {
                 k: {"low": lo, "high": hi, "level": level}
                 for k, (lo, hi, level) in self.intervals.items()
@@ -479,4 +490,6 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        from .dataio import encode_json  # dataio imports this module
+
+        return encode_json(self.to_dict())

@@ -4,18 +4,29 @@ Score files are UTF-8 delimited text (a leading byte-order mark is skipped)
 with a header row.  ``score`` and ``label`` are required; ``group``,
 ``reference_score`` and the coefficient quadruple ``a11,a01,a10,a00`` are
 recognized when present; any further numeric column is kept as named context
-(for example ``age``).  Numbers use ``.`` as the decimal separator.  Writing
-uses shortest round-trip float formatting, so a parse/emit cycle preserves
-every value exactly.
+(for example ``age``).  Numbers use ``.`` as the decimal separator.  A file
+that is not UTF-8, or a field longer than the ``csv`` module's field limit,
+is a :class:`ValidationError` naming the file and line.
+
+Writing uses shortest round-trip float formatting, so a parse/emit cycle
+preserves every value exactly.  Reports are written by one encoder: its bytes
+equal ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy
+arrays and scalars turned into Python lists and numbers, NaN into ``null``
+and keys into strings, while a finite float array (or a list of equal-length
+float rows) is formatted in one pass over its values.  A CSV table given as a
+2-D float array is likewise written in one join.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
+import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +42,7 @@ __all__ = [
     "read_bonus_table",
     "file_digest",
     "format_number",
+    "encode_json",
     "write_json",
     "write_csv",
 ]
@@ -47,6 +59,20 @@ def _parse_float(text: str, line: int, column: str) -> float:
         ) from exc
 
 
+def _undecodable(path: Path) -> ValidationError:
+    """The error for a file that is not UTF-8, naming its first line that is not."""
+    with path.open("rb") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValidationError(
+                    f"{path}, line {line_number}: not UTF-8 text "
+                    f"(byte {line[exc.start]:#04x})"
+                )
+    return ValidationError(f"{path} is not UTF-8 text")
+
+
 def _read_table(path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]:
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValidationError(f"delimiter must be one character, got {delimiter!r}")
@@ -58,28 +84,40 @@ def _read_table(path, delimiter: str) -> tuple[list[str], dict[str, np.ndarray]]
     with handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path} is empty") from None
-        header = [name.strip() for name in header]
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{path} has duplicate column names")
-        columns: list[list[float]] = [[] for _ in header]
-        for line_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"line {line_number}: expected {len(header)} fields, got {len(row)}"
-                )
-            for name, cell, store in zip(header, row, columns):
-                store.append(_parse_float(cell.strip(), line_number, name))
-    if not columns or not columns[0]:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path} is empty")
+            header = [name.strip() for name in header]
+            if len(set(header)) != len(header):
+                raise ValidationError(f"{path} has duplicate column names")
+            width = len(header)
+            values = array("d")
+            for line_number, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != width:
+                    raise ValidationError(
+                        f"line {line_number}: expected {width} fields, got {len(row)}"
+                    )
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    # drop this row's partial extension; the cells are parsed
+                    # again stripped, since str.strip() removes the ASCII
+                    # separators 0x1c-0x1f that float() keeps
+                    del values[len(values) - len(values) % width :]
+                    values.extend(
+                        _parse_float(cell.strip(), line_number, name)
+                        for name, cell in zip(header, row)
+                    )
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not values:
         raise ValidationError(f"{path} contains no data rows")
-    return header, {
-        name: np.asarray(store, dtype=np.float64)
-        for name, store in zip(header, columns)
-    }
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, width).T.copy()
+    return header, dict(zip(header, table))
 
 
 def read_scores(path, delimiter: str = ",") -> LabeledScores:
@@ -171,10 +209,11 @@ def read_features(path, delimiter: str = ",") -> FeatureTable:
     values = np.column_stack([columns[name] for name in names])
     features = FeatureMatrix.from_arrays(values, names)
     labels = columns["label"]
-    ints = labels.astype(np.int64)
-    if np.any(labels != ints) or np.any((ints != 0) & (ints != 1)):
+    if not np.all((labels == 0) | (labels == 1)):
         raise ValidationError(f"{path}: label values must be 0 or 1")
-    return FeatureTable(features=features, labels=ints, age=columns.get("age"))
+    return FeatureTable(
+        features=features, labels=labels.astype(np.int64), age=columns.get("age")
+    )
 
 
 def read_bonus_table(path) -> np.ndarray:
@@ -186,6 +225,8 @@ def read_bonus_table(path) -> np.ndarray:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
     except OSError as exc:
         raise ValidationError(f"cannot open {path}: {exc}") from exc
     values = []
@@ -207,21 +248,124 @@ def file_digest(path) -> str:
     return digest.hexdigest()
 
 
-def _jsonable(value):
+def _json_float(value) -> str:
+    value = float(value)
+    if value != value:
+        return "null"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _float_block(values, width: int, indent: str) -> str:
+    """JSON text of finite floats: one list (``width`` 0) or rows of ``width``."""
+    inner = indent + "  "
+    texts = map(float.__repr__, values)
+    if not width:
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    cell = ",\n" + inner + "  "
+    row = "[\n" + inner + "  " + cell.join(["%s"] * width) + "\n" + inner + "]"
+    rows = (",\n" + inner).join([row] * (len(values) // width))
+    return ("[\n" + inner + rows + "\n" + indent + "]") % tuple(texts)
+
+
+_FLOAT_TYPES = {float, np.float64}
+
+
+def _float_list_block(items, indent: str) -> str | None:
+    """:func:`_float_block` of a non-empty list of finite floats, or of
+    equal-length rows of them; None for any other list."""
+    kinds = set(map(type, items))
+    if kinds <= _FLOAT_TYPES:
+        flat, width = items, 0
+    elif kinds <= {list, tuple}:
+        widths = set(map(len, items))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        flat, width = list(chain.from_iterable(items)), widths.pop()
+        if not set(map(type, flat)) <= _FLOAT_TYPES:
+            return None
+    else:
+        return None
+    if not all(map(math.isfinite, flat)):
+        return None
+    return _float_block(flat, width, indent)
+
+
+def _encode_list(items, indent: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    block = _float_list_block(items, indent)
+    if block is not None:
+        out.append(block)
+        return
+    inner = indent + "  "
+    separator = "[\n" + inner
+    for item in items:
+        out.append(separator)
+        _encode(item, inner, out)
+        separator = ",\n" + inner
+    out.append("\n" + indent + "]")
+
+
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, whose line is indented by ``indent``."""
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return None if value != value else value
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+        items = {str(key): item for key, item in value.items()}
+        if not items:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key in sorted(items):
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _encode(items[key], inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        _encode_list(value, indent, out)
+    elif isinstance(value, np.ndarray):
+        # subclasses such as masked arrays only convert exactly through tolist()
+        if (
+            type(value) is np.ndarray
+            and value.dtype.kind == "f"
+            and value.ndim in (1, 2)
+            and value.size
+            and np.isfinite(value).all()
+        ):
+            width = value.shape[1] if value.ndim == 2 else 0
+            out.append(_float_block(value.ravel().tolist(), width, indent))
+        else:
+            # list() fails on a 0-d array's scalar as iterating it always did
+            _encode_list(list(value.tolist()), indent, out)
+    elif isinstance(value, (np.bool_, bool)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (np.floating, float)):
+        out.append(_json_float(value))
+    elif isinstance(value, (np.integer, int)):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def encode_json(payload) -> str:
+    """Deterministic JSON text: sorted string keys, 2-space indent, NaN as null.
+
+    The text equals ``json.dumps(value, sort_keys=True, indent=2)`` where
+    ``value`` is ``payload`` with keys made strings, NumPy arrays made lists,
+    NumPy scalars made Python numbers and NaN made ``None``; floats use
+    round-trip ``repr`` formatting.
+    """
+    out: list[str] = []
+    _encode(payload, "", out)
+    return "".join(out)
 
 
 @contextmanager
@@ -234,24 +378,41 @@ def _writing(path):
 
 
 def write_json(path, payload) -> None:
-    """Deterministic JSON: sorted keys, NaN as null, round-trip floats."""
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+    """Deterministic JSON (:func:`encode_json`) plus a final newline."""
+    text = encode_json(payload)
     with _writing(path) as handle:
         handle.write(text + "\n")
 
 
+def _cell_text(value) -> str:
+    if isinstance(value, (np.floating, float)):
+        return format_number(value)
+    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+_CELL_TEXT = {
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    int: int.__repr__,
+    str: str,
+}
+
+
 def write_csv(path, header, rows) -> None:
-    """Deterministic CSV table; floats use round-trip formatting."""
+    """Deterministic CSV table; floats use round-trip formatting.
+
+    ``rows`` is an iterable of rows, or a 2-D float array written in one join.
+    """
     with _writing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            out = []
-            for value in row:
-                if isinstance(value, (np.floating, float)):
-                    out.append(format_number(value))
-                elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-                    out.append(str(int(value)))
-                else:
-                    out.append(str(value))
-            writer.writerow(out)
+        if type(rows) is np.ndarray and rows.dtype.kind == "f" and rows.ndim == 2 and rows.size:
+            # float.__repr__ is format_number for every float, NaN included
+            texts = tuple(map(float.__repr__, rows.ravel().tolist()))
+            handle.write((",".join(["%s"] * rows.shape[1]) + "\n") * rows.shape[0] % texts)
+            return
+        writer.writerows(
+            [_CELL_TEXT.get(type(value), _cell_text)(value) for value in row] for row in rows
+        )

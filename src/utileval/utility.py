@@ -121,10 +121,6 @@ class UtilityCurve:
     best_threshold: float
     max_utility: float
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(t), float(u)) for t, u in zip(self.thresholds, self.utilities)]
-
 
 def candidate_thresholds(data: LabeledScores) -> np.ndarray:
     """Every unique score, ascending, then a sentinel just above the largest."""

@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import utileval
 
 from utileval import BootstrapConfig, CostCoefficients, paired_max_utility_test, read_scores
 from utileval.cli import main
+from utileval.dataio import file_digest
 
 
 def _write_scores(path, n=160, seed=5, with_extras=True, single_class=False):
@@ -180,6 +186,26 @@ def test_exit_codes(tmp_path, capsys):
     ):
         capsys.readouterr()
         assert main(tune + options) == 2
+        assert message in capsys.readouterr().err
+
+    # a file that is not UTF-8, or has a field over the csv module's limit,
+    # is an input error naming the file and line
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"score,label,caf\xe9\n0.2,0,1\n0.8,1,2\n")
+    long_field = tmp_path / "long.csv"
+    long_field.write_text("label,x\n0,1\n1," + "7" * 131073 + "\n")
+    bonus = tmp_path / "bonus.txt"
+    bonus.write_bytes(b"0 1 \xff\n")
+    equity_scores = _write_scores(tmp_path / "equity.csv")
+    for argv, message in (
+        (["evaluate", str(latin1)], "latin1.csv, line 1: not UTF-8 text"),
+        (["tune", str(latin1)], "latin1.csv, line 1: not UTF-8 text"),
+        (["evaluate", str(long_field)], "long.csv, line 3: field larger than field limit"),
+        (["tune", str(long_field)], "long.csv, line 3: field larger than field limit"),
+        (["equity", str(equity_scores), "--bonus", str(bonus)], "bonus.txt, line 1: not UTF-8"),
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / "o11")]) == 2
         assert message in capsys.readouterr().err
 
     # argparse's own exit path is surfaced unchanged
@@ -456,3 +482,217 @@ def test_equity_benefit_column_is_used(tmp_path):
     report = json.loads((out / "equity_report.json").read_text())
     assert report["benefit_source"] == "benefit"
     assert report["total_utility"] == 5.0
+
+
+def _write_golden_inputs():
+    """Small seeded inputs, written to the working directory under relative names."""
+    scores = _write_scores(Path("scores.csv"), n=160, seed=5)
+    header, *rows = scores.read_text().splitlines()
+    other = [f"{abs(float(row.split(',')[0]) - 0.3)!r},{row.split(',')[1]}" for row in rows]
+    Path("scores_b.csv").write_text("\n".join(["score,label", *other]) + "\n")
+    rng = np.random.default_rng(100)
+    X = rng.normal(size=(120, 2))
+    y = ((X[:, 0] + X[:, 1] + rng.normal(0, 1.2, 120)) > 0).astype(int)
+    Path("features.csv").write_text(
+        "label,x1,x2\n"
+        + "".join(f"{y[i]},{float(X[i, 0])!r},{float(X[i, 1])!r}\n" for i in range(120))
+    )
+    Path("bonus.txt").write_text("0 0.05 0.2\n")
+
+
+_GOLDEN_COMMANDS = {
+    "contextual": ["evaluate", "scores.csv", "--utility", "age-contextual"],
+    "zero_one": ["evaluate", "scores.csv", "--replicates", "100", "--seed", "3"],
+    "compare": ["compare", "scores.csv", "scores_b.csv", "--replicates", "100", "--seed", "9"],
+    "sweep_c": ["sweep-c", "scores.csv", "scores_b.csv", "--replicates", "20"],
+    "simulate": ["simulate", "--samples", "200", "--realizations", "3", "--grid", "21"],
+    "tune": ["tune", "features.csv", "--k-grid", "3,9", "--folds", "3", "--repeats", "2"],
+    "equity": ["equity", "scores.csv", "--bonus", "bonus.txt"],
+}
+
+# SHA-256 of every report, recorded with the per-value JSON and CSV writers
+# that the one-pass encoder replaced; a writer change that moves any byte
+# fails, and so does a NumPy or SciPy build that rounds a float differently
+_GOLDEN_DIGESTS = {
+    "compare/compare_metrics.csv": (
+        "41deb654e2d6785fa32a0775563f9fb43bc3ebcd107aee951434b1afade36a3e"
+    ),
+    "compare/compare_report.json": (
+        "96743d6de491b32669e56ce5cacea97b8db6c01e62915c50240f97fdff78ad2c"
+    ),
+    "contextual/evaluate_calibration.csv": (
+        "aa4cd488128c41a914c9ab0b6b89c09918a3f62f5cc8b47f8448034bd2133165"
+    ),
+    "contextual/evaluate_report.json": (
+        "fdc1bff391bf1c695b6a4d98d9fb32834bd9d3d1846243a8ebeb5cad99236681"
+    ),
+    "contextual/evaluate_roc.csv": (
+        "1613f296d7757032160c43a3da65cd097c4e9b47655f28485d5f76b09f3526bc"
+    ),
+    "contextual/evaluate_utility.csv": (
+        "2653b9dece525568e58f2c52ade462cdd91e9b8cb52c6468737423211f406559"
+    ),
+    "equity/equity_profile.csv": (
+        "5287d716e34453c61efbe6dd215e1cccffd39a7dc8bdbf4823d684a215259961"
+    ),
+    "equity/equity_report.json": (
+        "24718d0807a7c7fe1dbdb3d5bb700dc5da0c8fd625444f865bd124141b287b09"
+    ),
+    "simulate/simulate_calibration.csv": (
+        "a6d1915075c322e7b33289e83a5442af09ca895da87c8b1c463eb0b6bf0bbef8"
+    ),
+    "simulate/simulate_distributions.csv": (
+        "f406dd6796df81c0a61b8631b65ddd54a4e2a0c30515c83f8b8c986b527c6965"
+    ),
+    "simulate/simulate_summary.json": (
+        "4f4b48b8f99f1eae6125ae7b9c517c3d49e5e40ce02cb6ef37123d56921119b2"
+    ),
+    "simulate/simulate_utility_cost.csv": (
+        "27491c25a4f3f404ae9f8820efefa1bb242ebc75c37e2b5d2e6e4406c6ffef03"
+    ),
+    "simulate/simulate_utility_zero_one.csv": (
+        "7be6a2fc381fc4d1dd4fe5298afb60459aba93d9c79f429f8c59efb1283ebcb9"
+    ),
+    "sweep_c/sweep_c.csv": (
+        "8556696fefe08d7ae7321176eea6751cc2e981df91aaa34d7f7d9f9f025071ba"
+    ),
+    "sweep_c/sweep_c_report.json": (
+        "0890e2a6c7a6d3886a5349548e315fb52940c622bceaa0d3d91cb7e122eeaedd"
+    ),
+    "tune/tune_cv.csv": (
+        "1d2f6fb00942c590c33ed826069281c8a5fd604c7fbb911b2f2eeea84142319f"
+    ),
+    "tune/tune_report.json": (
+        "b6292d2a2f27eca39a5bbbfaba7510227b44d5d82db2d7e0673545a48334a147"
+    ),
+    "tune/tune_utility.csv": (
+        "4036db8c8295f090cd3808ff7deebed7faf0c6e4c37de4ea5b2f280d13382eaa"
+    ),
+    "zero_one/evaluate_calibration.csv": (
+        "aa4cd488128c41a914c9ab0b6b89c09918a3f62f5cc8b47f8448034bd2133165"
+    ),
+    "zero_one/evaluate_report.json": (
+        "b1e18a323bee557d944e0c9081ba790595cc0195a28def1f03f1389eec21895d"
+    ),
+    "zero_one/evaluate_roc.csv": (
+        "1613f296d7757032160c43a3da65cd097c4e9b47655f28485d5f76b09f3526bc"
+    ),
+    "zero_one/evaluate_utility.csv": (
+        "4825ae3d4691a77d3471cf17137647406bdbd741077e8e6c8fb2ac127238a8d2"
+    ),
+}
+
+
+def _golden_digests() -> dict[str, str]:
+    """Run every golden command in the working directory; digest each report."""
+    _write_golden_inputs()
+    for name, argv in _GOLDEN_COMMANDS.items():
+        assert main([*argv, "--out-dir", f"out/{name}"]) == 0, name
+    return {
+        path.relative_to("out").as_posix(): file_digest(path)
+        for path in sorted(Path("out").rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_report_bytes_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _golden_digests() == _GOLDEN_DIGESTS
+
+
+_FUZZ_CELLS = {
+    "score": st.floats(0, 1).map(repr),
+    "reference_score": st.floats(0, 1).map(repr),
+    "label": st.sampled_from(["0", "1"]),
+    "group": st.sampled_from(["0", "1"]),
+    "age": st.integers(18, 95).map(str),
+    "a11": st.just("1"),
+    "a01": st.floats(0, 3).map(repr),
+    "a10": st.floats(0, 3).map(repr),
+    "a00": st.just("1"),
+}
+_FUZZ_ODD_CELLS = ["", " ", "nan", "inf", "-inf", "-0.5", "1.5", "2", "1e400", "abc", "0x1", "café"]
+_FUZZ_DEFECTS = [
+    "odd cell",
+    "ragged row",
+    "not UTF-8",
+    "missing column",
+    "duplicate column",
+    "one class",
+    "no rows",
+]
+
+
+@st.composite
+def _fuzz_file(draw, defect: str) -> bytes:
+    """A small delimited file with one defect of the given kind, or none."""
+    header = ["score", "label"]
+    for extra in draw(st.sets(st.sampled_from(["age", "group", "reference_score", "x1", "a"]))):
+        header += ["a11", "a01", "a10", "a00"] if extra == "a" else [extra]
+    if defect == "missing column":
+        del header[draw(st.integers(0, len(header) - 1))]
+    if defect == "duplicate column":
+        header.append(draw(st.sampled_from(header)))
+    n_rows = 0 if defect == "no rows" else draw(st.integers(1, 24))
+    rows = [
+        [
+            "1" if defect == "one class" and name == "label" else draw(
+                _FUZZ_CELLS.get(name, st.floats(-2, 2).map(repr))
+            )
+            for name in header
+        ]
+        for _ in range(n_rows)
+    ]
+    if defect == "odd cell":
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, len(header) - 1))] = draw(
+            st.sampled_from(_FUZZ_ODD_CELLS)
+        )
+    if defect == "ragged row":
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        row[:] = row[: draw(st.integers(0, len(row) - 1))] or ["0", "0", "0", *row]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = newline.join(",".join(row) for row in [header, *rows]).encode()
+    if draw(st.booleans()):
+        data += newline.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if defect == "not UTF-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+_FUZZ_COMMANDS = [
+    ["evaluate", "--utility", "zero-one"],
+    ["evaluate", "--utility", "age-contextual"],
+    ["evaluate", "--utility", "columns"],
+    ["evaluate", "--replicates", "100", "--bins", "3"],
+    ["tune", "--k-grid", "1,3", "--folds", "2", "--repeats", "2", "--grid", "5"],
+    ["tune", "--k-grid", "2", "--folds", "3", "--repeats", "1", "--utility", "age-contextual"],
+]
+
+
+# 12 examples for each of 8 kinds keeps the whole test near 100 examples
+@pytest.mark.parametrize("defect", ["none", *_FUZZ_DEFECTS])
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_inputs_keep_the_exit_code_contract(defect, data):
+    content = data.draw(_fuzz_file(defect))
+    argv = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input.csv"
+        path.write_bytes(content)
+        command = [argv[0], str(path), *argv[1:], "--out-dir", str(Path(directory) / "out")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            # a warning would reach the user's terminal beside the error line
+            warnings.simplefilter("error")
+            code = main(command)
+        # an exception escaping main fails the test; a refusal is one error line
+        assert code in (0, 2, 3)
+        assert stderr.getvalue().startswith("error: ") == (code != 0)
+        assert stderr.getvalue().count("\n") == (code != 0)
+        if code == 0:
+            first = _read_all_bytes(Path(directory) / "out")
+            assert main(command) == 0
+            assert _read_all_bytes(Path(directory) / "out") == first

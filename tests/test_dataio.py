@@ -1,7 +1,12 @@
+import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from utileval import (
     CostCoefficients,
@@ -15,7 +20,7 @@ from utileval import (
     write_json,
     write_scores,
 )
-from utileval.dataio import format_number
+from utileval.dataio import _read_table, encode_json, format_number
 
 
 def test_read_scores_full_columns(tmp_path):
@@ -73,6 +78,30 @@ def test_read_scores_errors(tmp_path):
         read_scores(attempt("score,label,a11\n0.5,1,1\n"))
     with pytest.raises(ValidationError, match="cannot open"):
         read_scores(tmp_path / "missing.csv")
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"score,label\n0.2,0\n0.8,1,caf\xe9\n")
+    with pytest.raises(ValidationError, match=r"latin1.csv, line 3: not UTF-8 text \(byte 0xe9\)"):
+        read_scores(not_utf8)
+    with pytest.raises(ValidationError, match=r"bad.csv, line 3: field larger than field limit"):
+        read_scores(attempt("score,label\n0.5,1\n" + "1" * 131073 + ",0\n"))
+
+
+def test_read_scores_cells_parse_as_before(tmp_path):
+    path = tmp_path / "scores.csv"
+    # whitespace around cells (including the separators 0x1c-0x1f, which
+    # str.strip() removes and float() does not) and a BOM are dropped
+    path.write_bytes("\ufeff score ,label\n 0.5 ,\x1c1\x1f\r\n\r\n0.25,\t0\n".encode())
+    data = read_scores(path)
+    assert data.scores.tolist() == [0.5, 0.25]
+    assert data.labels.tolist() == [1, 0]
+    with pytest.raises(ValidationError, match="line 3, column 'label': '1x' is not a number"):
+        path.write_text("score,label\n0.5,1\n0.25, 1x \n")
+        read_scores(path)
+    # a blank line in a one-column file is skipped, not read as an empty cell
+    single = tmp_path / "single.txt"
+    single.write_text("x1\n1\n\n2\n")
+    header, columns = _read_table(single, ",")
+    assert header == ["x1"] and columns["x1"].tolist() == [1.0, 2.0]
 
 
 def test_read_scores_semicolon_delimiter(tmp_path):
@@ -122,6 +151,12 @@ def test_read_features(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,x1\n2,1.5\n")
         read_features(bad)
+    # a label that no integer equals is refused without a cast warning
+    for label in ("nan", "inf", "1e300", "0.5"):
+        bad.write_text(f"label,x1\n{label},1.5\n")
+        with warnings.catch_warnings(), pytest.raises(ValidationError, match="label values"):
+            warnings.simplefilter("error")
+            read_features(bad)
     with pytest.raises(ValidationError, match="no feature columns"):
         only = tmp_path / "only.csv"
         only.write_text("label\n1\n")
@@ -137,6 +172,10 @@ def test_read_bonus_table(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValidationError, match="no bonus values"):
         read_bonus_table(empty)
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"0 1\n# caf\xe9\n2\n")
+    with pytest.raises(ValidationError, match="latin1.txt, line 2: not UTF-8 text"):
+        read_bonus_table(latin1)
 
 
 def test_file_digest(tmp_path):
@@ -177,3 +216,145 @@ def test_write_csv_formatting(tmp_path):
     write_csv(path, ["name", "value", "count"], [("x", 0.1, 3), ("y", float("nan"), np.int64(4))])
     lines = path.read_text().splitlines()
     assert lines == ["name,value,count", "x,0.1,3", "y,nan,4"]
+
+
+def _reference_jsonable(value):
+    """The per-value conversion reports went through before the one-pass encoder."""
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        return None if value != value else value
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 5e-324, -2.2250738585072014e-308, 1e308, math.nan]
+_SPECIAL_FLOATS += [math.inf, -math.inf]
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_arrays = st.one_of(
+    hnp.arrays(np.float64, _shapes, elements=_finite | _floats),
+    hnp.arrays(np.float32, _shapes, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, _shapes),
+    hnp.arrays(np.bool_, _shapes),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _floats,
+    st.text(max_size=6),
+    st.sampled_from(["caf\u00e9", "\x00\n\t\x1f\"\\", "\U0001f600", "\ud800"]),
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+# lists of floats and of equal-length float rows, with 1 beside 1.0
+_float_rows = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.lists(_finite | _floats | st.just(1), min_size=width, max_size=width).map(
+            lambda row: row if len(row) % 2 else tuple(row)
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.sampled_from([1.0, -0.0]))
+_payloads = st.recursive(
+    st.one_of(_scalars, _arrays, _float_rows, st.lists(_floats | st.just(1), max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads)
+def test_write_json_equals_indented_json_dumps(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "payload.json"
+    write_json(path, payload)
+    expected = json.dumps(_reference_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert encode_json(payload) + "\n" == expected
+
+
+def test_write_json_rejects_what_json_rejects(tmp_path):
+    for payload in ({"a": b"bytes"}, [1j], np.array([1j]), np.array(0.0), np.array(2.5)):
+        with pytest.raises(TypeError):
+            json.dumps(_reference_jsonable(payload))
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "x.json", payload)
+
+
+def test_write_json_and_csv_take_masked_arrays_as_before(tmp_path):
+    masked = np.ma.masked_array([[0.5, 1.5], [2.5, 3.5]], mask=[[False, True], [False, False]])
+    expected = json.dumps(_reference_jsonable({"m": masked}), sort_keys=True, indent=2)
+    assert encode_json({"m": masked}) == expected
+    _assert_csv_as_before(tmp_path, ["x", "y"], masked)
+
+
+def _reference_csv(path, header, rows):
+    """The per-cell writer tables went through before array rows were joined at once."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            out = []
+            for value in row:
+                if isinstance(value, (np.floating, float)):
+                    out.append(format_number(value))
+                elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
+                    out.append(str(int(value)))
+                else:
+                    out.append(str(value))
+            writer.writerow(out)
+
+
+def _assert_csv_as_before(directory, header, rows):
+    write_csv(directory / "new.csv", header, rows)
+    _reference_csv(directory / "old.csv", header, rows)
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+def test_write_csv_cells_as_before(tmp_path):
+    mixed = [
+        ("a,b", "", True, np.bool_(False), np.float32(0.1), np.int64(-3), np.uint8(7)),
+        ('say "hi"', "line\nbreak", math.nan, math.inf, -math.inf, -0.0, 5e-324),
+        (1, 1.0, np.float64(1e22), np.float16(0.5), None, 2**70, "caf\u00e9"),
+    ]
+    _assert_csv_as_before(tmp_path, ["p", "q", "r", "s", "t", "u", "v"], mixed)
+    for rows in (
+        np.array([[0.5], [math.nan], [-math.inf]]),
+        np.array([[0.1, -0.0], [1e-310, math.inf], [math.nan, 2.0]]),
+        np.array([[0.25, 0.75]], dtype=np.float32),
+        np.empty((0, 2)),
+        np.empty((2, 0)),
+        np.array([[1, 2], [3, 4]]),
+        [],
+    ):
+        _assert_csv_as_before(tmp_path, ["x", "y"], rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32]),
+        st.tuples(st.integers(0, 6), st.integers(1, 3)),
+        elements=st.floats(width=32),
+    )
+)
+def test_write_csv_float_arrays_as_before(tmp_path_factory, rows):
+    _assert_csv_as_before(tmp_path_factory.getbasetemp(), ["a", "b", "c"][: rows.shape[1]], rows)
