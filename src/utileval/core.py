@@ -9,6 +9,7 @@ expressed by a threshold strictly above every observed score.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -439,7 +440,7 @@ def _check_curve(name: str, points) -> np.ndarray:
     return _readonly(curve)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Structured evaluation result: flat metrics, curves, and intervals.
 
@@ -478,11 +479,9 @@ class EvalReport:
         object.__setattr__(self, "intervals", intervals)
 
     def to_dict(self) -> dict:
-        """The report as a dict; curves stay (m, 2) arrays, which
-        :func:`utileval.dataio.encode_json` writes as lists of [x, y]."""
         return {
             "metrics": dict(self.metrics),
-            "curves": dict(self.curves),
+            "curves": {k: v.tolist() for k, v in self.curves.items()},
             "intervals": {
                 k: {"low": lo, "high": hi, "level": level}
                 for k, (lo, hi, level) in self.intervals.items()
@@ -490,6 +489,10 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        from .dataio import encode_json  # dataio imports this module
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-        return encode_json(self.to_dict())
+    def __eq__(self, other) -> bool:
+        # field-wise == would compare the curve arrays element by element
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()

@@ -12,9 +12,9 @@ Writing uses shortest round-trip float formatting, so a parse/emit cycle
 preserves every value exactly.  Reports are written by one encoder: its bytes
 equal ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy
 arrays and scalars turned into Python lists and numbers, NaN into ``null``
-and keys into strings, while a finite float array (or a list of equal-length
-float rows) is formatted in one pass over its values.  A CSV table given as a
-2-D float array is likewise written in one join.
+and keys into strings, while a list of finite floats, or of equal-length
+rows of them, is formatted in one pass over its values (an array is made such
+a list first).  A CSV table given as a 2-D float array is written in one join.
 """
 
 from __future__ import annotations
@@ -328,19 +328,8 @@ def _encode(value, indent: str, out: list[str]) -> None:
     elif isinstance(value, (list, tuple)):
         _encode_list(value, indent, out)
     elif isinstance(value, np.ndarray):
-        # subclasses such as masked arrays only convert exactly through tolist()
-        if (
-            type(value) is np.ndarray
-            and value.dtype.kind == "f"
-            and value.ndim in (1, 2)
-            and value.size
-            and np.isfinite(value).all()
-        ):
-            width = value.shape[1] if value.ndim == 2 else 0
-            out.append(_float_block(value.ravel().tolist(), width, indent))
-        else:
-            # list() fails on a 0-d array's scalar as iterating it always did
-            _encode_list(list(value.tolist()), indent, out)
+        # list() fails on a 0-d array's scalar as iterating it always did
+        _encode_list(list(value.tolist()), indent, out)
     elif isinstance(value, (np.bool_, bool)):
         out.append("true" if value else "false")
     elif isinstance(value, (np.floating, float)):
@@ -392,14 +381,6 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-_CELL_TEXT = {
-    float: float.__repr__,
-    np.float64: float.__repr__,
-    int: int.__repr__,
-    str: str,
-}
-
-
 def write_csv(path, header, rows) -> None:
     """Deterministic CSV table; floats use round-trip formatting.
 
@@ -413,6 +394,4 @@ def write_csv(path, header, rows) -> None:
             texts = tuple(map(float.__repr__, rows.ravel().tolist()))
             handle.write((",".join(["%s"] * rows.shape[1]) + "\n") * rows.shape[0] % texts)
             return
-        writer.writerows(
-            [_CELL_TEXT.get(type(value), _cell_text)(value) for value in row] for row in rows
-        )
+        writer.writerows([_cell_text(value) for value in row] for row in rows)

@@ -16,7 +16,9 @@ import utileval
 
 from utileval import BootstrapConfig, CostCoefficients, paired_max_utility_test, read_scores
 from utileval.cli import main
-from utileval.dataio import file_digest
+from utileval.dataio import file_digest, write_csv, write_json
+
+from reference_writers import reference_csv_text, reference_json_text
 
 
 def _write_scores(path, n=160, seed=5, with_extras=True, single_class=False):
@@ -510,9 +512,9 @@ _GOLDEN_COMMANDS = {
     "equity": ["equity", "scores.csv", "--bonus", "bonus.txt"],
 }
 
-# SHA-256 of every report, recorded with the per-value JSON and CSV writers
-# that the one-pass encoder replaced; a writer change that moves any byte
-# fails, and so does a NumPy or SciPy build that rounds a float differently
+# SHA-256 of every report whose values do not depend on SciPy or BLAS builds
+# (not simulate's or tune's), recorded with the per-value JSON and CSV writers
+# that the one-pass encoder replaced; a writer change that moves any byte fails
 _GOLDEN_DIGESTS = {
     "compare/compare_metrics.csv": (
         "41deb654e2d6785fa32a0775563f9fb43bc3ebcd107aee951434b1afade36a3e"
@@ -538,35 +540,11 @@ _GOLDEN_DIGESTS = {
     "equity/equity_report.json": (
         "24718d0807a7c7fe1dbdb3d5bb700dc5da0c8fd625444f865bd124141b287b09"
     ),
-    "simulate/simulate_calibration.csv": (
-        "a6d1915075c322e7b33289e83a5442af09ca895da87c8b1c463eb0b6bf0bbef8"
-    ),
-    "simulate/simulate_distributions.csv": (
-        "f406dd6796df81c0a61b8631b65ddd54a4e2a0c30515c83f8b8c986b527c6965"
-    ),
-    "simulate/simulate_summary.json": (
-        "4f4b48b8f99f1eae6125ae7b9c517c3d49e5e40ce02cb6ef37123d56921119b2"
-    ),
-    "simulate/simulate_utility_cost.csv": (
-        "27491c25a4f3f404ae9f8820efefa1bb242ebc75c37e2b5d2e6e4406c6ffef03"
-    ),
-    "simulate/simulate_utility_zero_one.csv": (
-        "7be6a2fc381fc4d1dd4fe5298afb60459aba93d9c79f429f8c59efb1283ebcb9"
-    ),
     "sweep_c/sweep_c.csv": (
         "8556696fefe08d7ae7321176eea6751cc2e981df91aaa34d7f7d9f9f025071ba"
     ),
     "sweep_c/sweep_c_report.json": (
         "0890e2a6c7a6d3886a5349548e315fb52940c622bceaa0d3d91cb7e122eeaedd"
-    ),
-    "tune/tune_cv.csv": (
-        "1d2f6fb00942c590c33ed826069281c8a5fd604c7fbb911b2f2eeea84142319f"
-    ),
-    "tune/tune_report.json": (
-        "b6292d2a2f27eca39a5bbbfaba7510227b44d5d82db2d7e0673545a48334a147"
-    ),
-    "tune/tune_utility.csv": (
-        "4036db8c8295f090cd3808ff7deebed7faf0c6e4c37de4ea5b2f280d13382eaa"
     ),
     "zero_one/evaluate_calibration.csv": (
         "aa4cd488128c41a914c9ab0b6b89c09918a3f62f5cc8b47f8448034bd2133165"
@@ -583,21 +561,36 @@ _GOLDEN_DIGESTS = {
 }
 
 
-def _golden_digests() -> dict[str, str]:
-    """Run every golden command in the working directory; digest each report."""
+def _run_golden_commands(monkeypatch) -> dict[str, bytes]:
+    """Run every golden command in the working directory; return the bytes the
+    per-value reference writers give for each report's payload."""
     _write_golden_inputs()
+    expected = {}
+
+    def json_writer(path, payload):
+        expected[Path(path).as_posix()] = reference_json_text(payload).encode()
+        write_json(path, payload)
+
+    def csv_writer(path, header, rows):
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+        expected[Path(path).as_posix()] = reference_csv_text(header, rows).encode()
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr("utileval.cli.write_json", json_writer)
+    monkeypatch.setattr("utileval.cli.write_csv", csv_writer)
     for name, argv in _GOLDEN_COMMANDS.items():
         assert main([*argv, "--out-dir", f"out/{name}"]) == 0, name
-    return {
-        path.relative_to("out").as_posix(): file_digest(path)
-        for path in sorted(Path("out").rglob("*"))
-        if path.is_file()
-    }
+    return expected
 
 
-def test_report_bytes_match_recorded_digests(tmp_path, monkeypatch):
+def test_report_bytes_match_reference_writers_and_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _golden_digests() == _GOLDEN_DIGESTS
+    expected = _run_golden_commands(monkeypatch)
+    reports = sorted(path for path in Path("out").rglob("*") if path.is_file())
+    assert {path.as_posix(): path.read_bytes() for path in reports} == expected
+    digests = {path.relative_to("out").as_posix(): file_digest(path) for path in reports}
+    assert {k: v for k, v in digests.items() if k in _GOLDEN_DIGESTS} == _GOLDEN_DIGESTS
 
 
 _FUZZ_CELLS = {

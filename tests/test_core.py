@@ -217,6 +217,15 @@ def test_eval_report_checks():
     )
     parsed = json.loads(report.to_json())
     assert parsed["metrics"]["auc"] == 0.75
+    assert report.to_dict()["curves"] == {"roc": [[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]]}
+    assert json.dumps(report.to_dict(), sort_keys=True, indent=2) == report.to_json()
+    same = EvalReport(
+        metrics={"auc": 0.75},
+        curves={"roc": np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])},
+        intervals={"auc@95": (0.6, 0.9, 0.95)},
+    )
+    assert report == same
+    assert report != EvalReport(metrics={"auc": 0.75}, intervals={"auc@95": (0.6, 0.9, 0.95)})
     assert parsed["intervals"]["auc@95"]["level"] == 0.95
     with pytest.raises(ValidationError, match="not finite"):
         EvalReport(metrics={"auc": np.nan})

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import warnings
@@ -21,6 +20,8 @@ from utileval import (
     write_scores,
 )
 from utileval.dataio import _read_table, encode_json, format_number
+
+from reference_writers import reference_csv_text, reference_json_text, reference_jsonable
 
 
 def test_read_scores_full_columns(tmp_path):
@@ -218,24 +219,6 @@ def test_write_csv_formatting(tmp_path):
     assert lines == ["name,value,count", "x,0.1,3", "y,nan,4"]
 
 
-def _reference_jsonable(value):
-    """The per-value conversion reports went through before the one-pass encoder."""
-    if isinstance(value, dict):
-        return {str(k): _reference_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_reference_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_reference_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return None if value != value else value
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 _SPECIAL_FLOATS = [0.0, -0.0, 1.0, 0.1, 5e-324, -2.2250738585072014e-308, 1e308, math.nan]
 _SPECIAL_FLOATS += [math.inf, -math.inf]
 _floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
@@ -286,7 +269,7 @@ _payloads = st.recursive(
 def test_write_json_equals_indented_json_dumps(tmp_path_factory, payload):
     path = tmp_path_factory.getbasetemp() / "payload.json"
     write_json(path, payload)
-    expected = json.dumps(_reference_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    expected = reference_json_text(payload)
     assert path.read_bytes() == expected.encode()
     assert encode_json(payload) + "\n" == expected
 
@@ -294,39 +277,20 @@ def test_write_json_equals_indented_json_dumps(tmp_path_factory, payload):
 def test_write_json_rejects_what_json_rejects(tmp_path):
     for payload in ({"a": b"bytes"}, [1j], np.array([1j]), np.array(0.0), np.array(2.5)):
         with pytest.raises(TypeError):
-            json.dumps(_reference_jsonable(payload))
+            json.dumps(reference_jsonable(payload))
         with pytest.raises(TypeError):
             write_json(tmp_path / "x.json", payload)
 
 
 def test_write_json_and_csv_take_masked_arrays_as_before(tmp_path):
     masked = np.ma.masked_array([[0.5, 1.5], [2.5, 3.5]], mask=[[False, True], [False, False]])
-    expected = json.dumps(_reference_jsonable({"m": masked}), sort_keys=True, indent=2)
-    assert encode_json({"m": masked}) == expected
+    assert encode_json({"m": masked}) + "\n" == reference_json_text({"m": masked})
     _assert_csv_as_before(tmp_path, ["x", "y"], masked)
-
-
-def _reference_csv(path, header, rows):
-    """The per-cell writer tables went through before array rows were joined at once."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            out = []
-            for value in row:
-                if isinstance(value, (np.floating, float)):
-                    out.append(format_number(value))
-                elif isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-                    out.append(str(int(value)))
-                else:
-                    out.append(str(value))
-            writer.writerow(out)
 
 
 def _assert_csv_as_before(directory, header, rows):
     write_csv(directory / "new.csv", header, rows)
-    _reference_csv(directory / "old.csv", header, rows)
-    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+    assert (directory / "new.csv").read_bytes() == reference_csv_text(header, rows).encode()
 
 
 def test_write_csv_cells_as_before(tmp_path):
