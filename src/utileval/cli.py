@@ -127,19 +127,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _manifest(args, inputs, outputs) -> dict:
+def _write_reports(args, out: Path, inputs, report: str, payload: dict, tables: dict) -> None:
+    """Write ``payload`` to ``out / report`` and each ``{name: (header, rows)}``
+    table to ``out / name``; the payload's ``manifest`` lists exactly those files."""
     options = {
         key: (str(value) if isinstance(value, Path) else value)
         for key, value in vars(args).items()
         if key != "func"
     }
-    return {
+    payload["manifest"] = {
         "tool": {"name": "utileval", "version": VERSION},
         "command": args.command,
         "options": options,
         "inputs": {str(path): file_digest(path) for path in inputs},
-        "outputs": sorted(str(name) for name in outputs),
+        "outputs": sorted([report, *tables]),
     }
+    write_json(out / report, payload)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
 
 
 def _unique_names(paths) -> list[str]:
@@ -230,29 +235,19 @@ def cmd_evaluate(args) -> int:
             checks["preserves_reference_ranking_by_group"] = preserves_ranking_by_group(
                 data.scores, data.reference_scores, data.group
             )
-    outputs = [
-        "evaluate_report.json",
-        "evaluate_roc.csv",
-        "evaluate_calibration.csv",
-        "evaluate_utility.csv",
-    ]
-    payload = {
-        "manifest": _manifest(args, [args.scores], outputs),
-        "report": report.to_dict(),
-        "checks": checks,
-        "bootstrap": diagnostics,
+    payload = {"report": report.to_dict(), "checks": checks, "bootstrap": diagnostics}
+    tables = {
+        "evaluate_roc.csv": (["fpr", "tpr"], report.curves["roc"]),
+        "evaluate_calibration.csv": (
+            ["bin_index", "mean_predicted", "observed_frequency", "count"],
+            [
+                (b.bin_index, b.mean_predicted, b.observed_frequency, b.count)
+                for b in calibration.bins
+            ],
+        ),
+        "evaluate_utility.csv": (["threshold", "utility"], report.curves["utility"]),
     }
-    write_json(out / "evaluate_report.json", payload)
-    write_csv(out / "evaluate_roc.csv", ["fpr", "tpr"], report.curves["roc"])
-    write_csv(
-        out / "evaluate_calibration.csv",
-        ["bin_index", "mean_predicted", "observed_frequency", "count"],
-        [
-            (b.bin_index, b.mean_predicted, b.observed_frequency, b.count)
-            for b in calibration.bins
-        ],
-    )
-    write_csv(out / "evaluate_utility.csv", ["threshold", "utility"], report.curves["utility"])
+    _write_reports(args, out, [args.scores], "evaluate_report.json", payload, tables)
     return 0
 
 
@@ -312,14 +307,7 @@ def cmd_compare(args) -> int:
             table, key=lambda name: table[name][metric], reverse=metric != "brier"
         )
         winners[metric] = ordered[0]
-    outputs = ["compare_report.json", "compare_metrics.csv"]
-    payload = {
-        "manifest": _manifest(args, list(args.scores), outputs),
-        "models": table,
-        "paired_u_max_tests": pairwise,
-        "winners": winners,
-    }
-    write_json(out / "compare_report.json", payload)
+    payload = {"models": table, "paired_u_max_tests": pairwise, "winners": winners}
     rows = []
     for name in names:
         for metric in _COMPARE_METRICS:
@@ -334,11 +322,8 @@ def cmd_compare(args) -> int:
                     "" if interval is None else interval["high"],
                 )
             )
-    write_csv(
-        out / "compare_metrics.csv",
-        ["model", "metric", "value", "low95", "high95"],
-        rows,
-    )
+    tables = {"compare_metrics.csv": (["model", "metric", "value", "low95", "high95"], rows)}
+    _write_reports(args, out, args.scores, "compare_report.json", payload, tables)
     return 0
 
 
@@ -352,16 +337,8 @@ def cmd_simulate(args) -> int:
     summary, curves, calibration = simulate(
         config, (CostCoefficients.zero_one(), cost_family(args.cost)), args.grid, args.bins
     )
-    curve_files = ("simulate_utility_zero_one.csv", "simulate_utility_cost.csv")
-    outputs = [
-        "simulate_summary.json",
-        "simulate_distributions.csv",
-        "simulate_calibration.csv",
-        *curve_files,
-    ]
     rate = summary.positive_rate
     payload = {
-        "manifest": _manifest(args, [], outputs),
         "config": {
             "n_samples": config.n_samples,
             "n_realizations": config.n_realizations,
@@ -377,42 +354,37 @@ def cmd_simulate(args) -> int:
             "p84": float(np.percentile(rate, 84.0)),
         },
     }
-    write_json(out / "simulate_summary.json", payload)
     metric_names = sorted(next(iter(summary.values.values())).keys())
     rows = [
         (name, r, *(summary.values[name][metric][r] for metric in metric_names))
         for name in CLASSIFIERS
         for r in range(config.n_realizations)
     ]
-    write_csv(
-        out / "simulate_distributions.csv",
-        ["classifier", "realization", *metric_names],
-        rows,
-    )
-    write_csv(
-        out / "simulate_calibration.csv",
-        [
-            "classifier",
-            "bin_index",
-            "mean_predicted",
-            "observed_mean",
-            "observed_p16",
-            "observed_p84",
-            "mean_count",
-        ],
-        [(name, *row) for name in CLASSIFIERS for row in calibration[name]],
-    )
-    for bands, filename in zip(curves, curve_files):
+    tables = {
+        "simulate_distributions.csv": (["classifier", "realization", *metric_names], rows),
+        "simulate_calibration.csv": (
+            [
+                "classifier",
+                "bin_index",
+                "mean_predicted",
+                "observed_mean",
+                "observed_p16",
+                "observed_p84",
+                "mean_count",
+            ],
+            [(name, *row) for name in CLASSIFIERS for row in calibration[name]],
+        ),
+    }
+    for bands, filename in zip(
+        curves, ("simulate_utility_zero_one.csv", "simulate_utility_cost.csv")
+    ):
         rows = [
             (name, *row)
             for name, stats in bands.stats.items()
             for row in zip(bands.thresholds, stats["mean"], stats["p16"], stats["p84"])
         ]
-        write_csv(
-            out / filename,
-            ["classifier", "threshold", "mean_utility", "p16", "p84"],
-            rows,
-        )
+        tables[filename] = (["classifier", "threshold", "mean_utility", "p16", "p84"], rows)
+    _write_reports(args, out, [], "simulate_summary.json", payload, tables)
     return 0
 
 
@@ -459,19 +431,9 @@ def cmd_sweep_c(args) -> int:
                     entry.get("u_max_sem", ""),
                 )
             )
-    outputs = ["sweep_c_report.json", "sweep_c.csv"]
-    payload = {
-        "manifest": _manifest(args, list(args.scores), outputs),
-        "grid": grid,
-        "replicates": args.replicates,
-        "models": models,
-    }
-    write_json(out / "sweep_c_report.json", payload)
-    write_csv(
-        out / "sweep_c.csv",
-        ["model", "c", "u_max", "u_max_mean", "u_max_sem"],
-        rows,
-    )
+    payload = {"grid": grid, "replicates": args.replicates, "models": models}
+    tables = {"sweep_c.csv": (["model", "c", "u_max", "u_max_mean", "u_max_sem"], rows)}
+    _write_reports(args, out, args.scores, "sweep_c_report.json", payload, tables)
     return 0
 
 
@@ -492,9 +454,7 @@ def cmd_tune(args) -> int:
         test_fraction=args.test_fraction,
         grid_size=args.grid,
     )
-    outputs = ["tune_report.json", "tune_cv.csv", "tune_utility.csv"]
     payload = {
-        "manifest": _manifest(args, [args.features], outputs),
         "k_grid": list(result.k_grid),
         "repeats": result.repeats,
         "chosen_k": {
@@ -514,7 +474,6 @@ def cmd_tune(args) -> int:
             },
         },
     }
-    write_json(out / "tune_report.json", payload)
     cv_rows = []
     sem_auc = result.cv_sem_auc
     sem_accuracy = result.cv_sem_accuracy
@@ -528,11 +487,6 @@ def cmd_tune(args) -> int:
                 "" if sem_accuracy is None else float(sem_accuracy[column]),
             )
         )
-    write_csv(
-        out / "tune_cv.csv",
-        ["k", "mean_cv_auc", "sem_cv_auc", "mean_cv_accuracy", "sem_cv_accuracy"],
-        cv_rows,
-    )
     utility_rows = []
     for criterion, grid_values, grid_sem in (
         ("auc", result.utility_grid_auc, result.utility_grid_sem_auc),
@@ -548,11 +502,17 @@ def cmd_tune(args) -> int:
                     "" if grid_sem is None else float(grid_sem[column]),
                 )
             )
-    write_csv(
-        out / "tune_utility.csv",
-        ["criterion", "threshold", "mean_utility", "sem_utility"],
-        utility_rows,
-    )
+    tables = {
+        "tune_cv.csv": (
+            ["k", "mean_cv_auc", "sem_cv_auc", "mean_cv_accuracy", "sem_cv_accuracy"],
+            cv_rows,
+        ),
+        "tune_utility.csv": (
+            ["criterion", "threshold", "mean_utility", "sem_utility"],
+            utility_rows,
+        ),
+    }
+    _write_reports(args, out, [args.features], "tune_report.json", payload, tables)
     return 0
 
 
@@ -579,9 +539,7 @@ def cmd_equity(args) -> int:
                 and np.array_equal(brute.chosen, result.chosen)
             ),
         }
-    outputs = ["equity_report.json", "equity_profile.csv"]
     payload = {
-        "manifest": _manifest(args, [args.scores, args.bonus], outputs),
         "capacity": spec.capacity,
         "benefit_source": "benefit" if "benefit" in data.context else "reference_score",
         "chosen": result.chosen,
@@ -590,15 +548,11 @@ def cmd_equity(args) -> int:
         "utility_by_group1_count": result.utility_by_group1_count,
         "oracle": oracle,
     }
-    write_json(out / "equity_report.json", payload)
-    write_csv(
-        out / "equity_profile.csv",
-        ["group1_count", "utility", "feasible"],
-        [
-            (j, value, int(value == value))
-            for j, value in enumerate(result.utility_by_group1_count)
-        ],
-    )
+    profile = [
+        (j, value, int(value == value)) for j, value in enumerate(result.utility_by_group1_count)
+    ]
+    tables = {"equity_profile.csv": (["group1_count", "utility", "feasible"], profile)}
+    _write_reports(args, out, [args.scores, args.bonus], "equity_report.json", payload, tables)
     return 0
 
 

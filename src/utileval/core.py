@@ -28,6 +28,8 @@ __all__ = [
     "EvalReport",
     "confusion_at",
     "validate",
+    "as_float_vector",
+    "as_binary_vector",
 ]
 
 
@@ -59,32 +61,56 @@ def _unchecked(cls, **fields):
     return instance
 
 
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValidationError(f"{name} contains a non-finite value at row {bad}: {arr[bad]}")
-
-
-def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _vector(values, name: str, n: int | None) -> np.ndarray:
+    """``values`` as a non-empty 1-D float array, of length ``n`` if given."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        for row, value in enumerate(np.atleast_1d(np.asarray(values, dtype=object))):
+            try:
+                float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(
+                    f"{name} values must be numbers, got {value!r} at row {row}"
+                ) from None
+        raise ValidationError(f"{name} values must be numbers") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if n is not None and arr.size != n:
+        raise ValidationError(f"length mismatch: {n} rows but {arr.size} {name} values")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    _check_finite(arr, name)
     return arr
 
 
-def _as_binary_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    out = np.asarray(arr, dtype=np.float64)
-    _check_finite(out, name)
-    ints = out.astype(np.int64)
-    if np.any(out != ints) or np.any((ints != 0) & (ints != 1)):
-        raise ValidationError(f"{name} values must be 0 or 1")
-    return ints
+def as_float_vector(values, name: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a non-empty, finite 1-D float array.
+
+    ``name`` names the vector in every error; with ``n`` the vector must hold
+    ``n`` values.  The first non-finite value is reported with its row.
+    """
+    arr = _vector(values, name, n)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValidationError(f"{name} contains a non-finite value at row {bad}: {arr[bad]}")
+    return arr
+
+
+def as_binary_vector(values, name: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a non-empty 1-D int64 array of 0s and 1s.
+
+    The values are compared as floats before any integer cast, so a value no
+    integer equals (NaN, inf, 1e300, 0.5) is refused, naming its row, rather
+    than cast.  ``name`` and ``n`` are as in :func:`as_float_vector`.
+    """
+    arr = _vector(values, name, n)
+    binary = (arr == 0.0) | (arr == 1.0)
+    if not binary.all():
+        bad = int(np.argmin(binary))
+        note = "" if math.isfinite(arr[bad]) else " (non-finite)"
+        raise ValidationError(f"{name} values must be 0 or 1, got {arr[bad]} at row {bad}{note}")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -116,15 +142,9 @@ class CostCoefficients:
                     raise ValidationError(f"coefficient {name} must be >= 0, got {value}")
                 object.__setattr__(self, name, value)
             elif arr.ndim == 1:
-                if arr.size == 0:
-                    raise ValidationError(f"coefficient {name} must be non-empty")
-                _check_finite(arr, f"coefficient {name}")
+                arr = as_float_vector(arr, f"coefficient {name}", n)
                 if np.any(arr < 0.0):
                     raise ValidationError(f"coefficient {name} must be >= 0 everywhere")
-                if n is not None and arr.size != n:
-                    raise ValidationError(
-                        f"coefficient length mismatch: {name} has {arr.size}, expected {n}"
-                    )
                 n = arr.size
                 object.__setattr__(self, name, _readonly(arr))
             else:
@@ -268,40 +288,24 @@ class LabeledScores:
     coefficients: CostCoefficients | None = None
 
     def __post_init__(self) -> None:
-        scores = _as_float_vector(self.scores, "scores")
+        scores = as_float_vector(self.scores, "scores")
         if np.any((scores < 0.0) | (scores > 1.0)):
             bad = int(np.flatnonzero((scores < 0.0) | (scores > 1.0))[0])
             raise ValidationError(
                 f"score out of range at row {bad}: {scores[bad]} not in [0, 1]"
             )
-        labels = _as_binary_vector(self.labels, "labels")
         n = scores.size
-        if labels.size != n:
-            raise ValidationError(
-                f"length mismatch: {n} scores but {labels.size} labels"
-            )
         object.__setattr__(self, "scores", _readonly(scores))
-        object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "labels", _readonly(as_binary_vector(self.labels, "label", n)))
         if self.group is not None:
-            group = _as_binary_vector(self.group, "group")
-            if group.size != n:
-                raise ValidationError(f"length mismatch: {n} rows but {group.size} group values")
-            object.__setattr__(self, "group", _readonly(group))
+            object.__setattr__(self, "group", _readonly(as_binary_vector(self.group, "group", n)))
         if self.reference_scores is not None:
-            ref = _as_float_vector(self.reference_scores, "reference_scores")
-            if ref.size != n:
-                raise ValidationError(
-                    f"length mismatch: {n} rows but {ref.size} reference scores"
-                )
+            ref = as_float_vector(self.reference_scores, "reference_scores", n)
             object.__setattr__(self, "reference_scores", _readonly(ref))
-        ctx = {}
-        for key, values in dict(self.context).items():
-            col = _as_float_vector(values, f"context column {key!r}")
-            if col.size != n:
-                raise ValidationError(
-                    f"length mismatch: {n} rows but {col.size} values in context column {key!r}"
-                )
-            ctx[key] = _readonly(col)
+        ctx = {
+            key: _readonly(as_float_vector(values, f"context column {key!r}", n))
+            for key, values in dict(self.context).items()
+        }
         object.__setattr__(self, "context", ctx)
         if self.coefficients is not None:
             cn = self.coefficients.n_samples

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CostCoefficients, LabeledScores, ValidationError
+from .core import CostCoefficients, LabeledScores, ValidationError, as_binary_vector
 from .learners import FeatureMatrix
 
 __all__ = [
@@ -208,12 +208,8 @@ def read_features(path, delimiter: str = ",") -> FeatureTable:
         raise ValidationError(f"{path}: no feature columns besides 'label'")
     values = np.column_stack([columns[name] for name in names])
     features = FeatureMatrix.from_arrays(values, names)
-    labels = columns["label"]
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValidationError(f"{path}: label values must be 0 or 1")
-    return FeatureTable(
-        features=features, labels=labels.astype(np.int64), age=columns.get("age")
-    )
+    labels = as_binary_vector(columns["label"], f"{path}: label")
+    return FeatureTable(features=features, labels=labels, age=columns.get("age"))
 
 
 def read_bonus_table(path) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DegenerateDataError, LabeledScores, ValidationError
+from .core import DegenerateDataError, LabeledScores, ValidationError, as_binary_vector
 from .metrics import auc_from_runs
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through learners
 from .utility import utility_at_thresholds, utility_curve
@@ -73,8 +73,6 @@ class FeatureMatrix:
             raise ValidationError(f"feature values must be 2-D, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise ValidationError("feature matrix must have at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("feature values contain non-finite entries")
         if names is None:
             names = tuple(f"x{j}" for j in range(arr.shape[1]))
         else:
@@ -85,6 +83,13 @@ class FeatureMatrix:
             )
         if len(set(names)) != len(names):
             raise ValidationError("column names must be unique")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            row, column = np.argwhere(~finite)[0].tolist()
+            raise ValidationError(
+                f"feature column {names[column]!r} contains a non-finite value "
+                f"at row {row}: {arr[row, column]}"
+            )
         return cls(values=arr, names=names)
 
     @property
@@ -136,16 +141,6 @@ def _as_features(features) -> FeatureMatrix:
     return FeatureMatrix.from_arrays(np.asarray(features, dtype=np.float64))
 
 
-def _binary_labels(labels, n: int) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size != n:
-        raise ValidationError(f"labels must be one-dimensional with {n} entries")
-    out = arr.astype(np.int64)
-    if np.any(np.asarray(arr, dtype=np.float64) != out) or np.any((out != 0) & (out != 1)):
-        raise ValidationError("labels values must be 0 or 1")
-    return out
-
-
 @dataclass(frozen=True)
 class LogisticModel:
     """Fitted logistic scorer with its training standardization baked in."""
@@ -191,7 +186,7 @@ def fit_logistic(
     from scipy.special import expit
 
     matrix = _as_features(features).standardize()
-    y = _binary_labels(labels, matrix.n).astype(np.float64)
+    y = as_binary_vector(labels, "label", matrix.n).astype(np.float64)
     if y.sum() == 0 or y.sum() == y.size:
         raise DegenerateDataError("logistic fit requires both classes present")
     n, d = matrix.values.shape
@@ -274,13 +269,26 @@ def _knn_counts(
     order.  Only rows where a tie straddles some k take a stable argsort.
     Test rows are processed in blocks, so memory does not grow with them.
     """
-    standardized = train.standardize()
-    train_values = standardized.values
-    test_values = standardized.transform(test).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        standardized = train.standardize()
+        train_values = standardized.values
+        test_values = standardized.transform(test).values
+        train_sq = (train_values**2).sum(axis=1)
+        test_sq = (test_values**2).sum(axis=1)
+    # finite feature values can still overflow here (a column spread over
+    # 1e300, or a test value far outside a tiny training spread); with every
+    # squared norm within a quarter of the largest double, no distance does
+    bound = np.finfo(np.float64).max / 4
+    if not (
+        np.isfinite(standardized.stds).all()
+        and (train_sq <= bound).all()
+        and (test_sq <= bound).all()
+    ):
+        raise ValidationError(
+            "feature values are too far apart for float64 distances after standardizing"
+        )
     ks = np.asarray(ks, dtype=np.int64)
     n_train = train_values.shape[0]
-    train_sq = (train_values**2).sum(axis=1)
-    test_sq = (test_values**2).sum(axis=1)
     positive = train_labels == 1
     past_last = ks == n_train
     counts = np.empty((test_values.shape[0], ks.size), dtype=np.int64)
@@ -312,7 +320,7 @@ def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarra
     """Fraction of positives among the k nearest training points."""
     train = _as_features(train_features)
     test = _as_features(test_features)
-    y = _binary_labels(train_labels, train.n)
+    y = as_binary_vector(train_labels, "label", train.n)
     k = _integer_k(k)
     if not 1 <= k <= train.n:
         raise ValidationError(f"k must be in [1, {train.n}], got {k}")
@@ -370,7 +378,7 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     distance computation, and its AUCs are read from its neighbour counts.
     """
     matrix = _as_features(features)
-    y = _binary_labels(labels, matrix.n)
+    y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
     n_folds = int(n_folds)
     if not 2 <= n_folds <= n:
@@ -515,7 +523,7 @@ def tune_and_compare(
     they describe.
     """
     matrix = _as_features(features)
-    y = _binary_labels(labels, matrix.n)
+    y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
     repeats = int(repeats)
     if not 1 <= repeats <= MAX_REPEATS:

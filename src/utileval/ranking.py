@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, as_binary_vector, as_float_vector
 
 __all__ = [
     "preserves_ranking",
@@ -36,22 +36,6 @@ __all__ = [
 _BRUTE_FORCE_LIMIT = 20
 
 
-def _pair_vectors(candidate, reference) -> tuple[np.ndarray, np.ndarray]:
-    cand = np.asarray(candidate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if cand.ndim != 1 or ref.ndim != 1:
-        raise ValidationError("score vectors must be one-dimensional")
-    if cand.size != ref.size:
-        raise ValidationError(
-            f"length mismatch: {cand.size} candidate vs {ref.size} reference scores"
-        )
-    if cand.size == 0:
-        raise ValidationError("score vectors must be non-empty")
-    if not (np.all(np.isfinite(cand)) and np.all(np.isfinite(ref))):
-        raise ValidationError("score vectors contain non-finite values")
-    return cand, ref
-
-
 def preserves_ranking(candidate, reference, tol: float = 0.0) -> bool:
     """True iff ``candidate`` reproduces the order and ties of ``reference``.
 
@@ -61,7 +45,8 @@ def preserves_ranking(candidate, reference, tol: float = 0.0) -> bool:
     ``|difference| <= tol`` between adjacent sorted values; the default 0
     compares floats exactly.
     """
-    cand, ref = _pair_vectors(candidate, reference)
+    cand = as_float_vector(candidate, "candidate scores")
+    ref = as_float_vector(reference, "reference scores", cand.size)
     if tol < 0.0 or not math.isfinite(tol):
         raise ValidationError(f"tolerance must be a finite value >= 0, got {tol}")
     if cand.size == 1:
@@ -81,12 +66,9 @@ def preserves_ranking_by_group(candidate, reference, group, tol: float = 0.0) ->
     order-faithful within every group while the groups are scored on
     incomparable scales.
     """
-    cand, ref = _pair_vectors(candidate, reference)
-    grp = np.asarray(group)
-    if grp.shape != cand.shape:
-        raise ValidationError("group vector must match the score vectors in length")
-    if np.any((grp != 0) & (grp != 1)):
-        raise ValidationError("group values must be 0 or 1")
+    cand = as_float_vector(candidate, "candidate scores")
+    ref = as_float_vector(reference, "reference scores", cand.size)
+    grp = as_binary_vector(group, "group", cand.size)
     for value in (0, 1):
         mask = grp == value
         if np.count_nonzero(mask) > 1 and not preserves_ranking(
@@ -110,16 +92,10 @@ class EquityUtility:
     group_bonus: np.ndarray
 
     def __post_init__(self) -> None:
-        benefit = np.asarray(self.benefit, dtype=np.float64)
-        bonus = np.asarray(self.group_bonus, dtype=np.float64)
-        if benefit.ndim != 1 or benefit.size == 0:
-            raise ValidationError("benefit must be a non-empty one-dimensional array")
-        if not np.all(np.isfinite(benefit)) or np.any(benefit < 0.0):
-            raise ValidationError("benefit values must be finite and >= 0")
-        if bonus.ndim != 1 or bonus.size == 0:
-            raise ValidationError("group_bonus must be a non-empty one-dimensional array")
-        if not np.all(np.isfinite(bonus)):
-            raise ValidationError("group_bonus contains non-finite values")
+        benefit = as_float_vector(self.benefit, "benefit")
+        if np.any(benefit < 0.0):
+            raise ValidationError("benefit values must be >= 0")
+        bonus = as_float_vector(self.group_bonus, "group_bonus")
         if np.any(np.diff(bonus) < 0.0):
             raise ValidationError("group_bonus must be nondecreasing")
         benefit = benefit.copy()
@@ -151,17 +127,8 @@ class SelectionResult:
 
 
 def _validate_selection(reference, group, spec: EquityUtility):
-    ref = np.asarray(reference, dtype=np.float64)
-    grp = np.asarray(group)
-    if ref.ndim != 1 or ref.size == 0:
-        raise ValidationError("reference scores must be a non-empty one-dimensional array")
-    if not np.all(np.isfinite(ref)):
-        raise ValidationError("reference scores contain non-finite values")
-    if grp.shape != ref.shape:
-        raise ValidationError("group vector must match reference scores in length")
-    if np.any((grp != 0) & (grp != 1)):
-        raise ValidationError("group values must be 0 or 1")
-    grp = grp.astype(np.int64)
+    ref = as_float_vector(reference, "reference scores")
+    grp = as_binary_vector(group, "group", ref.size)
     if spec.benefit.size != ref.size:
         raise ValidationError(
             f"length mismatch: {spec.benefit.size} benefits for {ref.size} items"

@@ -24,6 +24,7 @@ from .core import (
     DegenerateDataError,
     LabeledScores,
     ValidationError,
+    as_float_vector,
 )
 from .metrics import accuracy, auc_rank, brier, calibration_curve, ece, net_trust
 from .utility import utility_curve
@@ -237,9 +238,7 @@ def paired_max_utility_test(
 
 def sem(values) -> float:
     """Standard error of the mean: sample standard deviation over sqrt(n)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValidationError("sem requires a one-dimensional array of at least 2 values")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("sem input contains non-finite values")
+    arr = as_float_vector(values, "sem input")
+    if arr.size < 2:
+        raise ValidationError("sem requires at least 2 values")
     return float(arr.std(ddof=1) / math.sqrt(arr.size))

@@ -35,6 +35,7 @@ from .core import (
     DecisionRule,
     LabeledScores,
     ValidationError,
+    as_float_vector,
     confusion_at,
 )
 from .ranking import preserves_ranking
@@ -172,11 +173,7 @@ def utility_at_thresholds(
     Vectorized but arithmetically identical to calling
     :func:`empirical_utility` once per threshold.
     """
-    grid = np.asarray(thresholds, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("thresholds must be a non-empty one-dimensional array")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("thresholds contain non-finite values")
+    grid = as_float_vector(thresholds, "thresholds")
     return _sweep(data, coefficients, *data.runs.accepted(grid))
 
 
@@ -240,10 +237,8 @@ def monotone_transform(scores: np.ndarray, kind: str, parameter) -> np.ndarray:
     distinct floats is rejected — so ranking metrics and attainable utilities
     are provably unchanged.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValidationError("scores must be a non-empty one-dimensional array")
-    if not np.all(np.isfinite(scores)) or np.any((scores < 0.0) | (scores > 1.0)):
+    scores = as_float_vector(scores, "scores")
+    if np.any((scores < 0.0) | (scores > 1.0)):
         raise ValidationError("scores must lie in [0, 1]")
     if kind == "affine":
         try:

@@ -210,6 +210,23 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv + ["--out-dir", str(tmp_path / "o11")]) == 2
         assert message in capsys.readouterr().err
 
+    # a label or group that no integer equals is refused before any cast, so
+    # the one error line is all the user sees
+    huge_label = tmp_path / "huge_label.csv"
+    huge_label.write_text("score,label\n0.5,1e300\n0.2,0\n")
+    huge_group = tmp_path / "huge_group.csv"
+    huge_group.write_text("score,label,group\n0.5,1,1e300\n0.2,0,0\n")
+    for path, message in (
+        (huge_label, "label values must be 0 or 1, got 1e+300 at row 0"),
+        (huge_group, "group values must be 0 or 1, got 1e+300 at row 0"),
+    ):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", str(path), "--out-dir", str(tmp_path / "o12")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2
     assert main(["--version"]) == 0
@@ -604,7 +621,9 @@ _FUZZ_CELLS = {
     "a10": st.floats(0, 3).map(repr),
     "a00": st.just("1"),
 }
-_FUZZ_ODD_CELLS = ["", " ", "nan", "inf", "-inf", "-0.5", "1.5", "2", "1e400", "abc", "0x1", "café"]
+_FUZZ_ODD_CELLS = [
+    "", " ", "nan", "inf", "-inf", "-0.5", "1.5", "2", "1e300", "1e400", "abc", "0x1", "café"
+]
 _FUZZ_DEFECTS = [
     "odd cell",
     "ragged row",
@@ -617,10 +636,14 @@ _FUZZ_DEFECTS = [
 
 
 @st.composite
-def _fuzz_file(draw, defect: str) -> bytes:
-    """A small delimited file with one defect of the given kind, or none."""
+def _fuzz_file(draw, defect: str, columns=()) -> bytes:
+    """A small delimited file with one defect of the given kind, or none.
+
+    ``columns`` are optional columns the file always has (before a defect).
+    """
     header = ["score", "label"]
-    for extra in draw(st.sets(st.sampled_from(["age", "group", "reference_score", "x1", "a"]))):
+    extras = draw(st.sets(st.sampled_from(["age", "group", "reference_score", "x1", "a"])))
+    for extra in extras | set(columns):
         header += ["a11", "a01", "a10", "a00"] if extra == "a" else [extra]
     if defect == "missing column":
         del header[draw(st.integers(0, len(header) - 1))]
@@ -662,6 +685,8 @@ _FUZZ_COMMANDS = [
     ["evaluate", "--replicates", "100", "--bins", "3"],
     ["tune", "--k-grid", "1,3", "--folds", "2", "--repeats", "2", "--grid", "5"],
     ["tune", "--k-grid", "2", "--folds", "3", "--repeats", "1", "--utility", "age-contextual"],
+    ["equity"],
+    ["equity", "--check-oracle"],
 ]
 
 
@@ -670,12 +695,18 @@ _FUZZ_COMMANDS = [
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_malformed_inputs_keep_the_exit_code_contract(defect, data):
-    content = data.draw(_fuzz_file(defect))
     argv = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    # equity reads both columns; without them it stops before its own checks
+    columns = ("group", "reference_score") if argv[0] == "equity" else ()
+    content = data.draw(_fuzz_file(defect, columns))
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "input.csv"
         path.write_bytes(content)
         command = [argv[0], str(path), *argv[1:], "--out-dir", str(Path(directory) / "out")]
+        if argv[0] == "equity":
+            bonus = Path(directory) / "bonus.txt"
+            bonus.write_text("0 0.5 1\n")
+            command += ["--bonus", str(bonus)]
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
             # a warning would reach the user's terminal beside the error line

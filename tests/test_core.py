@@ -1,17 +1,29 @@
+import ast
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import utileval
 from utileval import (
     ConfusionCounts,
     CostCoefficients,
     DecisionRule,
+    EquityUtility,
     EvalReport,
     LabeledScores,
     ValidationError,
     confusion_at,
+    equity_select,
+    fit_logistic,
+    kfold_cv,
+    knn_scores,
+    preserves_ranking_by_group,
+    read_features,
+    tune_and_compare,
     validate,
 )
 
@@ -254,3 +266,85 @@ def test_confusion_partitions_the_data(data):
     assert counts.tp + counts.fp + counts.fn + counts.tn == n
     assert counts.tp + counts.fn == ds.n_positive
     assert counts.fp + counts.tn == ds.n_negative
+
+
+_FEATURES = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 2.5], [3.0, 1.5], [4.0, 4.0], [5.0, 3.0]])
+_SCORES = np.linspace(0.1, 0.6, 6)
+
+# every public entry point that takes a label or group vector, with the name
+# its errors give that vector; each is called with the odd value at row 1
+_BINARY_ENTRY_POINTS = {
+    "LabeledScores labels": ("label", lambda v, _: LabeledScores(scores=_SCORES, labels=v)),
+    "LabeledScores group": (
+        "group",
+        lambda v, _: LabeledScores(scores=_SCORES, labels=[0, 1] * 3, group=v),
+    ),
+    "kfold_cv": ("label", lambda v, _: kfold_cv(_FEATURES, v, 2, [1], seed=0)),
+    "knn_scores": ("label", lambda v, _: knn_scores(_FEATURES, v, _FEATURES, 1)),
+    "fit_logistic": ("label", lambda v, _: fit_logistic(_FEATURES, v)),
+    "tune_and_compare": (
+        "label",
+        lambda v, _: tune_and_compare(
+            _FEATURES, v, [1], CostCoefficients.zero_one(), repeats=1, n_folds=2
+        ),
+    ),
+    "preserves_ranking_by_group": (
+        "group",
+        lambda v, _: preserves_ranking_by_group(_SCORES, _SCORES, v),
+    ),
+    "equity_select": (
+        "group",
+        lambda v, _: equity_select(_SCORES, v, EquityUtility(_SCORES, [0.0, 0.0])),
+    ),
+    "read_features": ("label", lambda v, path: read_features(_feature_file(path, v))),
+}
+
+
+def _feature_file(path: Path, labels) -> Path:
+    path = path / "features.csv"
+    rows = [f"{label},{x},{y}" for label, (x, y) in zip(labels, _FEATURES)]
+    path.write_text("\n".join(["label,x,y", *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300, 2, 0.5, "a"], ids=repr)
+@pytest.mark.parametrize("entry_point", sorted(_BINARY_ENTRY_POINTS))
+def test_binary_vectors_are_checked_before_any_cast(entry_point, value, tmp_path):
+    name, call = _BINARY_ENTRY_POINTS[entry_point]
+    with warnings.catch_warnings(), pytest.raises(ValidationError) as excinfo:
+        # a cast warning would reach the user beside the error
+        warnings.simplefilter("error")
+        call([0, value, 1, 0, 1, 0], tmp_path)
+    message = str(excinfo.value)
+    assert name in message
+    # a file names the line of a cell that is not a number (row 1 is line 3)
+    assert "at row 1" in message or "line 3" in message
+
+
+def test_binary_check_names_the_first_bad_row():
+    with pytest.raises(ValidationError) as excinfo:
+        LabeledScores(scores=[0.5, 0.5, 0.5], labels=[1, 2, 3])
+    assert str(excinfo.value) == "label values must be 0 or 1, got 2.0 at row 1"
+    with pytest.raises(ValidationError) as excinfo:
+        LabeledScores(scores=[0.5, 0.5], labels=[1, 0], group=[0, -np.inf])
+    assert str(excinfo.value) == "group values must be 0 or 1, got -inf at row 1 (non-finite)"
+    with pytest.raises(ValidationError) as excinfo:
+        LabeledScores(scores=[0.5, 0.5], labels=["1", "b"])
+    assert str(excinfo.value) == "label values must be numbers, got 'b' at row 1"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    package = Path(utileval.__file__).parent
+    private = []
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            own = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "utileval"
+            )
+            if own:
+                private += [
+                    f"{source.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []

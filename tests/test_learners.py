@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,6 +328,20 @@ def test_tune_per_sample_coefficients_follow_rows(rng):
         )
 
 
+def test_knn_refuses_features_whose_distances_overflow():
+    labels = [0, 1, 0, 1, 0, 1]
+    # a column spread over 1e300, and a test value far outside a tiny
+    # training spread: both are finite, but their squared distances are not
+    wide = np.array([[0.0], [1e300], [0.0], [1.0], [0.0], [2.0]])
+    narrow = np.array([[0.0], [1e-150], [0.0], [0.0], [1e-150], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="too far apart"):
+            kfold_cv(wide, labels, 2, [1], seed=0)
+        with pytest.raises(ValidationError, match="too far apart"):
+            knn_scores(narrow, labels, [[1e10]], 1)
+
+
 def test_feature_matrix_basics():
     with pytest.raises(ValidationError, match="2-D"):
         FeatureMatrix.from_arrays(np.zeros(3))
@@ -333,6 +349,10 @@ def test_feature_matrix_basics():
         FeatureMatrix.from_arrays(np.zeros((2, 2)), ["a", "a"])
     with pytest.raises(ValidationError, match="non-finite"):
         FeatureMatrix.from_arrays([[np.nan]])
+    # the first bad cell in row order is named by row and column
+    with pytest.raises(ValidationError) as excinfo:
+        FeatureMatrix.from_arrays([[1.0, 2.0], [3.0, np.inf], [np.nan, 4.0]], ["x", "age"])
+    assert str(excinfo.value) == "feature column 'age' contains a non-finite value at row 1: inf"
     matrix = FeatureMatrix.from_arrays([[1.0, 5.0], [3.0, 5.0]], ["x", "const"])
     subset = matrix.take([1])
     assert subset.names == matrix.names
