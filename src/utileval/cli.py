@@ -17,6 +17,7 @@ the requested analysis.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial
 from importlib import metadata
@@ -60,6 +61,7 @@ from .simstudy import CLASSIFIERS, NORMAL_METHOD, SimStudyConfig, simulate
 from .simstudy import generate_realization  # noqa: F401  perfbench traces it through cli
 from .stats import (
     BOOTSTRAP_METRICS,
+    MAX_REPLICATE_CELLS,
     BootstrapConfig,
     PairedTestResult,
     percentile_interval,
@@ -405,6 +407,11 @@ def cmd_sweep_c(args) -> int:
     for c in grid:
         if c < 0:
             raise ValidationError(f"cost parameters must be >= 0, got {c}")
+    if args.replicates * len(grid) > MAX_REPLICATE_CELLS:
+        raise ValidationError(
+            f"replicates x cost grid length must be <= {MAX_REPLICATE_CELLS}, "
+            f"got {args.replicates} x {len(grid)}"
+        )
 
     def sweep_maxima(data: LabeledScores, _=None) -> list[float]:
         return [utility_curve(data, cost_family(c)).max_utility for c in grid]
@@ -454,59 +461,45 @@ def cmd_tune(args) -> int:
         test_fraction=args.test_fraction,
         grid_size=args.grid,
     )
+
+    def repeat_sem(values, single):
+        """SEM over the repeats (axis 0) as Python floats; ``single`` for one repeat."""
+        if result.repeats < 2:
+            return single
+        return (np.std(values, axis=0, ddof=1) / math.sqrt(result.repeats)).tolist()
+
+    max_utility = {}
+    cv_header = ["k"]
+    cv_rows = [[k] for k in result.k_grid]
+    utility_rows = []
+    for criterion, per_repeat in result.max_utility.items():
+        max_utility[criterion] = {
+            "per_repeat": per_repeat,
+            "mean": float(per_repeat.mean()),
+            "sem": repeat_sem(per_repeat, None),
+        }
+        cv = result.cv[criterion]
+        cv_header += [f"mean_cv_{criterion}", f"sem_cv_{criterion}"]
+        sems = repeat_sem(cv, [""] * len(cv_rows))
+        for column, row in enumerate(cv_rows):
+            row += [float(cv[:, column].mean()), sems[column]]
+        grid = result.utility_grid[criterion]
+        utility_rows += [
+            (criterion, *cells)
+            for cells in zip(
+                result.thresholds.tolist(),
+                grid.mean(axis=0).tolist(),
+                repeat_sem(grid, [""] * result.thresholds.size),
+            )
+        ]
     payload = {
         "k_grid": list(result.k_grid),
         "repeats": result.repeats,
-        "chosen_k": {
-            "auc": result.chosen_k_auc,
-            "accuracy": result.chosen_k_accuracy,
-        },
-        "max_utility": {
-            "auc": {
-                "per_repeat": result.max_utility_auc,
-                "mean": result.mean_max_utility_auc,
-                "sem": result.sem_max_utility_auc,
-            },
-            "accuracy": {
-                "per_repeat": result.max_utility_accuracy,
-                "mean": result.mean_max_utility_accuracy,
-                "sem": result.sem_max_utility_accuracy,
-            },
-        },
+        "chosen_k": result.chosen_k,
+        "max_utility": max_utility,
     }
-    cv_rows = []
-    sem_auc = result.cv_sem_auc
-    sem_accuracy = result.cv_sem_accuracy
-    for column, k in enumerate(result.k_grid):
-        cv_rows.append(
-            (
-                k,
-                float(result.cv_auc[:, column].mean()),
-                "" if sem_auc is None else float(sem_auc[column]),
-                float(result.cv_accuracy[:, column].mean()),
-                "" if sem_accuracy is None else float(sem_accuracy[column]),
-            )
-        )
-    utility_rows = []
-    for criterion, grid_values, grid_sem in (
-        ("auc", result.utility_grid_auc, result.utility_grid_sem_auc),
-        ("accuracy", result.utility_grid_accuracy, result.utility_grid_sem_accuracy),
-    ):
-        means = grid_values.mean(axis=0)
-        for column, threshold in enumerate(result.thresholds):
-            utility_rows.append(
-                (
-                    criterion,
-                    float(threshold),
-                    float(means[column]),
-                    "" if grid_sem is None else float(grid_sem[column]),
-                )
-            )
     tables = {
-        "tune_cv.csv": (
-            ["k", "mean_cv_auc", "sem_cv_auc", "mean_cv_accuracy", "sem_cv_accuracy"],
-            cv_rows,
-        ),
+        "tune_cv.csv": (cv_header, cv_rows),
         "tune_utility.csv": (
             ["criterion", "threshold", "mean_utility", "sem_utility"],
             utility_rows,

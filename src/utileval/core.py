@@ -28,6 +28,7 @@ __all__ = [
     "EvalReport",
     "confusion_at",
     "validate",
+    "as_float",
     "as_float_vector",
     "as_binary_vector",
 ]
@@ -59,6 +60,14 @@ def _unchecked(cls, **fields):
             value = _readonly(value)
         object.__setattr__(instance, name, value)
     return instance
+
+
+def as_float(value, name: str) -> float:
+    """``value`` as a float; one that is not a number is refused, naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
 
 
 def _vector(values, name: str, n: int | None) -> np.ndarray:
@@ -133,9 +142,13 @@ class CostCoefficients:
         n = None
         for name in ("a11", "a01", "a10", "a00"):
             raw = getattr(self, name)
-            arr = np.asarray(raw, dtype=np.float64)
+            try:
+                arr = np.asarray(raw, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                # named below: a scalar by as_float, a vector row by as_float_vector
+                arr = np.asarray(raw, dtype=object)
             if arr.ndim == 0:
-                value = float(arr)
+                value = as_float(raw, f"coefficient {name}")
                 if not math.isfinite(value):
                     raise ValidationError(f"coefficient {name} is not finite")
                 if value < 0.0:
@@ -159,7 +172,8 @@ class CostCoefficients:
 
     @classmethod
     def constant(cls, a11: float, a01: float, a10: float, a00: float) -> "CostCoefficients":
-        return cls(float(a11), float(a01), float(a10), float(a00))
+        values = {"a11": a11, "a01": a01, "a10": a10, "a00": a00}
+        return cls(**{name: as_float(v, f"coefficient {name}") for name, v in values.items()})
 
     @property
     def is_constant(self) -> bool:
@@ -381,7 +395,7 @@ class DecisionRule:
     threshold: float
 
     def __post_init__(self) -> None:
-        t = float(self.threshold)
+        t = as_float(self.threshold, "threshold")
         if not math.isfinite(t):
             raise ValidationError("threshold must be finite")
         object.__setattr__(self, "threshold", t)

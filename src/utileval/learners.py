@@ -42,6 +42,10 @@ MAX_TUNE_CELLS = 4_000_000
 # test rows in ``_knn_counts``
 _KNN_BLOCK_CELLS = 1 << 22
 
+# the model-selection criteria of ``kfold_cv`` and ``tune_and_compare``, in
+# the order of every result mapping and report table
+_CRITERIA = ("auc", "accuracy")
+
 
 class ConvergenceError(RuntimeError):
     """Iterative fitting failed; carries the final solver diagnostics."""
@@ -105,8 +109,15 @@ class FeatureMatrix:
         return self.means is not None
 
     def standardize(self) -> "FeatureMatrix":
-        """Center and scale columns; constant columns are dropped entirely."""
-        stds = self.values.std(axis=0)
+        """Center and scale columns; constant columns are dropped entirely.
+
+        Finite values can still overflow the spread (a column spread over
+        1e300), which is refused.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            stds = self.values.std(axis=0)
+        if not np.isfinite(stds).all():
+            raise ValidationError("feature values are too far apart to standardize in float64")
         keep = stds > 0.0
         means = self.values.mean(axis=0)[keep]
         stds = stds[keep]
@@ -218,42 +229,36 @@ def fit_logistic(
             # the Newton direction always descends in exact arithmetic, so an
             # exhausted search with a flat objective means the deviance is at
             # its floating-point floor: converged, not stuck
-            if best_tried <= objective + 1e-10 * (1.0 + abs(objective)):
-                return LogisticModel(
-                    weights=beta[1:].copy(),
-                    intercept=float(beta[0]),
-                    feature_names=matrix.names,
-                    means=matrix.means,
-                    stds=matrix.stds,
+            if best_tried > objective + 1e-10 * (1.0 + abs(objective)):
+                raise ConvergenceError(
+                    f"logistic fit stalled after {iteration} iterations "
+                    f"(gradient norm {gradient_norm:.3e})",
                     iterations=iteration,
                     gradient_norm=gradient_norm,
+                    max_step=float(np.max(np.abs(scale * step))),
                 )
-            raise ConvergenceError(
-                f"logistic fit stalled after {iteration} iterations "
-                f"(gradient norm {gradient_norm:.3e})",
-                iterations=iteration,
-                gradient_norm=gradient_norm,
-                max_step=float(np.max(np.abs(scale * step))),
-            )
+            break
         beta = candidate
         objective = candidate_objective
         max_step = float(np.max(np.abs(scale * step)))
         if max_step < tol:
-            return LogisticModel(
-                weights=beta[1:].copy(),
-                intercept=float(beta[0]),
-                feature_names=matrix.names,
-                means=matrix.means,
-                stds=matrix.stds,
-                iterations=iteration,
-                gradient_norm=gradient_norm,
-            )
-    raise ConvergenceError(
-        f"logistic fit did not converge in {max_iter} iterations "
-        f"(last step {max_step:.3e}, gradient norm {gradient_norm:.3e})",
-        iterations=max_iter,
+            break
+    else:
+        raise ConvergenceError(
+            f"logistic fit did not converge in {max_iter} iterations "
+            f"(last step {max_step:.3e}, gradient norm {gradient_norm:.3e})",
+            iterations=max_iter,
+            gradient_norm=gradient_norm,
+            max_step=max_step,
+        )
+    return LogisticModel(
+        weights=beta[1:].copy(),
+        intercept=float(beta[0]),
+        feature_names=matrix.names,
+        means=matrix.means,
+        stds=matrix.stds,
+        iterations=iteration,
         gradient_norm=gradient_norm,
-        max_step=max_step,
     )
 
 
@@ -269,21 +274,16 @@ def _knn_counts(
     order.  Only rows where a tie straddles some k take a stable argsort.
     Test rows are processed in blocks, so memory does not grow with them.
     """
+    standardized = train.standardize()
+    train_values = standardized.values
+    train_sq = (train_values**2).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        standardized = train.standardize()
-        train_values = standardized.values
         test_values = standardized.transform(test).values
-        train_sq = (train_values**2).sum(axis=1)
         test_sq = (test_values**2).sum(axis=1)
-    # finite feature values can still overflow here (a column spread over
-    # 1e300, or a test value far outside a tiny training spread); with every
-    # squared norm within a quarter of the largest double, no distance does
-    bound = np.finfo(np.float64).max / 4
-    if not (
-        np.isfinite(standardized.stds).all()
-        and (train_sq <= bound).all()
-        and (test_sq <= bound).all()
-    ):
+    # a test value far outside a tiny training spread can still overflow; a
+    # standardized training value is at most sqrt(n) in size, so with every
+    # test squared norm within a quarter of the largest double, no distance does
+    if not (test_sq <= np.finfo(np.float64).max / 4).all():
         raise ValidationError(
             "feature values are too far apart for float64 distances after standardizing"
         )
@@ -331,21 +331,19 @@ def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarra
 class CvResult:
     """Per-fold and averaged cross-validation metrics over a k grid.
 
-    ``fold_auc``/``fold_accuracy`` have shape (folds, len(k_grid)); AUC
-    entries are NaN for test folds holding a single class, and those folds are
-    listed in ``skipped_auc_folds``.  ``best_k_by_auc``/``best_k_by_accuracy``
-    maximize the fold means, preferring the smaller k on ties.
+    ``fold``, ``mean`` and ``best_k`` are keyed by criterion, ``"auc"`` then
+    ``"accuracy"``.  ``fold[c]`` has shape (folds, len(k_grid)); AUC entries
+    are NaN for test folds holding a single class, and those folds are listed
+    in ``skipped_auc_folds``.  ``best_k[c]`` maximizes ``mean[c]``, the fold
+    means, preferring the smaller k on ties.
     """
 
     k_grid: tuple[int, ...]
     n_folds: int
     seed: int
-    fold_auc: np.ndarray
-    fold_accuracy: np.ndarray
-    mean_auc: np.ndarray
-    mean_accuracy: np.ndarray
-    best_k_by_auc: int
-    best_k_by_accuracy: int
+    fold: dict[str, np.ndarray]
+    mean: dict[str, np.ndarray]
+    best_k: dict[str, int]
     skipped_auc_folds: tuple[int, ...]
 
 
@@ -389,33 +387,28 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     permutation = rng.permutation(n)
     folds = np.array_split(permutation, n_folds)
-    fold_auc = np.empty((n_folds, len(grid)))
-    fold_accuracy = np.empty((n_folds, len(grid)))
+    fold = {criterion: np.empty((n_folds, len(grid))) for criterion in _CRITERIA}
     skipped = []
     for f, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != f])
         counts = _knn_counts(matrix.take(train_idx), y[train_idx], matrix.take(test_idx), grid)
         test_labels = y[test_idx]
-        fold_accuracy[f] = np.mean((counts / ks >= 0.5) == (test_labels == 1)[:, None], axis=0)
+        fold["accuracy"][f] = np.mean((counts / ks >= 0.5) == (test_labels == 1)[:, None], axis=0)
         if test_labels.min() == test_labels.max():
             skipped.append(f)
-            fold_auc[f] = np.nan
+            fold["auc"][f] = np.nan
         else:
-            fold_auc[f] = _count_auc(counts, test_labels, ks)
+            fold["auc"][f] = _count_auc(counts, test_labels, ks)
     if len(skipped) == n_folds:
         raise DegenerateDataError("AUC undefined in every fold (single-class test folds)")
-    mean_auc = np.nanmean(fold_auc, axis=0)
-    mean_accuracy = fold_accuracy.mean(axis=0)
+    mean = {"auc": np.nanmean(fold["auc"], axis=0), "accuracy": fold["accuracy"].mean(axis=0)}
     return CvResult(
         k_grid=grid,
         n_folds=n_folds,
         seed=int(seed),
-        fold_auc=fold_auc,
-        fold_accuracy=fold_accuracy,
-        mean_auc=mean_auc,
-        mean_accuracy=mean_accuracy,
-        best_k_by_auc=grid[int(np.argmax(mean_auc))],
-        best_k_by_accuracy=grid[int(np.argmax(mean_accuracy))],
+        fold=fold,
+        mean=mean,
+        best_k={criterion: grid[int(np.argmax(means))] for criterion, means in mean.items()},
         skipped_auc_folds=tuple(skipped),
     )
 
@@ -442,64 +435,22 @@ def _count_auc(counts: np.ndarray, labels: np.ndarray, ks: np.ndarray) -> np.nda
 class TuneResult:
     """Outcome of repeated split / tune / retrain / utility-sweep experiments.
 
-    Arrays indexed by repeat record the k selected by cross-validated AUC and
-    by cross-validated accuracy and the test-set utility maxima of the
-    resulting models; ``cv_auc``/``cv_accuracy`` hold the per-repeat CV means
-    for every k in the grid, and ``utility_grid_*`` the test utilities on the
-    fixed threshold grid.  SEM fields are None when only one repeat was run.
+    Every mapping is keyed by selection criterion, ``"auc"`` then
+    ``"accuracy"``, and its arrays are indexed by repeat: ``chosen_k`` holds
+    the k selected by that cross-validated criterion, ``max_utility`` the
+    test-set utility maximum of the resulting model, ``utility_grid`` its test
+    utilities on the fixed threshold grid, and ``cv`` the CV means of that
+    criterion for every k in the grid.
     """
 
     k_grid: tuple[int, ...]
     repeats: int
     seed: int
     thresholds: np.ndarray
-    chosen_k_auc: np.ndarray
-    chosen_k_accuracy: np.ndarray
-    max_utility_auc: np.ndarray
-    max_utility_accuracy: np.ndarray
-    cv_auc: np.ndarray
-    cv_accuracy: np.ndarray
-    utility_grid_auc: np.ndarray
-    utility_grid_accuracy: np.ndarray
-
-    @property
-    def mean_max_utility_auc(self) -> float:
-        return float(self.max_utility_auc.mean())
-
-    @property
-    def mean_max_utility_accuracy(self) -> float:
-        return float(self.max_utility_accuracy.mean())
-
-    def _sem(self, values: np.ndarray):
-        if self.repeats < 2:
-            return None
-        return np.std(values, axis=0, ddof=1) / math.sqrt(self.repeats)
-
-    @property
-    def sem_max_utility_auc(self) -> float | None:
-        out = self._sem(self.max_utility_auc)
-        return None if out is None else float(out)
-
-    @property
-    def sem_max_utility_accuracy(self) -> float | None:
-        out = self._sem(self.max_utility_accuracy)
-        return None if out is None else float(out)
-
-    @property
-    def cv_sem_auc(self) -> np.ndarray | None:
-        return self._sem(self.cv_auc)
-
-    @property
-    def cv_sem_accuracy(self) -> np.ndarray | None:
-        return self._sem(self.cv_accuracy)
-
-    @property
-    def utility_grid_sem_auc(self) -> np.ndarray | None:
-        return self._sem(self.utility_grid_auc)
-
-    @property
-    def utility_grid_sem_accuracy(self) -> np.ndarray | None:
-        return self._sem(self.utility_grid_accuracy)
+    chosen_k: dict[str, np.ndarray]
+    max_utility: dict[str, np.ndarray]
+    cv: dict[str, np.ndarray]
+    utility_grid: dict[str, np.ndarray]
 
 
 def tune_and_compare(
@@ -549,15 +500,16 @@ def tune_and_compare(
             f"repeats x grid_size and repeats x k grid length must be <= {MAX_TUNE_CELLS}, "
             f"got {repeats} x {grid_size} and {repeats} x {len(grid)}"
         )
-    thresholds = np.linspace(0.0, 1.0, grid_size)
-    chosen_k = {"auc": np.empty(repeats, dtype=np.int64), "accuracy": np.empty(repeats, dtype=np.int64)}
-    max_utility = {"auc": np.empty(repeats), "accuracy": np.empty(repeats)}
-    utility_grid = {
-        "auc": np.empty((repeats, grid_size)),
-        "accuracy": np.empty((repeats, grid_size)),
-    }
-    cv_auc = np.empty((repeats, len(grid)))
-    cv_accuracy = np.empty((repeats, len(grid)))
+    result = TuneResult(
+        k_grid=grid,
+        repeats=repeats,
+        seed=int(seed),
+        thresholds=np.linspace(0.0, 1.0, grid_size),
+        chosen_k={criterion: np.empty(repeats, dtype=np.int64) for criterion in _CRITERIA},
+        max_utility={criterion: np.empty(repeats) for criterion in _CRITERIA},
+        cv={criterion: np.empty((repeats, len(grid))) for criterion in _CRITERIA},
+        utility_grid={criterion: np.empty((repeats, grid_size)) for criterion in _CRITERIA},
+    )
     for r in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
         permutation = rng.permutation(n)
@@ -567,31 +519,16 @@ def tune_and_compare(
         train = matrix.take(train_idx)
         test = matrix.take(test_idx)
         cv = kfold_cv(train, y[train_idx], n_folds, grid, cv_seed)
-        cv_auc[r] = cv.mean_auc
-        cv_accuracy[r] = cv.mean_accuracy
         test_coefficients = coefficients.take(test_idx)
-        chosen = {"auc": cv.best_k_by_auc, "accuracy": cv.best_k_by_accuracy}
-        scores = _knn_score_grid(train, y[train_idx], test, list(chosen.values()))
-        for column, (criterion, k) in enumerate(chosen.items()):
+        scores = _knn_score_grid(train, y[train_idx], test, list(cv.best_k.values()))
+        for column, (criterion, k) in enumerate(cv.best_k.items()):
             data = LabeledScores(scores=scores[:, column], labels=y[test_idx])
-            chosen_k[criterion][r] = k
-            max_utility[criterion][r] = utility_curve(
+            result.chosen_k[criterion][r] = k
+            result.cv[criterion][r] = cv.mean[criterion]
+            result.max_utility[criterion][r] = utility_curve(
                 data, test_coefficients
             ).max_utility
-            utility_grid[criterion][r] = utility_at_thresholds(
-                data, test_coefficients, thresholds
+            result.utility_grid[criterion][r] = utility_at_thresholds(
+                data, test_coefficients, result.thresholds
             )
-    return TuneResult(
-        k_grid=grid,
-        repeats=repeats,
-        seed=int(seed),
-        thresholds=thresholds,
-        chosen_k_auc=chosen_k["auc"],
-        chosen_k_accuracy=chosen_k["accuracy"],
-        max_utility_auc=max_utility["auc"],
-        max_utility_accuracy=max_utility["accuracy"],
-        cv_auc=cv_auc,
-        cv_accuracy=cv_accuracy,
-        utility_grid_auc=utility_grid["auc"],
-        utility_grid_accuracy=utility_grid["accuracy"],
-    )
+    return result

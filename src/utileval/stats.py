@@ -39,9 +39,16 @@ __all__ = [
     "resample",
     "sem",
     "BOOTSTRAP_METRICS",
+    "MAX_REPLICATES",
+    "MAX_REPLICATE_CELLS",
 ]
 
 _MIN_INTERVAL_REPLICATES = 100
+
+# ``resample`` keeps every replicate value of every statistic; a statistic
+# returning g values per replicate keeps replicates x g of them
+MAX_REPLICATES = 1_000_000
+MAX_REPLICATE_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -100,10 +107,12 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     counts as one of its redraws; 100 redraws per replicate exhaust its
     budget.  Returns ``(values, redraws)``: per dataset, a mapping from
     statistic name to its replicate array (one row per replicate) and to its
-    redraw count.
+    redraw count.  ``replicates`` may be at most :data:`MAX_REPLICATES`.
     """
-    if replicates < 0:
-        raise ValidationError(f"replicates must be >= 0, got {replicates}")
+    if not 0 <= replicates <= MAX_REPLICATES:
+        raise ValidationError(
+            f"replicates must be >= 0 and <= {MAX_REPLICATES}, got {replicates}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     n = datasets[0].n
     values = [{name: [] for name in statistics} for _ in datasets]

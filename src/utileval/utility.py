@@ -35,6 +35,7 @@ from .core import (
     DecisionRule,
     LabeledScores,
     ValidationError,
+    as_float,
     as_float_vector,
     confusion_at,
 )
@@ -202,7 +203,7 @@ def cost_family(c: float) -> CostCoefficients:
 
     ``c = 0`` reduces to plain accuracy.
     """
-    c = float(c)
+    c = as_float(c, "cost parameter")
     if not math.isfinite(c) or c < 0.0:
         raise ValidationError(f"cost parameter must be a finite value >= 0, got {c}")
     return CostCoefficients.constant(1.0, c, 0.5 * c, 1.0)

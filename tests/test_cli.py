@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import utileval
 
-from utileval import BootstrapConfig, CostCoefficients, paired_max_utility_test, read_scores
+from utileval import (
+    BootstrapConfig,
+    CostCoefficients,
+    paired_max_utility_test,
+    read_features,
+    read_scores,
+    tune_and_compare,
+)
 from utileval.cli import main
 from utileval.dataio import file_digest, write_csv, write_json
 
@@ -147,6 +155,23 @@ def test_exit_codes(tmp_path, capsys):
         ["--realizations", "400", "--bins", "2501"],
     ):
         assert main(["simulate", *options, "--out-dir", str(tmp_path / "o9")]) == 2
+
+    # every bootstrap keeps its replicates, so their count has a documented
+    # limit too, and sweep-c's replicates x cost grid table another
+    too_many = "replicates must be >= 0 and <= 1000000"
+    too_many_cells = "replicates x cost grid length must be <= 4000000"
+    for argv, replicates, message in (
+        (["evaluate", str(scores)], "1000000000000", too_many),
+        (["compare", str(scores), str(scores)], "1000000000000", too_many),
+        (["sweep-c", str(scores), "--grid", "1"], "1000001", too_many),
+        (["sweep-c", str(scores)], "1000000000000", too_many_cells),
+        (["sweep-c", str(scores)], "500001", too_many_cells),
+    ):
+        capsys.readouterr()
+        out = ["--out-dir", str(tmp_path / "o13")]
+        assert main([*argv, *out, "--replicates", replicates]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
 
     # an output directory that cannot be created is an input error
     blocker = tmp_path / "blocker"
@@ -402,16 +427,19 @@ def test_sweep_c_zero_matches_zero_one_evaluate(tmp_path):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
-def test_tune_command(tmp_path):
-    rng = np.random.default_rng(100)
-    n = 240
+def _write_features(path, n=240, seed=100):
+    rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     y = ((X[:, 0] + X[:, 1] + rng.normal(0, 1.2, n)) > 0).astype(int)
     lines = ["label,x1,x2"] + [
         f"{y[i]},{float(X[i, 0])!r},{float(X[i, 1])!r}" for i in range(n)
     ]
-    features = tmp_path / "features.csv"
-    features.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_tune_command(tmp_path):
+    features = _write_features(tmp_path / "features.csv")
     out = tmp_path / "tune"
     argv = [
         "tune",
@@ -442,6 +470,57 @@ def test_tune_command(tmp_path):
     # utility families that need missing columns fail cleanly
     assert main(argv[:-1] + [str(tmp_path / "t2"), "--utility", "age-contextual"]) == 2
     assert main(argv[:-1] + [str(tmp_path / "t3"), "--utility", "columns"]) == 2
+
+
+def _run_tune(tmp_path, repeats):
+    features = _write_features(tmp_path / "features.csv", n=90)
+    out = tmp_path / f"tune{repeats}"
+    options = ["--k-grid", "1,5,15", "--folds", "4", "--grid", "11", "--seed", "21"]
+    options += ["--repeats", str(repeats), "--out-dir", str(out)]
+    assert main(["tune", str(features), *options]) == 0
+    table = read_features(features)
+    result = tune_and_compare(
+        table.features,
+        table.labels,
+        [1, 5, 15],
+        CostCoefficients.zero_one(),
+        repeats=repeats,
+        seed=21,
+        n_folds=4,
+        grid_size=11,
+    )
+    report = json.loads((out / "tune_report.json").read_text())
+    cv = [line.split(",") for line in (out / "tune_cv.csv").read_text().splitlines()]
+    utility = [line.split(",") for line in (out / "tune_utility.csv").read_text().splitlines()]
+    return result, report, cv, utility
+
+
+def test_tune_sem_columns_follow_the_axis0_formula(tmp_path):
+    result, report, cv, utility = _run_tune(tmp_path, repeats=3)
+
+    def sem(values):
+        return np.std(values, axis=0, ddof=1) / math.sqrt(3)
+
+    assert cv[0] == ["k", "mean_cv_auc", "sem_cv_auc", "mean_cv_accuracy", "sem_cv_accuracy"]
+    assert [row[0] for row in utility[1:]] == ["auc"] * 11 + ["accuracy"] * 11
+    for criterion, cv_column, rows in (
+        ("auc", 2, utility[1:12]),
+        ("accuracy", 4, utility[12:]),
+    ):
+        per_repeat = result.max_utility[criterion]
+        assert report["max_utility"][criterion]["per_repeat"] == per_repeat.tolist()
+        assert report["max_utility"][criterion]["sem"] == float(sem(per_repeat))
+        assert report["max_utility"][criterion]["sem"] > 0.0
+        assert [float(row[cv_column]) for row in cv[1:]] == sem(result.cv[criterion]).tolist()
+        assert [float(row[3]) for row in rows] == sem(result.utility_grid[criterion]).tolist()
+
+
+def test_tune_single_repeat_has_no_sem(tmp_path):
+    _, report, cv, utility = _run_tune(tmp_path, repeats=1)
+    assert report["max_utility"]["auc"]["sem"] is None
+    assert report["max_utility"]["accuracy"]["sem"] is None
+    assert all(row[2] == "" and row[4] == "" for row in cv[1:])
+    assert all(row[3] == "" for row in utility[1:])
 
 
 def test_equity_command(tmp_path):
@@ -687,7 +766,12 @@ _FUZZ_COMMANDS = [
     ["tune", "--k-grid", "2", "--folds", "3", "--repeats", "1", "--utility", "age-contextual"],
     ["equity"],
     ["equity", "--check-oracle"],
+    ["compare", "--replicates", "100", "--utility", "c:1"],
+    ["compare", "--replicates", "0", "--utility", "age-contextual"],
+    ["sweep-c", "--replicates", "3", "--grid", "0,1,2"],
 ]
+# these commands compare score files on shared rows; they read the file twice
+_FUZZ_TWO_FILES = {"compare", "sweep-c"}
 
 
 # 12 examples for each of 8 kinds keeps the whole test near 100 examples
@@ -702,7 +786,8 @@ def test_malformed_inputs_keep_the_exit_code_contract(defect, data):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "input.csv"
         path.write_bytes(content)
-        command = [argv[0], str(path), *argv[1:], "--out-dir", str(Path(directory) / "out")]
+        paths = [str(path)] * (2 if argv[0] in _FUZZ_TWO_FILES else 1)
+        command = [argv[0], *paths, *argv[1:], "--out-dir", str(Path(directory) / "out")]
         if argv[0] == "equity":
             bonus = Path(directory) / "bonus.txt"
             bonus.write_text("0 0.5 1\n")

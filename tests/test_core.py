@@ -17,6 +17,7 @@ from utileval import (
     LabeledScores,
     ValidationError,
     confusion_at,
+    cost_family,
     equity_select,
     fit_logistic,
     kfold_cv,
@@ -331,6 +332,26 @@ def test_binary_check_names_the_first_bad_row():
     with pytest.raises(ValidationError) as excinfo:
         LabeledScores(scores=[0.5, 0.5], labels=["1", "b"])
     assert str(excinfo.value) == "label values must be numbers, got 'b' at row 1"
+
+
+_SCALAR_ENTRY_POINTS = {
+    "CostCoefficients": ("coefficient a11", lambda v: CostCoefficients(v, 0, 0, 1)),
+    "CostCoefficients.constant": (
+        "coefficient a11",
+        lambda v: CostCoefficients.constant(v, 0, 0, 1),
+    ),
+    "DecisionRule": ("threshold", DecisionRule),
+    "cost_family": ("cost parameter", cost_family),
+}
+
+
+@pytest.mark.parametrize("value", ["a", None], ids=repr)
+@pytest.mark.parametrize("entry_point", sorted(_SCALAR_ENTRY_POINTS))
+def test_scalar_inputs_that_are_not_numbers_are_validation_errors(entry_point, value):
+    name, call = _SCALAR_ENTRY_POINTS[entry_point]
+    with pytest.raises(ValidationError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name} must be a number, got {value!r}"
 
 
 def test_no_module_imports_a_private_name_from_another():

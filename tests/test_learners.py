@@ -203,8 +203,9 @@ def test_kfold_cv_fold_metrics_equal_per_column_references(seed):
                 if labels.min() == labels.max()
                 else auc_rank(LabeledScores(scores=scores, labels=labels))
             )
-    assert result.fold_auc.tobytes() == auc.tobytes()
-    assert result.fold_accuracy.tobytes() == accuracy.tobytes()
+    assert list(result.fold) == ["auc", "accuracy"]
+    assert result.fold["auc"].tobytes() == auc.tobytes()
+    assert result.fold["accuracy"].tobytes() == accuracy.tobytes()
     assert result.skipped_auc_folds == tuple(np.flatnonzero(np.isnan(auc[:, 0])))
     assert result.skipped_auc_folds
 
@@ -213,13 +214,13 @@ def test_kfold_cv_shapes_and_determinism(rng):
     X, y = _blobs(rng, 40, spread=2.5, gap=1.5)
     result = kfold_cv(X, y, n_folds=5, k_grid=[1, 3, 7], seed=11)
     assert result.k_grid == (1, 3, 7)
-    assert result.fold_auc.shape == (5, 3)
-    assert result.fold_accuracy.shape == (5, 3)
-    assert result.best_k_by_auc in (1, 3, 7)
+    assert result.fold["auc"].shape == (5, 3)
+    assert result.fold["accuracy"].shape == (5, 3)
+    assert result.best_k["auc"] in (1, 3, 7)
     again = kfold_cv(X, y, n_folds=5, k_grid=[1, 3, 7], seed=11)
-    np.testing.assert_array_equal(result.fold_auc, again.fold_auc)
+    np.testing.assert_array_equal(result.fold["auc"], again.fold["auc"])
     shuffled = kfold_cv(X, y, n_folds=5, k_grid=[1, 3, 7], seed=12)
-    assert not np.array_equal(result.fold_auc, shuffled.fold_auc)
+    assert not np.array_equal(result.fold["auc"], shuffled.fold["auc"])
 
 
 def test_kfold_cv_tied_means_pick_smaller_k(rng):
@@ -227,8 +228,8 @@ def test_kfold_cv_tied_means_pick_smaller_k(rng):
     # resolve to the smallest k
     X, y = _blobs(rng, 30, spread=0.3, gap=10.0)
     result = kfold_cv(X, y, n_folds=5, k_grid=[1, 3, 5], seed=3)
-    assert np.all(result.fold_auc == 1.0)
-    assert result.best_k_by_auc == 1
+    assert np.all(result.fold["auc"] == 1.0)
+    assert result.best_k["auc"] == 1
 
 
 def test_kfold_cv_single_class_folds(rng):
@@ -238,8 +239,8 @@ def test_kfold_cv_single_class_folds(rng):
     y[3] = 1
     result = kfold_cv(X, y, n_folds=5, k_grid=[1, 3], seed=0)
     assert len(result.skipped_auc_folds) == 4
-    assert np.isnan(result.fold_auc[list(result.skipped_auc_folds)]).all()
-    assert np.isfinite(result.mean_auc).all()
+    assert np.isnan(result.fold["auc"][list(result.skipped_auc_folds)]).all()
+    assert np.isfinite(result.mean["auc"]).all()
     # with no positives at all, AUC is undefined in every fold
     with pytest.raises(DegenerateDataError):
         kfold_cv(X, np.zeros(20, dtype=int), n_folds=5, k_grid=[1, 3], seed=0)
@@ -277,35 +278,21 @@ def test_tune_and_compare_smoke(rng):
         X, y, k_grid=[1, 5, 15], coefficients=coefficients, repeats=3, seed=21, n_folds=4
     )
     assert result.repeats == 3
-    assert result.cv_auc.shape == (3, 3)
+    for mapping in (result.chosen_k, result.max_utility, result.cv, result.utility_grid):
+        assert list(mapping) == ["auc", "accuracy"]
+    assert result.cv["auc"].shape == (3, 3)
+    assert result.cv["accuracy"].shape == (3, 3)
     assert result.thresholds.shape == (201,)
-    assert set(result.chosen_k_auc) <= {1, 5, 15}
-    assert set(result.chosen_k_accuracy) <= {1, 5, 15}
+    assert set(result.chosen_k["auc"]) <= {1, 5, 15}
+    assert set(result.chosen_k["accuracy"]) <= {1, 5, 15}
     # the sweep maximum dominates the fixed grid everywhere, exactly
-    assert np.all(result.utility_grid_auc <= result.max_utility_auc[:, None])
-    assert np.all(
-        result.utility_grid_accuracy <= result.max_utility_accuracy[:, None]
-    )
-    assert result.sem_max_utility_auc > 0.0
-    np.testing.assert_array_equal(
-        result.cv_sem_auc, np.std(result.cv_auc, axis=0, ddof=1) / np.sqrt(3)
-    )
-    assert result.cv_sem_accuracy.shape == (3,)
+    for criterion in ("auc", "accuracy"):
+        assert np.all(result.utility_grid[criterion] <= result.max_utility[criterion][:, None])
     again = tune_and_compare(
         X, y, k_grid=[1, 5, 15], coefficients=coefficients, repeats=3, seed=21, n_folds=4
     )
-    np.testing.assert_array_equal(result.max_utility_auc, again.max_utility_auc)
-    np.testing.assert_array_equal(result.cv_accuracy, again.cv_accuracy)
-
-
-def test_tune_single_repeat_has_no_sem(rng):
-    X, y = _blobs(rng, 40)
-    result = tune_and_compare(
-        X, y, k_grid=[1, 3], coefficients=CostCoefficients.zero_one(), repeats=1, seed=0, n_folds=3
-    )
-    assert result.sem_max_utility_auc is None
-    assert result.utility_grid_sem_accuracy is None
-    assert result.cv_sem_auc is None and result.cv_sem_accuracy is None
+    np.testing.assert_array_equal(result.max_utility["auc"], again.max_utility["auc"])
+    np.testing.assert_array_equal(result.cv["accuracy"], again.cv["accuracy"])
 
 
 def test_tune_per_sample_coefficients_follow_rows(rng):
@@ -315,7 +302,7 @@ def test_tune_per_sample_coefficients_follow_rows(rng):
     result = tune_and_compare(
         X, y, k_grid=[3], coefficients=coefficients, repeats=2, seed=5, n_folds=3
     )
-    assert np.isfinite(result.max_utility_auc).all()
+    assert np.isfinite(result.max_utility["auc"]).all()
     with pytest.raises(ValidationError, match="does not match"):
         tune_and_compare(
             X,
@@ -340,6 +327,9 @@ def test_knn_refuses_features_whose_distances_overflow():
             kfold_cv(wide, labels, 2, [1], seed=0)
         with pytest.raises(ValidationError, match="too far apart"):
             knn_scores(narrow, labels, [[1e10]], 1)
+        # logistic regression standardizes through the same check
+        with pytest.raises(ValidationError, match="too far apart"):
+            fit_logistic(wide, labels)
 
 
 def test_feature_matrix_basics():
