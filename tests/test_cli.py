@@ -600,6 +600,9 @@ def _write_golden_inputs():
 
 _GOLDEN_COMMANDS = {
     "contextual": ["evaluate", "scores.csv", "--utility", "age-contextual"],
+    "contextual_replicates": [
+        "evaluate", "scores.csv", "--utility", "age-contextual", "--replicates", "100", "--seed", "4"
+    ],
     "zero_one": ["evaluate", "scores.csv", "--replicates", "100", "--seed", "3"],
     "compare": ["compare", "scores.csv", "scores_b.csv", "--replicates", "100", "--seed", "9"],
     "sweep_c": ["sweep-c", "scores.csv", "scores_b.csv", "--replicates", "20"],
@@ -628,6 +631,18 @@ _GOLDEN_DIGESTS = {
         "1613f296d7757032160c43a3da65cd097c4e9b47655f28485d5f76b09f3526bc"
     ),
     "contextual/evaluate_utility.csv": (
+        "2653b9dece525568e58f2c52ade462cdd91e9b8cb52c6468737423211f406559"
+    ),
+    "contextual_replicates/evaluate_calibration.csv": (
+        "aa4cd488128c41a914c9ab0b6b89c09918a3f62f5cc8b47f8448034bd2133165"
+    ),
+    "contextual_replicates/evaluate_report.json": (
+        "7d23be4ed33fb23f310906020eba320865e247e10161e03540f078c8e5780fc4"
+    ),
+    "contextual_replicates/evaluate_roc.csv": (
+        "1613f296d7757032160c43a3da65cd097c4e9b47655f28485d5f76b09f3526bc"
+    ),
+    "contextual_replicates/evaluate_utility.csv": (
         "2653b9dece525568e58f2c52ade462cdd91e9b8cb52c6468737423211f406559"
     ),
     "equity/equity_profile.csv": (
