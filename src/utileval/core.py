@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +31,13 @@ __all__ = [
     "as_float",
     "as_float_vector",
     "as_binary_vector",
+    "MAX_COEFFICIENT",
 ]
+
+# the largest constant coefficient: with int64 outcome counts (below 2**63),
+# every product and partial sum of a constant-coefficient utility stays below
+# 2**1023, so no float overflows
+MAX_COEFFICIENT = 2.0**960
 
 
 class ValidationError(ValueError):
@@ -130,7 +136,9 @@ class CostCoefficients:
     false positives and ``a10`` false negatives.  All four are non-negative and
     at least one must be strictly positive.  Each may be a scalar (constant
     mode) or a per-sample vector (contextual mode); mixing is allowed and
-    scalars broadcast against the vectors.
+    scalars broadcast against the vectors.  A scalar may be at most
+    :data:`MAX_COEFFICIENT` (``2**960``); per-sample utilities are summed
+    exactly, so vectors need no such bound.
     """
 
     a11: float | np.ndarray
@@ -153,6 +161,8 @@ class CostCoefficients:
                     raise ValidationError(f"coefficient {name} is not finite")
                 if value < 0.0:
                     raise ValidationError(f"coefficient {name} must be >= 0, got {value}")
+                if value > MAX_COEFFICIENT:
+                    raise ValidationError(f"coefficient {name} must be <= 2**960, got {value}")
                 object.__setattr__(self, name, value)
             elif arr.ndim == 1:
                 arr = as_float_vector(arr, f"coefficient {name}", n)
@@ -223,51 +233,38 @@ class ScoreRuns:
     Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]`` and
     ``positives_before[k]`` counts the positives sorted before it; both arrays
     end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
-    :meth:`resampled` derives the runs of a row sample from them without
-    sorting again.  ``make_order`` gives :attr:`order` when it is first read.
+    ``run_of_row[i]`` is the run of row ``i``.  :meth:`resampled` derives the
+    runs of a row sample from them without sorting again.
     """
 
     sorted_scores: np.ndarray
     starts: np.ndarray
     positives_before: np.ndarray
-    make_order: Callable[[], np.ndarray] = field(repr=False)
+    run_of_row: np.ndarray
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """A permutation of the rows that sorts the scores: ``scores[order]``
-        is ``sorted_scores``.  Made on first use for resampled runs."""
-        return self.make_order()
-
-    def resampled(
-        self, labels: np.ndarray, indices: np.ndarray, counts: np.ndarray
-    ) -> "ScoreRuns":
+    def resampled(self, labels: np.ndarray, indices: np.ndarray) -> "ScoreRuns":
         """The runs of the row sample ``indices``, derived from this sort.
 
-        ``labels`` are the labels of the sorted rows, in row order, and
-        ``counts`` is ``np.bincount(indices, minlength=n)``.  With
-        ``w = counts[order]``, row ``order[p]`` appears ``w[p]`` times in the
-        sample, so the sample's sorted scores repeat this sort's and its run
-        boundaries are running sums of ``w`` read at this sort's run starts;
-        runs the sample misses are dropped.  Every array equals that of a
-        fresh sort of ``scores[indices]``.
+        ``labels[j]`` is the label of row ``indices[j]``.  Each run's draws and
+        positives are counted from the runs of the drawn rows; runs the sample
+        misses are dropped and the rest renumbered in order.  The sample's
+        sorted scores repeat each run's value (so a run holding both -0.0 and
+        0.0 reads one sign there); every other array equals that of a fresh
+        sort of ``scores[indices]``.
         """
-        w = counts[self.order]
-        before = np.concatenate([[0], np.cumsum(w)])[self.starts]
-        positives = np.concatenate([[0], np.cumsum((counts * labels)[self.order])])[self.starts]
-        hit = np.flatnonzero(np.append(np.diff(before) > 0, True))
-
-        def make_order() -> np.ndarray:
-            # ties keep this sort's order, then draw order: any order of a
-            # run is valid, as every reader looks only at run boundaries
-            rank = np.empty_like(self.order)
-            rank[self.order] = np.arange(self.order.size)
-            return _readonly(np.argsort(rank[indices], kind="stable"))
-
+        run = self.run_of_row[indices]
+        size = self.starts.size - 1
+        drawn = np.bincount(run, minlength=size)
+        # float sums of 0/1 weights, exact below 2**53
+        positives = np.bincount(run, weights=labels, minlength=size).astype(np.int64)
+        hit = np.flatnonzero(drawn)
+        renumber = np.cumsum(drawn > 0) - 1
+        drawn = drawn[hit]
         return ScoreRuns(
-            _readonly(np.repeat(self.sorted_scores, w)),
-            _readonly(before[hit]),
-            _readonly(positives[hit]),
-            make_order,
+            _readonly(np.repeat(self.values[hit], drawn)),
+            _readonly(np.concatenate([[0], np.cumsum(drawn)])),
+            _readonly(np.concatenate([[0], np.cumsum(positives[hit])])),
+            _readonly(renumber[run]),
         )
 
     @property
@@ -275,9 +272,14 @@ class ScoreRuns:
         """The unique scores, ascending: the value of each run."""
         return self.sorted_scores[self.starts[:-1]]
 
-    def accepted(self, thresholds) -> tuple[np.ndarray, np.ndarray]:
-        """Accepted-row and true-positive counts of ``score >= t`` per threshold."""
-        run = np.searchsorted(self.values, thresholds, side="left")
+    def first_accepted(self, thresholds) -> np.ndarray:
+        """Per threshold, the first run that ``score >= t`` accepts; the run
+        count (the empty tail) where it accepts none."""
+        return np.searchsorted(self.values, thresholds, side="left")
+
+    def accepted(self, run) -> tuple[np.ndarray, np.ndarray]:
+        """Accepted-row and true-positive counts of the rules that accept
+        every run from ``run`` on."""
         n, n_pos = self.starts[-1], self.positives_before[-1]
         return n - self.starts[run], n_pos - self.positives_before[run]
 
@@ -343,19 +345,20 @@ class LabeledScores:
     @cached_property
     def runs(self) -> ScoreRuns:
         """The one sort of the scores, made on first use and then shared."""
-        order = _readonly(np.argsort(self.scores, kind="mergesort"))
+        order = np.argsort(self.scores, kind="mergesort")
         ordered = self.scores[order]
         starts = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [self.n]])
         positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
-        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives)), lambda: order)
+        run_of_row = np.empty(self.n, dtype=np.int64)
+        run_of_row[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives, run_of_row)))
 
-    def take(self, indices, counts=None) -> "LabeledScores":
+    def take(self, indices) -> "LabeledScores":
         """Row subset (used by resampling code); keeps all columns.
 
         The subset's rows passed the construction checks already, so they are
         not run again.  Its ``runs`` come from :meth:`ScoreRuns.resampled`,
-        never from a sort; ``counts`` is ``np.bincount(indices, minlength=n)``,
-        made here unless the caller has it.
+        never from a sort.
         """
         idx = np.asarray(indices, dtype=np.int64)
         subset = _unchecked(
@@ -369,10 +372,8 @@ class LabeledScores:
             context={k: _readonly(v[idx]) for k, v in self.context.items()},
             coefficients=None if self.coefficients is None else self.coefficients.take(idx),
         )
-        if counts is None:
-            counts = np.bincount(idx, minlength=self.n)
         # seeds the subset's cached ``runs`` property
-        subset.__dict__["runs"] = self.runs.resampled(self.labels, idx, counts)
+        subset.__dict__["runs"] = self.runs.resampled(subset.labels, idx)
         return subset
 
 

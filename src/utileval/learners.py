@@ -169,7 +169,13 @@ class LogisticModel:
 
         matrix = _as_features(features)
         values = _select_columns(matrix, self.feature_names)
-        z = ((values - self.means) / self.stds) @ self.weights + self.intercept
+        # a value far outside a tiny training spread can still overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = ((values - self.means) / self.stds) @ self.weights + self.intercept
+        if not np.isfinite(z).all():
+            raise ValidationError(
+                "feature values are too far apart for float64 scores after standardizing"
+            )
         return expit(z)
 
 

@@ -112,7 +112,8 @@ def roc_points(data: LabeledScores) -> np.ndarray:
     """
     if data.n_positive == 0 or data.n_negative == 0:
         raise DegenerateDataError("ROC undefined: dataset contains only one class")
-    accepted, tp = data.runs.accepted(data.runs.values[::-1])
+    # one point per run, from the highest score down
+    accepted, tp = data.runs.accepted(np.arange(data.runs.starts.size - 2, -1, -1))
     tpr = tp / data.n_positive
     fpr = (accepted - tp) / data.n_negative
     return np.concatenate([[[0.0, 0.0]], np.column_stack([fpr, tpr])])

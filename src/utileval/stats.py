@@ -98,9 +98,9 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     """Bootstrap every statistic on every row-aligned dataset from one stream.
 
     Each step draws ``integers(0, n, n)`` row indices from the stream seeded
-    with ``SeedSequence([seed])``, counts how often each row was drawn, takes
-    every dataset (and per-row ``coefficients``) once, its runs derived from
-    the dataset's one sort and those counts (no sample is sorted), and calls
+    with ``SeedSequence([seed])``, takes every dataset (and per-row
+    ``coefficients``) once, its runs counted from the runs of the drawn rows
+    of the dataset's one sort (no sample is sorted), and calls
     ``statistics[name](data, coefficients)`` on the resampled pair for every
     dataset and statistic that still has fewer than ``replicates`` values.
     A statistic raising :class:`DegenerateDataError` skips the draw, which
@@ -120,8 +120,7 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     pending = [(i, name) for i in range(len(datasets)) for name in statistics]
     while pending := [(i, name) for i, name in pending if len(values[i][name]) < replicates]:
         idx = rng.integers(0, n, n)
-        counts = np.bincount(idx, minlength=n)
-        resampled = [data.take(idx, counts) for data in datasets]
+        resampled = [data.take(idx) for data in datasets]
         sub = None if coefficients is None else coefficients.take(idx)
         for i, name in pending:
             try:

@@ -17,9 +17,9 @@ the attainable utility exactly unchanged.
 
 Every threshold statistic reads the dataset's one sort, ``LabeledScores.runs``:
 the candidate thresholds are its run values, the constant-coefficient
-confusion counts are its run counts and the per-sample sums are prefix sums in
-its order, so no sweep sorts the scores again and every sweep takes
-O(n log n) time and O(n) memory.
+confusion counts are its run counts and the per-sample sums are per-run sums
+in exact integers, gathered through its run of each row, so no sweep sorts
+the scores again and every sweep takes O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ def _contributions(
     data: LabeledScores, coefficients: CostCoefficients
 ) -> tuple[list[int], list[int], int]:
     """Per-sample utility contribution when predicted positive / negative, as
-    integers ``accepted``, ``rejected`` and one shared exponent ``lo``: row
-    ``i`` contributes exactly ``accepted[i] * 2**lo`` when accepted."""
+    integers ``accepted``, ``rejected`` and one shared ``scale``: the mean
+    utility of a decision vector whose contributions sum to ``total`` is
+    ``total / scale``.  Python's int / int rounds that correctly, subnormal
+    results included, and the mean of finite values cannot overflow."""
     a11, a01, a10, a00 = coefficients.as_vectors(data.n)
     positive = data.labels == 1
     values = np.concatenate([np.where(positive, a11, -a01), np.where(positive, -a10, a00)])
@@ -72,16 +74,10 @@ def _contributions(
     # |mantissa| is 0 or in [0.5, 1), so scaling by 2**53 gives an exact int64
     mantissa = (mantissa * 2.0**53).astype(np.int64)
     exponent -= 53
-    lo = int(exponent.min())
+    # row i contributes ints[i] * 2**lo exactly; lo <= 0 keeps scale an int
+    lo = min(int(exponent.min()), 0)
     ints = [m << s for m, s in zip(mantissa.tolist(), (exponent - lo).tolist())]
-    return ints[: data.n], ints[data.n :], lo
-
-
-def _exact_mean(total: int, n: int, lo: int) -> float:
-    """The float nearest ``total * 2**lo / n``: Python's int / int rounds
-    correctly, subnormal results included, and the mean of finite values
-    cannot overflow."""
-    return total / (n << -lo) if lo < 0 else (total << lo) / n
+    return ints[: data.n], ints[data.n :], data.n << -lo
 
 
 def empirical_utility(
@@ -103,10 +99,9 @@ def empirical_utility(
                 coefficients.a00,
             )
         )
-    accepted, rejected, lo = _contributions(data, coefficients)
+    accepted, rejected, scale = _contributions(data, coefficients)
     predicted = rule.apply(data.scores).tolist()
-    total = sum(a if p else r for a, r, p in zip(accepted, rejected, predicted))
-    return _exact_mean(total, data.n, lo)
+    return sum(a if p else r for a, r, p in zip(accepted, rejected, predicted)) / scale
 
 
 @dataclass(frozen=True)
@@ -130,33 +125,31 @@ def candidate_thresholds(data: LabeledScores) -> np.ndarray:
     return np.append(values, math.nextafter(float(values[-1]), math.inf))
 
 
-def _sweep(
-    data: LabeledScores, coefficients: CostCoefficients, accepted_rows: np.ndarray, tp: np.ndarray
-) -> np.ndarray:
-    """Utility of each rule that accepts ``accepted_rows`` rows, ``tp`` of them positive."""
+def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray) -> np.ndarray:
+    """Utility of each rule that accepts every run of ``data.runs`` from ``run[i]`` on."""
+    runs = data.runs
     if coefficients.is_constant:
+        accepted_rows, tp = runs.accepted(run)
         fp = accepted_rows - tp
         c = coefficients
         return _utility_from_counts(
             tp, fp, data.n_positive - tp, data.n_negative - fp, data.n, c.a11, c.a01, c.a10, c.a00
         )
-    accepted, rejected, lo = _contributions(data, coefficients)
-    runs = data.runs
-    # change[k]: how the all-accept total moves when the k lowest scores are rejected
-    change = [0, *accumulate(rejected[i] - accepted[i] for i in runs.order.tolist())]
+    accepted, rejected, scale = _contributions(data, coefficients)
+    # per_run[k]: how the all-accept total moves when run k is rejected
+    per_run = [0] * (runs.starts.size - 1)
+    for k, a, r in zip(runs.run_of_row.tolist(), accepted, rejected):
+        per_run[k] += r - a
+    change = [0, *accumulate(per_run)]
     total = sum(accepted)
-    rejected_rows = data.n - accepted_rows
-    return np.array([_exact_mean(total + change[k], data.n, lo) for k in rejected_rows.tolist()])
+    return np.array([(total + change[k]) / scale for k in run.tolist()])
 
 
 def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:
     """Evaluate the utility of every achievable threshold rule on ``data``."""
     thresholds = candidate_thresholds(data)
     # candidate k accepts every run from k on
-    runs = data.runs
-    utilities = _sweep(
-        data, coefficients, data.n - runs.starts, data.n_positive - runs.positives_before
-    )
+    utilities = _sweep(data, coefficients, np.arange(thresholds.size))
     best = int(np.argmax(utilities))
     return UtilityCurve(
         thresholds=thresholds,
@@ -175,7 +168,7 @@ def utility_at_thresholds(
     :func:`empirical_utility` once per threshold.
     """
     grid = as_float_vector(thresholds, "thresholds")
-    return _sweep(data, coefficients, *data.runs.accepted(grid))
+    return _sweep(data, coefficients, data.runs.first_accepted(grid))
 
 
 def bayes_threshold(coefficients: CostCoefficients) -> float:

@@ -252,6 +252,23 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    # a constant cost above 2**960 could overflow a float in the products
+    # with the outcome counts, so it is refused before any of them is made
+    small_tune = ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "1"]
+    for argv in (
+        ["sweep-c", str(scores), "--grid", "0,1e308", "--replicates", "0"],
+        ["evaluate", str(scores), "--utility", "c:1e308"],
+        [*small_tune, "--utility", "c:1e308"],
+        ["simulate", "--cost", "1e308", "--samples", "50", "--realizations", "1"],
+    ):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out-dir", str(tmp_path / "o14")]) == 2
+        assert capsys.readouterr().err == "error: coefficient a01 must be <= 2**960, got 1e+308\n"
+    costly = ["evaluate", str(scores), "--utility", "c:1e288", "--out-dir", str(tmp_path / "o15")]
+    assert main(costly) == 0
+
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2
     assert main(["--version"]) == 0

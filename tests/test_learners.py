@@ -330,6 +330,10 @@ def test_knn_refuses_features_whose_distances_overflow():
         # logistic regression standardizes through the same check
         with pytest.raises(ValidationError, match="too far apart"):
             fit_logistic(wide, labels)
+        # and refuses new rows that overflow its training standardization
+        model = fit_logistic(narrow, labels)
+        with pytest.raises(ValidationError, match="too far apart"):
+            model.predict_scores([[1e200]])
 
 
 def test_feature_matrix_basics():

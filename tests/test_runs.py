@@ -119,15 +119,17 @@ def test_runs_of_a_small_dataset():
     data = LabeledScores(scores=[0.5, 0.2, 0.9, 0.5, 0.2], labels=[1, 0, 1, 0, 1])
     runs = data.runs
     assert runs is data.runs
-    assert runs.order.tolist() == [1, 4, 0, 3, 2]
+    assert runs.run_of_row.tolist() == [1, 0, 2, 1, 0]
     assert runs.sorted_scores.tolist() == [0.2, 0.2, 0.5, 0.5, 0.9]
     assert runs.starts.tolist() == [0, 2, 4, 5]
     assert runs.positives_before.tolist() == [0, 1, 2, 3]
     assert runs.values.tolist() == [0.2, 0.5, 0.9]
-    accepted, tp = runs.accepted([0.0, 0.2, 0.3, 0.9, 1.0])
+    run = runs.first_accepted([0.0, 0.2, 0.3, 0.9, 1.0])
+    assert run.tolist() == [0, 0, 1, 2, 3]
+    accepted, tp = runs.accepted(run)
     assert accepted.tolist() == [5, 5, 3, 1, 0]
     assert tp.tolist() == [3, 3, 2, 1, 0]
-    for array in (runs.order, runs.sorted_scores, runs.starts, runs.positives_before):
+    for array in (runs.sorted_scores, runs.starts, runs.positives_before, runs.run_of_row):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -173,6 +175,9 @@ def test_bootstrap_replicates_do_not_sort(tmp_path, monkeypatch):
     options = ["--utility", "c:2", "--replicates", "100"]
     assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
     assert _argsort_calls(tmp_path, monkeypatch, "compare", 2, options) == 2
+    # a per-sample sweep on a replicate reads the runs of its rows, not an order
+    options = ["--utility", "age-contextual", "--replicates", "100"]
+    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
 
 
 def test_simulate_draws_and_sorts_each_realization_once(tmp_path, monkeypatch):
@@ -234,11 +239,8 @@ def test_resampled_runs_equal_a_fresh_sort(seed, n, tie_decimals, hit, bins):
 
     derived = data.take(idx)
     fresh = LabeledScores(scores=scores[idx], labels=labels[idx], context={"age": ages[idx]})
-    for name in ("sorted_scores", "starts", "positives_before"):
+    for name in ("sorted_scores", "starts", "positives_before", "run_of_row"):
         assert _same_bits(getattr(derived.runs, name), getattr(fresh.runs, name))
-    order = derived.runs.order
-    assert sorted(order.tolist()) == list(range(n))
-    assert _same_bits(derived.scores[order], fresh.runs.sorted_scores)
 
     if 0 < fresh.n_positive < n:
         assert _same_bits(auc_rank(derived), auc_rank(fresh))
