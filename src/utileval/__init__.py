@@ -7,9 +7,8 @@ synthetic study, small reference learners, and capacity-constrained selection
 with group-dependent bonuses.  A command line front end (``utileval``) wraps
 the main workflows with deterministic, manifest-carrying report files.
 
-SciPy is imported only inside the functions that call it (the synthetic study,
-the logistic fit and the logit-shift transform), so importing the package, or
-running a command that needs none of them, does not pay for loading it.
+The package needs NumPy alone: the inverse normal CDF and the logistic
+function it uses are in :mod:`utileval.special`.
 """
 
 from .core import (

@@ -17,14 +17,13 @@ the requested analysis.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import partial
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+import utileval
 from .core import (
     CostCoefficients,
     DecisionRule,
@@ -76,10 +75,7 @@ from .utility import (
     utility_curve,
 )
 
-try:
-    VERSION = metadata.version("utileval")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
+VERSION = utileval.__version__
 
 _INTERVAL_METRICS = ("auc", "brier", "accuracy", "ece", "net_trust", "u_max")
 
@@ -466,7 +462,7 @@ def cmd_tune(args) -> int:
         """SEM over the repeats (axis 0) as Python floats; ``single`` for one repeat."""
         if result.repeats < 2:
             return single
-        return (np.std(values, axis=0, ddof=1) / math.sqrt(result.repeats)).tolist()
+        return sem(values, axis=0).tolist()
 
     max_utility = {}
     cv_header = ["k"]

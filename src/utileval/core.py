@@ -345,9 +345,13 @@ class LabeledScores:
     @cached_property
     def runs(self) -> ScoreRuns:
         """The one sort of the scores, made on first use and then shared."""
-        order = np.argsort(self.scores, kind="mergesort")
+        # the order within a run of equal scores is unspecified; no array below
+        # depends on it, as equal floats have equal bits, except -0.0 and 0.0
+        order = np.argsort(self.scores)
         ordered = self.scores[order]
         starts = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [self.n]])
+        if ordered[0] == 0.0:  # the zero run lists its signs in row order
+            ordered[: starts[1]] = self.scores[self.scores == 0.0]
         positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
         run_of_row = np.empty(self.n, dtype=np.int64)
         run_of_row[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))

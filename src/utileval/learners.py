@@ -17,6 +17,7 @@ import numpy as np
 from .core import DegenerateDataError, LabeledScores, ValidationError, as_binary_vector
 from .metrics import auc_from_runs
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through learners
+from .special import expit
 from .utility import utility_at_thresholds, utility_curve
 
 __all__ = [
@@ -165,8 +166,6 @@ class LogisticModel:
     gradient_norm: float
 
     def predict_scores(self, features) -> np.ndarray:
-        from scipy.special import expit
-
         matrix = _as_features(features)
         values = _select_columns(matrix, self.feature_names)
         # a value far outside a tiny training spread can still overflow
@@ -200,8 +199,6 @@ def fit_logistic(
     change drops below ``tol``.  Failure to converge raises
     :class:`ConvergenceError` with the final diagnostics attached.
     """
-    from scipy.special import expit
-
     matrix = _as_features(features).standardize()
     y = as_binary_vector(labels, "label", matrix.n).astype(np.float64)
     if y.sum() == 0 or y.sum() == y.size:

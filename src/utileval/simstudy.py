@@ -13,16 +13,17 @@ interesting to compare:
     the calibrated probability given only two of the three features — well
     calibrated but strictly less informative.
 
-Normal variates are produced by applying the inverse normal CDF to uniforms
-from a PCG64 generator ("inverse-cdf" method), and each realization derives
-its own stream from (master_seed, realization_index), so results are
-bit-reproducible for a fixed configuration no matter how realizations are
-scheduled.  The drawing order within a realization is fixed: the three feature
-vectors, then one uniform vector for the labels.
+Normal variates are produced by applying the inverse normal CDF
+(:func:`utileval.special.ndtri`) to uniforms from a PCG64 generator
+("inverse-cdf" method), and each realization derives its own stream from
+(master_seed, realization_index), so results are bit-reproducible for a fixed
+configuration no matter how realizations are scheduled.  The drawing order
+within a realization is fixed: the three feature vectors, then one uniform
+vector for the labels.
 
 :func:`simulate` draws each realization once and fills every table of the
 study from it; :func:`run_study` and :func:`utility_threshold_curves` call it.
-SciPy is imported where it is used, so importing this module does not load it.
+The draws depend on NumPy alone: its generator and its ``exp`` and ``log``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .core import CostCoefficients, DecisionRule, LabeledScores, ValidationError
 from .metrics import brier, calibration_curve, ece, net_trust
+from .special import expit, ndtri
 from .utility import utility_at_thresholds, utility_curve
 
 __all__ = [
@@ -108,8 +110,6 @@ class Realization:
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    from scipy.special import ndtri
-
     u = rng.random(n)
     # rng.random can return exactly 0.0; nudge into (0, 1) for the inverse CDF
     return ndtri(np.where(u > 0.0, u, 2.0**-54))
@@ -117,8 +117,6 @@ def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def generate_realization(config: SimStudyConfig, index: int) -> Realization:
     """Draw realization ``index`` of the study, deterministically."""
-    from scipy.special import expit
-
     if index < 0 or index >= config.n_realizations:
         raise ValidationError(
             f"realization index {index} outside [0, {config.n_realizations})"

@@ -244,9 +244,28 @@ def paired_max_utility_test(
     )
 
 
-def sem(values) -> float:
-    """Standard error of the mean: sample standard deviation over sqrt(n)."""
-    arr = as_float_vector(values, "sem input")
-    if arr.size < 2:
+def sem(values, axis: int | None = None):
+    """Standard error of the mean: sample standard deviation over sqrt(n).
+
+    Without ``axis``, ``values`` is one vector and the SEM a float; with it,
+    the SEM along that axis of a finite array, as an array.  An array holding
+    a magnitude above 2**500 is scaled by a power of two first, which is
+    exact, so that no square overflows; any other array is not scaled.
+    """
+    if axis is None:
+        arr = as_float_vector(values, "sem input")
+        n = arr.size
+    else:
+        arr = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValidationError("sem input contains a non-finite value")
+        n = arr.shape[axis]
+    if n < 2:
         raise ValidationError("sem requires at least 2 values")
-    return float(arr.std(ddof=1) / math.sqrt(arr.size))
+    exponent = 0
+    peak = float(np.max(np.abs(arr), initial=0.0))
+    if peak > 2.0**500:
+        exponent = math.frexp(peak)[1]
+        arr = np.ldexp(arr, -exponent)
+    out = np.ldexp(arr.std(axis=axis, ddof=1) / math.sqrt(n), exponent)
+    return float(out) if axis is None else out

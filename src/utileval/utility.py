@@ -40,6 +40,7 @@ from .core import (
     confusion_at,
 )
 from .ranking import preserves_ranking
+from .special import expit, logit
 
 __all__ = [
     "UtilityCurve",
@@ -250,13 +251,10 @@ def monotone_transform(scores: np.ndarray, kind: str, parameter) -> np.ndarray:
             raise ValidationError(f"power exponent must be > 0, got {exponent}")
         out = scores**exponent
     elif kind == "logit-shift":
-        from scipy.special import expit, logit
-
         shift = float(parameter)
         if not math.isfinite(shift):
             raise ValidationError("logit shift must be finite")
-        with np.errstate(divide="ignore"):
-            out = expit(logit(scores) + shift)
+        out = expit(logit(scores) + shift)
     else:
         raise ValidationError(f"unknown transform kind {kind!r}")
     if np.any((out < 0.0) | (out > 1.0)) or not np.all(np.isfinite(out)):

@@ -200,8 +200,14 @@ def test_exit_codes(tmp_path, capsys):
     # tune's k grid holds integers, and its tables have documented limits,
     # checked before they are allocated
     tune = ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"]
+    huge_cost = ["--out-dir", str(tmp_path / "o14")]
     tune += ["--out-dir", str(tmp_path / "o10")]
     assert main(tune) == 0
+    # a cost within its bound gives utilities whose squares overflow, yet a
+    # finite SEM
+    assert main(tune + ["--utility", "c:1e288"] + huge_cost) == 0
+    huge_sweep = ["sweep-c", str(scores), "--grid", "0,1e200", "--replicates", "20"]
+    assert main(huge_sweep + huge_cost) == 0
     for options, message in (
         (["--grid", "-1"], "grid_size must be >= 1"),
         (["--grid", "0"], "grid_size must be >= 1"),
@@ -292,10 +298,22 @@ def test_evaluate_with_far_more_bins_than_rows(tmp_path, bins):
     assert [(int(b), float(p), float(o), int(c)) for b, p, o, c in rows] == expected
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # SciPy is imported where it is used; loading it costs every command
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    # the package needs NumPy alone: not the import, nor the synthetic study,
+    # the kNN tuning, the logistic fit or the logit-shift transform
+    features = tmp_path / "features.csv"
+    features.write_text("label,x\n" + "".join(f"{i % 2},{i % 7}\n" for i in range(60)))
+    simulate = ["simulate", "--samples", "200", "--realizations", "2", "--grid", "11"]
+    tune = ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"]
     env = {**os.environ, "PYTHONPATH": str(Path(utileval.__file__).parents[1])}
-    code = "import sys, utileval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"""
+import sys, utileval, utileval.cli
+for argv, out in (({simulate!r}, "simulate"), ({tune!r}, "tune")):
+    assert utileval.cli.main(argv + ["--out-dir", {str(tmp_path)!r} + "/" + out]) == 0
+utileval.fit_logistic([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+utileval.monotone_transform([0.0, 0.5, 1.0], "logit-shift", 1.0)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
@@ -628,9 +646,10 @@ _GOLDEN_COMMANDS = {
     "equity": ["equity", "scores.csv", "--bonus", "bonus.txt"],
 }
 
-# SHA-256 of every report whose values do not depend on SciPy or BLAS builds
-# (not simulate's or tune's), recorded with the per-value JSON and CSV writers
-# that the one-pass encoder replaced; a writer change that moves any byte fails
+# SHA-256 of every report whose values follow neither NumPy's exp and log nor the
+# BLAS build (not simulate's or tune's), recorded with the per-value JSON and
+# CSV writers that the one-pass encoder replaced; a writer change that moves any
+# byte fails
 _GOLDEN_DIGESTS = {
     "compare/compare_metrics.csv": (
         "41deb654e2d6785fa32a0775563f9fb43bc3ebcd107aee951434b1afade36a3e"

@@ -134,6 +134,39 @@ def test_runs_of_a_small_dataset():
             array[0] = 0
 
 
+def _stable_runs(scores, labels):
+    """The four ``ScoreRuns`` arrays from a stable sort, which keeps row order in ties."""
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(ordered)) + 1, [scores.size]])
+    positives = np.concatenate([[0], np.cumsum(labels[order])])[starts]
+    run_of_row = np.empty(scores.size, dtype=np.int64)
+    run_of_row[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    return ordered, starts, positives, run_of_row
+
+
+@pytest.mark.parametrize("first_zero", [-0.0, 0.0])
+def test_runs_keep_the_bits_of_a_stable_sort(first_zero):
+    # -0.0 == 0.0, so only the zero run could tell an unstable sort's order
+    rng = np.random.default_rng(11)
+    n = 3000
+    scores = np.round(rng.random(n), 2)
+    zero = np.flatnonzero(rng.random(n) < 0.3)
+    scores[zero] = np.where(rng.random(zero.size) < 0.5, -0.0, 0.0)
+    scores[zero[0]] = first_zero
+    labels = (rng.random(n) < 0.5).astype(np.int64)
+    data = LabeledScores(scores=scores, labels=labels)
+    expected = _stable_runs(data.scores, data.labels)
+    runs = data.runs
+    for name, reference in zip(
+        ("sorted_scores", "starts", "positives_before", "run_of_row"), expected
+    ):
+        assert _same_bits(getattr(runs, name), reference), name
+    assert _same_bits(runs.values, expected[0][expected[1][:-1]])
+    threshold = utility_curve(data, CostCoefficients.zero_one()).thresholds[0]
+    assert threshold == 0.0 and math.copysign(1.0, threshold) == math.copysign(1.0, first_zero)
+
+
 def _argsort_calls(tmp_path, monkeypatch, command, files, options):
     rng = np.random.default_rng(3)
     labels = (rng.random(200) < 0.5).astype(int)

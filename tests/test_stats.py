@@ -35,6 +35,23 @@ def test_sem_known_values():
         sem([1.0, np.nan])
 
 
+def test_sem_along_an_axis_and_of_huge_values():
+    values = np.random.default_rng(2).random((5, 3))
+    expected = np.std(values, axis=0, ddof=1) / math.sqrt(5)
+    assert sem(values, axis=0).tobytes() == expected.tobytes()
+    assert sem(values[:, 1]) == expected[1]
+    with pytest.raises(ValidationError):
+        sem(values[:1], axis=0)
+    with pytest.raises(ValidationError):
+        sem([[1.0, np.inf], [2.0, 3.0]], axis=0)
+    # past 2**500 the values are scaled by a power of two, which is exact, so
+    # the SEM scales with them and no square overflows
+    scale = 2.0**900
+    assert (sem(values * scale, axis=0) == expected * scale).all()
+    assert sem(values[:, 1] * scale) == expected[1] * scale
+    assert sem([-1.7e308, 1.7e308]) == pytest.approx(1.7e308, rel=1e-15)
+
+
 def test_bootstrap_ci_basic(rng):
     data = make_dataset(rng, 250, tie_decimals=2)
     config = BootstrapConfig(replicates=300, level=0.95, seed=9)
