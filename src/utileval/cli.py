@@ -462,7 +462,7 @@ def cmd_tune(args) -> int:
         """SEM over the repeats (axis 0) as Python floats; ``single`` for one repeat."""
         if result.repeats < 2:
             return single
-        return sem(values, axis=0).tolist()
+        return sem(values)
 
     max_utility = {}
     cv_header = ["k"]

@@ -24,7 +24,6 @@ from .core import (
     DegenerateDataError,
     LabeledScores,
     ValidationError,
-    as_float_vector,
 )
 from .metrics import accuracy, auc_rank, brier, calibration_curve, ece, net_trust
 from .utility import utility_curve
@@ -244,28 +243,28 @@ def paired_max_utility_test(
     )
 
 
-def sem(values, axis: int | None = None):
-    """Standard error of the mean: sample standard deviation over sqrt(n).
+def sem(values):
+    """Standard error of the mean along the first axis: sample standard
+    deviation over sqrt(n).
 
-    Without ``axis``, ``values`` is one vector and the SEM a float; with it,
-    the SEM along that axis of a finite array, as an array.  An array holding
-    a magnitude above 2**500 is scaled by a power of two first, which is
-    exact, so that no square overflows; any other array is not scaled.
+    The SEM of a vector is a float; a 2-D array gives one SEM per column, as a
+    list.  An array holding a magnitude above 2**500 is scaled by a power of
+    two first, which is exact, so that no square overflows; any other array is
+    not scaled.
     """
-    if axis is None:
-        arr = as_float_vector(values, "sem input")
-        n = arr.size
-    else:
+    try:
         arr = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValidationError("sem input contains a non-finite value")
-        n = arr.shape[axis]
-    if n < 2:
-        raise ValidationError("sem requires at least 2 values")
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("sem input values must be numbers") from None
+    if arr.ndim not in (1, 2) or arr.shape[0] < 2:
+        raise ValidationError(
+            f"sem requires at least 2 rows of a vector or 2-D array, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValidationError("sem input contains a non-finite value")
     exponent = 0
     peak = float(np.max(np.abs(arr), initial=0.0))
     if peak > 2.0**500:
         exponent = math.frexp(peak)[1]
         arr = np.ldexp(arr, -exponent)
-    out = np.ldexp(arr.std(axis=axis, ddof=1) / math.sqrt(n), exponent)
-    return float(out) if axis is None else out
+    return np.ldexp(arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0]), exponent).tolist()

@@ -200,14 +200,8 @@ def test_exit_codes(tmp_path, capsys):
     # tune's k grid holds integers, and its tables have documented limits,
     # checked before they are allocated
     tune = ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"]
-    huge_cost = ["--out-dir", str(tmp_path / "o14")]
     tune += ["--out-dir", str(tmp_path / "o10")]
     assert main(tune) == 0
-    # a cost within its bound gives utilities whose squares overflow, yet a
-    # finite SEM
-    assert main(tune + ["--utility", "c:1e288"] + huge_cost) == 0
-    huge_sweep = ["sweep-c", str(scores), "--grid", "0,1e200", "--replicates", "20"]
-    assert main(huge_sweep + huge_cost) == 0
     for options, message in (
         (["--grid", "-1"], "grid_size must be >= 1"),
         (["--grid", "0"], "grid_size must be >= 1"),
@@ -274,6 +268,13 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == "error: coefficient a01 must be <= 2**960, got 1e+308\n"
     costly = ["evaluate", str(scores), "--utility", "c:1e288", "--out-dir", str(tmp_path / "o15")]
     assert main(costly) == 0
+
+    # costs within that bound give utilities whose squares overflow, yet the
+    # SEMs over tune's repeats and sweep-c's replicates are finite
+    huge_tune = ["tune", str(features), "--k-grid", "3,5", "--folds", "3", "--repeats", "2"]
+    assert main([*huge_tune, "--utility", "c:1e288", "--out-dir", str(tmp_path / "o16")]) == 0
+    huge_sweep = ["sweep-c", str(scores), "--grid", "0,1e200", "--replicates", "20"]
+    assert main([*huge_sweep, "--out-dir", str(tmp_path / "o17")]) == 0
 
     # argparse's own exit path is surfaced unchanged
     assert main(["no-such-command"]) == 2

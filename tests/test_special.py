@@ -1,6 +1,7 @@
 """``utileval.special`` against the standard library and, where installed, SciPy."""
 
 import math
+import platform
 import statistics
 import warnings
 
@@ -55,12 +56,16 @@ def test_ndtri_reproduces_scipy():
     special = pytest.importorskip("scipy.special")
     p = np.concatenate([np.random.default_rng(17).random(1_000_000), _BRANCH_POINTS])
     ours, theirs = ndtri(p), special.ndtri(p)
-    central = _central(p)
-    assert ours[central].tobytes() == theirs[central].tobytes()
     # the tails call log: NumPy's here and the C library's in SciPy, which
-    # differ in the last place now and then; ndtri carries that to a few units
-    ulps = np.abs(ours[~central].view(np.int64) - theirs[~central].view(np.int64))
-    assert ulps.max() <= 8
+    # differ in the last place now and then; ndtri carries that to at most 4
+    # units on this sample (x86-64 with AVX-512)
+    ulps = np.abs(ours.view(np.int64) - theirs.view(np.int64))
+    assert ulps.max() <= 4
+    # the central branch calls no library function, so where the compiler
+    # cannot fuse SciPy's multiply-adds (baseline x86-64) the bits are SciPy's
+    if platform.machine() in ("x86_64", "AMD64"):
+        central = _central(p)
+        assert ours[central].tobytes() == theirs[central].tobytes()
 
 
 def test_expit_and_logit_at_their_limits():

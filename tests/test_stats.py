@@ -30,24 +30,26 @@ def test_sem_known_values():
     with pytest.raises(ValidationError):
         sem([1.0])
     with pytest.raises(ValidationError):
-        sem(np.zeros((2, 2)))
+        sem(np.zeros((2, 2, 2)))
+    with pytest.raises(ValidationError):
+        sem(["a", "b"])
     with pytest.raises(ValidationError):
         sem([1.0, np.nan])
 
 
-def test_sem_along_an_axis_and_of_huge_values():
+def test_sem_of_columns_and_of_huge_values():
     values = np.random.default_rng(2).random((5, 3))
     expected = np.std(values, axis=0, ddof=1) / math.sqrt(5)
-    assert sem(values, axis=0).tobytes() == expected.tobytes()
+    assert sem(values) == expected.tolist()
     assert sem(values[:, 1]) == expected[1]
     with pytest.raises(ValidationError):
-        sem(values[:1], axis=0)
+        sem(values[:1])
     with pytest.raises(ValidationError):
-        sem([[1.0, np.inf], [2.0, 3.0]], axis=0)
+        sem([[1.0, np.inf], [2.0, 3.0]])
     # past 2**500 the values are scaled by a power of two, which is exact, so
     # the SEM scales with them and no square overflows
     scale = 2.0**900
-    assert (sem(values * scale, axis=0) == expected * scale).all()
+    assert sem(values * scale) == (expected * scale).tolist()
     assert sem(values[:, 1] * scale) == expected[1] * scale
     assert sem([-1.7e308, 1.7e308]) == pytest.approx(1.7e308, rel=1e-15)
 
