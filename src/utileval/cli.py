@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .core import (
     ValidationError,
 )
 from .dataio import (
+    FormattedArray,
     file_digest,
     read_bonus_table,
     read_features,
@@ -233,9 +235,13 @@ def cmd_evaluate(args) -> int:
             checks["preserves_reference_ranking_by_group"] = preserves_ranking_by_group(
                 data.scores, data.reference_scores, data.group
             )
-    payload = {"report": report.to_dict(), "checks": checks, "bootstrap": diagnostics}
+    # the report's own curve arrays, not to_dict()'s list copies; each of them
+    # is formatted once for the JSON report and for its CSV table
+    curves = {name: FormattedArray(points) for name, points in report.curves.items()}
+    body = {**replace(report, curves={}).to_dict(), "curves": curves}
+    payload = {"report": body, "checks": checks, "bootstrap": diagnostics}
     tables = {
-        "evaluate_roc.csv": (["fpr", "tpr"], report.curves["roc"]),
+        "evaluate_roc.csv": (["fpr", "tpr"], curves["roc"]),
         "evaluate_calibration.csv": (
             ["bin_index", "mean_predicted", "observed_frequency", "count"],
             [
@@ -243,7 +249,7 @@ def cmd_evaluate(args) -> int:
                 for b in calibration.bins
             ],
         ),
-        "evaluate_utility.csv": (["threshold", "utility"], report.curves["utility"]),
+        "evaluate_utility.csv": (["threshold", "utility"], curves["utility"]),
     }
     _write_reports(args, out, [args.scores], "evaluate_report.json", payload, tables)
     return 0

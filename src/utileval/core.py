@@ -233,7 +233,8 @@ class ScoreRuns:
     Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]`` and
     ``positives_before[k]`` counts the positives sorted before it; both arrays
     end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
-    ``run_of_row[i]`` is the run of row ``i``.  :meth:`resampled` derives the
+    ``run_of_row[i]`` is the run of row ``i`` and ``values[k]`` the score of
+    run ``k`` (``sorted_scores[starts[:-1]]``).  :meth:`resampled` derives the
     runs of a row sample from them without sorting again.
     """
 
@@ -241,6 +242,7 @@ class ScoreRuns:
     starts: np.ndarray
     positives_before: np.ndarray
     run_of_row: np.ndarray
+    values: np.ndarray
 
     def resampled(self, labels: np.ndarray, indices: np.ndarray) -> "ScoreRuns":
         """The runs of the row sample ``indices``, derived from this sort.
@@ -260,17 +262,14 @@ class ScoreRuns:
         hit = np.flatnonzero(drawn)
         renumber = np.cumsum(drawn > 0) - 1
         drawn = drawn[hit]
+        values = self.values[hit]
         return ScoreRuns(
-            _readonly(np.repeat(self.values[hit], drawn)),
+            _readonly(np.repeat(values, drawn)),
             _readonly(np.concatenate([[0], np.cumsum(drawn)])),
             _readonly(np.concatenate([[0], np.cumsum(positives[hit])])),
             _readonly(renumber[run]),
+            _readonly(values),
         )
-
-    @property
-    def values(self) -> np.ndarray:
-        """The unique scores, ascending: the value of each run."""
-        return self.sorted_scores[self.starts[:-1]]
 
     def first_accepted(self, thresholds) -> np.ndarray:
         """Per threshold, the first run that ``score >= t`` accepts; the run
@@ -355,7 +354,10 @@ class LabeledScores:
         positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
         run_of_row = np.empty(self.n, dtype=np.int64)
         run_of_row[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives, run_of_row)))
+        values = ordered[starts[:-1]]
+        return ScoreRuns(
+            *(_readonly(a) for a in (ordered, starts, positives, run_of_row, values))
+        )
 
     def take(self, indices) -> "LabeledScores":
         """Row subset (used by resampling code); keeps all columns.

@@ -857,3 +857,72 @@ def test_malformed_inputs_keep_the_exit_code_contract(defect, data):
             first = _read_all_bytes(Path(directory) / "out")
             assert main(command) == 0
             assert _read_all_bytes(Path(directory) / "out") == first
+
+
+# option values that allocate nothing: each is refused, or cheap on tiny inputs
+_FUZZ_VALUES = [
+    "0", "1", "2", "-1", "0.5", "1e308", "1e-320", "99999999999999999999999",
+    "nan", "inf", "-inf", "", "abc",
+]
+# per command, each fuzzed option and the cheap value it has otherwise
+_FUZZ_OPTIONS = {
+    "evaluate": {"--utility": "zero-one", "--bins": "10", "--replicates": "0", "--seed": "0"},
+    "compare": {"--utility": "c:1", "--bins": "10", "--replicates": "0", "--seed": "0"},
+    "simulate": {
+        "--samples": "20",
+        "--realizations": "2",
+        "--cost": "1",
+        "--bins": "5",
+        "--grid": "5",
+        "--seed": "0",
+    },
+    "sweep-c": {"--grid": "0,1", "--replicates": "2", "--seed": "0"},
+    "tune": {
+        "--k-grid": "1,3",
+        "--folds": "2",
+        "--repeats": "1",
+        "--test-fraction": "0.3",
+        "--grid": "5",
+        "--utility": "zero-one",
+        "--seed": "0",
+    },
+    "equity": {"--seed": "0"},
+}
+_FUZZ_LISTS = {("sweep-c", "--grid"), ("tune", "--k-grid")}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_option_values_keep_the_exit_code_contract(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    scores = root / "fuzz_scores.csv"
+    features = root / "fuzz_features.csv"
+    bonus = root / "fuzz_bonus.txt"
+    if not bonus.exists():
+        _write_scores(scores, n=40, seed=9)
+        _write_features(features, n=40, seed=9)
+        bonus.write_text("0 0.5 1\n")
+    command = data.draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    inputs = {"compare": [scores] * 2, "sweep-c": [scores] * 2, "simulate": [], "tune": [features]}
+    argv = [command, *map(str, inputs.get(command, [scores]))]
+    for option, cheap in _FUZZ_OPTIONS[command].items():
+        value = cheap
+        if data.draw(st.integers(0, 2)) == 0:
+            value = data.draw(st.sampled_from(_FUZZ_VALUES))
+            if option == "--utility":
+                value = "c:" + value
+            elif (command, option) in _FUZZ_LISTS and data.draw(st.booleans()):
+                value = "1," + value
+        argv += [option, value]
+    if command == "equity":
+        argv += ["--bonus", str(bonus)]
+    argv += ["--out-dir", str(root / "fuzz_out")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    lines = stderr.getvalue().splitlines()
+    # argparse puts its usage lines before its one error line
+    assert sum("error: " in line for line in lines) == (code != 0), (argv, lines)
+    assert not lines or code != 0, (argv, lines)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +22,10 @@ from utileval import (
     write_json,
     write_scores,
 )
-from utileval.dataio import _read_table, encode_json, format_number
+from utileval import dataio
+from utileval.dataio import FormattedArray, _read_table, encode_json, format_number
 
+from reference_reader import reference_read_table
 from reference_writers import reference_csv_text, reference_json_text, reference_jsonable
 
 
@@ -114,17 +119,24 @@ def test_read_scores_semicolon_delimiter(tmp_path):
 
 def test_write_read_round_trip_is_exact(tmp_path, rng):
     n = 120
+    scores = rng.random(n)
+    ages = np.round(rng.random(n) * 100, 6)
+    # -0.0 is integral, but only its round-trip text keeps its sign
+    scores[:3] = [-0.0, 0.0, 1.0]
+    ages[:3] = [-0.0, -3.0, 0.0]
     data = LabeledScores(
-        scores=rng.random(n),
+        scores=scores,
         labels=rng.integers(0, 2, n),
         group=rng.integers(0, 2, n),
         reference_scores=rng.random(n),
-        context={"age": np.round(rng.random(n) * 100, 6), "benefit": rng.random(n)},
+        context={"age": ages, "benefit": rng.random(n)},
         coefficients=CostCoefficients(1.0, rng.random(n) * 3, rng.random(n), 1.0),
     )
     path = tmp_path / "round.csv"
     write_scores(data, path)
     back = read_scores(path)
+    assert np.signbit(back.scores[:3]).tolist() == [True, False, False]
+    assert np.signbit(back.context["age"][:3]).tolist() == [True, True, False]
     np.testing.assert_array_equal(back.scores, data.scores)
     np.testing.assert_array_equal(back.labels, data.labels)
     np.testing.assert_array_equal(back.group, data.group)
@@ -303,6 +315,8 @@ def test_write_csv_cells_as_before(tmp_path):
     for rows in (
         np.array([[0.5], [math.nan], [-math.inf]]),
         np.array([[0.1, -0.0], [1e-310, math.inf], [math.nan, 2.0]]),
+        # runs of one value down a column, -0.0 beside 0.0 among them
+        np.array([[0.0, 0.25], [-0.0, 0.25], [-0.0, 0.5], [0.1, 0.5], [0.1, math.nan]]),
         np.array([[0.25, 0.75]], dtype=np.float32),
         np.empty((0, 2)),
         np.empty((2, 0)),
@@ -322,3 +336,172 @@ def test_write_csv_cells_as_before(tmp_path):
 )
 def test_write_csv_float_arrays_as_before(tmp_path_factory, rows):
     _assert_csv_as_before(tmp_path_factory.getbasetemp(), ["a", "b", "c"][: rows.shape[1]], rows)
+
+
+_PADDING = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f"])
+_ODD_CELLS = st.sampled_from(
+    ["1_0", "inf", "-inf", "nan", "+nan", "Infinity", '"0.5"', '"1,5"', "#1", "1#", "", "0x1", "1e"]
+)
+
+
+def _number_text(value: float, form: str) -> str:
+    """``value`` as its repr, in a printf form, or as the integer it is."""
+    if form == "repr":
+        return repr(value)
+    if form == "%d":
+        return str(int(value)) if math.isfinite(value) and abs(value) < 1e20 else repr(value)
+    return form % value
+
+
+_number_texts = st.builds(
+    _number_text, st.floats(), st.sampled_from(["repr", "%.17g", "%e", "%.3g", "%d"])
+)
+
+
+@st.composite
+def _table_files(draw) -> tuple[bytes, str]:
+    """A small delimited file with the cell forms, padding, line ends and
+    stray lines the row loop has always accepted or refused.  Half of them
+    have only numbers and blank lines, the files the fast path reads."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    clean = draw(st.booleans())
+    padding = _PADDING.filter(lambda pad: not clean or delimiter not in pad)
+    kinds = ["row"] * 6 + ["blank"] + ([] if clean else ["spaces", "ragged", "trailing"])
+    width = draw(st.integers(1, 3))
+    header = ["score", "label", "age"][:width]
+    lines = [delimiter.join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "\x1c", "  \x1f"])))
+        else:
+            cells = []
+            for _ in range(width + (kind == "ragged")):
+                odd = not clean and draw(st.integers(0, 9)) == 0
+                text = draw(_ODD_CELLS if odd else _number_texts)
+                if draw(st.booleans()) and text[:1] not in ("-", "+"):
+                    text = "+" + text
+                cells.append(draw(padding) + text + draw(padding))
+            lines.append(delimiter.join(cells) + (delimiter if kind == "trailing" else ""))
+    ends = draw(
+        st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines))
+    )
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text.encode(), delimiter
+
+
+def _read_outcome(read, path, delimiter):
+    try:
+        header, columns = read(path, delimiter)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return ("table", header, {name: column.tobytes() for name, column in columns.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_files())
+def test_fast_parse_equals_the_row_loop(tmp_path_factory, case):
+    content, delimiter = case
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _read_outcome(_read_table, path, delimiter)
+    assert not caught
+    assert outcome == _read_outcome(reference_read_table, path, delimiter)
+
+
+def test_clean_files_are_parsed_without_the_row_loop(tmp_path, monkeypatch):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"\xef\xbb\xbfscore;label\r\n0.25;1\r\n\r\n 1e-3 ;+0\r.5;-0\n")
+
+    def no_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr("utileval.dataio._read_rows", no_loop)
+    data = read_scores(path, delimiter=";")
+    assert data.scores.tolist() == [0.25, 0.001, 0.5]
+    assert data.labels.tolist() == [1, 0, 0]
+    # an underscore is for float() alone, so the row loop reads this file
+    path.write_text("score,label\n0.5,1_0\n")
+    with pytest.raises(AssertionError, match="the row loop ran"):
+        read_scores(path)
+
+
+def _evaluate_payload(rows: int, curve=np.asarray) -> dict:
+    """A payload shaped like ``evaluate``'s, with two curves of ``rows`` points."""
+    rng = np.random.default_rng(2)
+    rates = np.cumsum(rng.random((rows, 2)) < 0.5, axis=0) / rows
+    roc = curve(np.vstack([[0.0, 0.0], rates]))
+    utility = curve(np.column_stack([np.sort(rng.random(rows + 1)), rng.random(rows + 1)]))
+    curves = {"roc": roc, "calibration": np.array([[0.05, 0.1], [0.95, 0.9]]), "utility": utility}
+    report = {"metrics": {"auc": 0.75, "u_max": 0.5}, "curves": curves, "intervals": {}}
+    return {"report": report, "checks": {}, "bootstrap": {}, "manifest": {"outputs": ["a"]}}
+
+
+def test_report_writing_holds_one_block_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr("utileval.dataio._BLOCK", 1024)
+    payload = _evaluate_payload(50_000)
+    curve = payload["report"]["curves"]["utility"]
+    for path, write in (
+        (tmp_path / "report.json", lambda path: write_json(path, payload)),
+        (tmp_path / "utility.csv", lambda path: write_csv(path, ["threshold", "utility"], curve)),
+    ):
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole text would be at least the size of the file
+        assert peak < path.stat().st_size / 4, (path.name, peak)
+
+
+def test_a_formatted_array_is_formatted_once_for_every_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr("utileval.dataio._BLOCK", 1000)
+    payload = _evaluate_payload(2500, FormattedArray)
+    curves = payload["report"]["curves"]
+    tables = {
+        "roc.csv": (["fpr", "tpr"], curves["roc"]),
+        "utility.csv": (["threshold", "utility"], curves["utility"]),
+    }
+    formatted = []
+    original = dataio._float_lines
+
+    def counting(block):
+        formatted.append(len(block))
+        return original(block)
+
+    monkeypatch.setattr("utileval.dataio._float_lines", counting)
+    write_json(tmp_path / "report.json", payload)
+    for name, (header, rows) in tables.items():
+        write_csv(tmp_path / name, header, rows)
+    # each 2501-point curve once, in three blocks, and the calibration array
+    assert formatted == [2, 1000, 1000, 501, 1000, 1000, 501]
+    assert (tmp_path / "report.json").read_text() == reference_json_text(payload)
+    for name, (header, rows) in tables.items():
+        assert (tmp_path / name).read_text() == reference_csv_text(header, rows)
+
+
+def test_read_scores_reads_a_pipe_once(tmp_path):
+    # the fast path reads a file a second time, which a pipe cannot give
+    fifo = tmp_path / "scores.pipe"
+    os.mkfifo(fifo)
+    text = "score,label\n" + "".join(f"{i / 4000!r},{i % 2}\n" for i in range(4000))
+    read = {}
+    threads = [
+        threading.Thread(target=fifo.write_text, args=(text,), daemon=True),
+        threading.Thread(target=lambda: read.update(data=read_scores(fifo)), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert read["data"].scores.tolist() == [i / 4000 for i in range(4000)]

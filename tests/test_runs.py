@@ -129,7 +129,9 @@ def test_runs_of_a_small_dataset():
     accepted, tp = runs.accepted(run)
     assert accepted.tolist() == [5, 5, 3, 1, 0]
     assert tp.tolist() == [3, 3, 2, 1, 0]
-    for array in (runs.sorted_scores, runs.starts, runs.positives_before, runs.run_of_row):
+    for array in (
+        runs.sorted_scores, runs.starts, runs.positives_before, runs.run_of_row, runs.values
+    ):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -272,8 +274,10 @@ def test_resampled_runs_equal_a_fresh_sort(seed, n, tie_decimals, hit, bins):
 
     derived = data.take(idx)
     fresh = LabeledScores(scores=scores[idx], labels=labels[idx], context={"age": ages[idx]})
-    for name in ("sorted_scores", "starts", "positives_before", "run_of_row"):
+    for name in ("sorted_scores", "starts", "positives_before", "run_of_row", "values"):
         assert _same_bits(getattr(derived.runs, name), getattr(fresh.runs, name))
+    runs = derived.runs
+    assert _same_bits(runs.values, runs.sorted_scores[runs.starts[:-1]])
 
     if 0 < fresh.n_positive < n:
         assert _same_bits(auc_rank(derived), auc_rank(fresh))
