@@ -74,6 +74,7 @@ from .utility import (
     age_discounted_coeffs,
     bayes_threshold,
     cost_family,
+    max_utilities,
     utility_curve,
 )
 
@@ -198,6 +199,10 @@ def cmd_evaluate(args) -> int:
     curve = utility_curve(data, coefficients)
     roc = roc_points(data)
     calibration = calibration_curve(data, bins=args.bins)
+    utility = np.column_stack([curve.thresholds, curve.utilities])
+    # read-only curves go into the report without a copy
+    roc.setflags(write=False)
+    utility.setflags(write=False)
     metrics = {
         "auc": auc_rank(data),
         "brier": brier(data),
@@ -222,7 +227,7 @@ def cmd_evaluate(args) -> int:
             "calibration": [
                 (b.mean_predicted, b.observed_frequency) for b in calibration.bins
             ],
-            "utility": np.column_stack([curve.thresholds, curve.utilities]),
+            "utility": utility,
         },
         intervals=intervals,
     )
@@ -415,10 +420,15 @@ def cmd_sweep_c(args) -> int:
             f"got {args.replicates} x {len(grid)}"
         )
 
-    def sweep_maxima(data: LabeledScores, _=None) -> list[float]:
-        return [utility_curve(data, cost_family(c)).max_utility for c in grid]
+    costs = [cost_family(c) for c in grid]
 
-    points = {name: sweep_maxima(data) for name, data in zip(names, datasets)}
+    def sweep_maxima(replicate, _=None) -> list[float]:
+        return max_utilities(replicate.starts, replicate.positives_before, costs)
+
+    points = {
+        name: [utility_curve(data, c).max_utility for c in costs]
+        for name, data in zip(names, datasets)
+    }
     values, _ = resample(datasets, {"u_max": sweep_maxima}, args.replicates, args.seed)
     rows = []
     models = {}

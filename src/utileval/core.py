@@ -256,9 +256,10 @@ class ScoreRuns:
         """
         run = self.run_of_row[indices]
         size = self.starts.size - 1
-        drawn = np.bincount(run, minlength=size)
-        # float sums of 0/1 weights, exact below 2**53
-        positives = np.bincount(run, weights=labels, minlength=size).astype(np.int64)
+        # one count of 2 * run + label: the negatives and positives of each run
+        counts = np.bincount(2 * run + labels, minlength=2 * size).reshape(size, 2)
+        positives = counts[:, 1]
+        drawn = counts[:, 0] + positives
         hit = np.flatnonzero(drawn)
         renumber = np.cumsum(drawn > 0) - 1
         drawn = drawn[hit]
@@ -443,11 +444,16 @@ def confusion_at(data: LabeledScores, rule: DecisionRule) -> ConfusionCounts:
 
 
 def _check_curve(name: str, points) -> np.ndarray:
-    """``points`` as a read-only (m, 2) float array of finite, x-ordered points."""
-    if not isinstance(points, np.ndarray):
-        points = list(points)
+    """``points`` as a read-only (m, 2) float array of finite, x-ordered points.
+
+    A read-only (m, 2) float64 array is kept as it is; anything else is copied.
+    """
+    if isinstance(points, np.ndarray):
+        keep = points.dtype == np.float64 and not points.flags.writeable
+    else:
+        keep, points = False, list(points)
     try:
-        curve = np.array(points, dtype=np.float64)
+        curve = points if keep else np.array(points, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"curve {name!r} is not a sequence of (x, y) points") from exc
     if curve.size == 0:

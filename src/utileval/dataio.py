@@ -255,18 +255,26 @@ def write_scores(data: LabeledScores, path, delimiter: str = ",") -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_score_cell(v) for v in row])
+        for start in range(0, data.n, _BLOCK):
+            texts = [_score_texts(column[start : start + _BLOCK]) for column in columns]
+            writer.writerows(zip(*texts))
 
 
-def _score_cell(value) -> str:
-    """``value`` as an integer where that reads back as the same float, else
+def _score_texts(values) -> list[str]:
+    """Each value as an integer where that reads back as the same float, else
     as its round-trip text."""
-    value = float(value)
-    negative_zero = value == 0 and math.copysign(1.0, value) < 0
-    if value.is_integer() and abs(value) < 2**53 and not negative_zero:
-        return str(int(value))
-    return format_number(value)
+    values = np.asarray(values, dtype=np.float64)
+    # -0.0 is integral, but only its round-trip text keeps its sign
+    whole = (
+        (values == np.trunc(values))
+        & (np.abs(values) < 2.0**53)
+        & ~((values == 0.0) & np.signbit(values))
+    )
+    texts = np.empty(values.size, dtype=object)
+    texts[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
+    # float.__repr__ is format_number for every float, NaN included
+    texts[~whole] = list(map(float.__repr__, values[~whole].tolist()))
+    return texts.tolist()
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,17 @@ __all__ = [
     "auc_from_runs",
     "roc_points",
     "brier",
+    "brier_terms",
     "accuracy",
     "CalibrationBin",
     "CalibrationCurve",
     "calibration_curve",
+    "calibration_blocks",
+    "calibration_from_runs",
     "MAX_BINS",
     "ece",
     "net_trust",
+    "net_trust_terms",
 ]
 
 _PAIRWISE_CHUNK = 512
@@ -119,10 +123,15 @@ def roc_points(data: LabeledScores) -> np.ndarray:
     return np.concatenate([[[0.0, 0.0]], np.column_stack([fpr, tpr])])
 
 
+def brier_terms(data: LabeledScores) -> np.ndarray:
+    """Per-row squared difference between score and label."""
+    diff = data.scores - data.labels
+    return diff * diff
+
+
 def brier(data: LabeledScores) -> float:
     """Mean squared difference between score and label."""
-    diff = data.scores - data.labels
-    return float(np.mean(diff * diff))
+    return float(np.mean(brier_terms(data)))
 
 
 def accuracy(data: LabeledScores, rule: DecisionRule) -> float:
@@ -157,30 +166,56 @@ def calibration_curve(data: LabeledScores, bins: int = 10) -> CalibrationCurve:
     :data:`MAX_BINS`; only occupied bins are visited, so the cost does not
     grow with ``bins``.
     """
+    runs = data.runs
+    return calibration_from_runs(
+        runs.sorted_scores,
+        runs.starts,
+        runs.positives_before,
+        calibration_blocks(runs.values, bins),
+        bins,
+    )
+
+
+def calibration_blocks(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of ascending run ``values`` cut into blocks that share a bin.
+
+    Equal scores share a bin, so each occupied bin is a block of whole runs,
+    ending where the bin index changes.  Returns the bin index of each block
+    and the run where each block starts, followed by the run count.
+    """
     if bins < 2:
         raise ValidationError(f"bins must be >= 2, got {bins}")
     if bins > MAX_BINS:
         raise ValidationError(f"bins must be <= 2**53 ({MAX_BINS}), got {bins}")
-    runs = data.runs
-    # equal scores share a bin, so each occupied bin is a block of whole runs,
-    # ending where the bin index changes, and a contiguous slice of the sorted
-    # scores
-    run_bin = np.minimum((runs.values * bins).astype(np.int64), bins - 1)
+    run_bin = np.minimum((values * bins).astype(np.int64), bins - 1)
     edges = np.concatenate([[0], np.flatnonzero(np.diff(run_bin)) + 1, [run_bin.size]])
+    return run_bin[edges[:-1]], edges
+
+
+def calibration_from_runs(sorted_scores, starts, positives_before, blocks, bins: int):
+    """The calibration curve of runs laid out as in
+    :class:`~utileval.core.ScoreRuns`, for the ``blocks`` of
+    :func:`calibration_blocks` over their values.
+
+    Each bin is a contiguous slice of ``sorted_scores``.  Empty runs may stand
+    in the run list, so a block may be empty; empty blocks are omitted.
+    """
     out = []
-    for first, last in zip(edges[:-1], edges[1:]):
-        start, end = runs.starts[first], runs.starts[last]
+    for index, first, last in zip(blocks[0], blocks[1][:-1], blocks[1][1:]):
+        start, end = starts[first], starts[last]
         count = int(end - start)
-        positives = runs.positives_before[last] - runs.positives_before[first]
+        if count == 0:
+            continue
+        positives = positives_before[last] - positives_before[first]
         out.append(
             CalibrationBin(
-                bin_index=int(run_bin[first]),
-                mean_predicted=float(runs.sorted_scores[start:end].sum() / count),
+                bin_index=int(index),
+                mean_predicted=float(sorted_scores[start:end].sum() / count),
                 observed_frequency=float(positives / count),
                 count=count,
             )
         )
-    return CalibrationCurve(bins=tuple(out), n_bins=int(bins), n=data.n)
+    return CalibrationCurve(bins=tuple(out), n_bins=int(bins), n=int(starts[-1]))
 
 
 def ece(curve: CalibrationCurve) -> float:
@@ -193,6 +228,14 @@ def ece(curve: CalibrationCurve) -> float:
     return total
 
 
+def net_trust_terms(data: LabeledScores) -> np.ndarray:
+    """Per-row contribution to :func:`net_trust`."""
+    predicted = data.scores >= 0.5
+    confidence = np.where(predicted, data.scores, 1.0 - data.scores)
+    correct = predicted == (data.labels == 1)
+    return np.where(correct, confidence, 1.0 - confidence)
+
+
 def net_trust(data: LabeledScores) -> float:
     """Confidence-weighted agreement score.
 
@@ -201,8 +244,4 @@ def net_trust(data: LabeledScores) -> float:
     Correct predictions contribute the confidence, incorrect ones contribute
     one minus the confidence; the result is the mean contribution.
     """
-    predicted = data.scores >= 0.5
-    confidence = np.where(predicted, data.scores, 1.0 - data.scores)
-    correct = predicted == (data.labels == 1)
-    trust = np.where(correct, confidence, 1.0 - confidence)
-    return float(np.mean(trust))
+    return float(np.mean(net_trust_terms(data)))

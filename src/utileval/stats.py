@@ -5,33 +5,44 @@ side information stay aligned.  :func:`resample` draws each row sample once
 from the seeded stream and offers it to every statistic of every row-aligned
 dataset; a statistic undefined on a draw (AUC on a single-class sample) skips
 it, so each statistic gets exactly the values it would get if it were
-resampled alone.  Intervals are plain percentile intervals of the replicate
-values; with a shared seed the replicate stream is identical across levels,
-which makes narrower intervals exact subsets of wider ones.
+resampled alone.  A draw is read as counts per run of the dataset's one sort
+(:class:`Replicate`), from which the built-in statistics compute what they
+would compute on the drawn dataset, bit for bit, without building it.
+Intervals are plain percentile intervals of the replicate values; with a
+shared seed the replicate stream is identical across levels, which makes
+narrower intervals exact subsets of wider ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .core import (
     CostCoefficients,
-    DecisionRule,
     DegenerateDataError,
     LabeledScores,
     ValidationError,
 )
-from .metrics import accuracy, auc_rank, brier, calibration_curve, ece, net_trust
-from .utility import utility_curve
+from .metrics import (
+    auc_from_runs,
+    brier_terms,
+    calibration_blocks,
+    calibration_from_runs,
+    ece,
+    net_trust_terms,
+)
+from .metrics import auc_rank  # noqa: F401  perfbench traces it through stats
+from .utility import max_utilities, utility_curve
 
 __all__ = [
     "BootstrapConfig",
     "BootstrapResult",
     "PairedTestResult",
+    "Replicate",
     "bootstrap_ci",
     "paired_max_utility_test",
     "percentile_interval",
@@ -74,21 +85,130 @@ class BootstrapConfig:
             raise ValidationError(f"level must be in (0, 1), got {self.level}")
 
 
+class _Source:
+    """What every draw of one dataset reads, made once per :func:`resample` call."""
+
+    def __init__(self, data: LabeledScores) -> None:
+        self.data = data
+        self._blocks: dict = {}
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        # one bincount of a draw's keys counts each run's negatives and positives
+        return 2 * self.data.runs.run_of_row + self.data.labels
+
+    @cached_property
+    def brier_terms(self) -> np.ndarray:
+        return brier_terms(self.data)
+
+    @cached_property
+    def net_trust_terms(self) -> np.ndarray:
+        return net_trust_terms(self.data)
+
+    @cached_property
+    def half_run(self) -> int:
+        """The first run that the rule ``score >= 0.5`` accepts."""
+        return int(self.data.runs.first_accepted(0.5))
+
+    def blocks(self, bins: int):
+        if bins not in self._blocks:
+            self._blocks[bins] = calibration_blocks(self.data.runs.values, bins)
+        return self._blocks[bins]
+
+
+class Replicate:
+    """One bootstrap draw of one dataset, read as counts per run.
+
+    ``indices`` are the drawn rows of ``data``.  ``counts[k]`` holds the
+    draws of run ``k`` of ``data.runs`` that are negative and positive; a run
+    the draw missed stays as an empty run, so the draw keeps the dataset's
+    own run numbering.  ``starts`` and ``positives_before`` lay the draw's runs
+    out as in :class:`~utileval.core.ScoreRuns`.  :meth:`sample` builds the
+    drawn dataset itself, for statistics that need its rows.
+    """
+
+    def __init__(self, source: _Source, indices: np.ndarray) -> None:
+        self._source = source
+        self.data = source.data
+        self.indices = indices
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        size = self.data.runs.starts.size - 1
+        keys = self._source.key[self.indices]
+        return np.bincount(keys, minlength=2 * size).reshape(size, 2)
+
+    @cached_property
+    def drawn(self) -> np.ndarray:
+        """Draws per run."""
+        return self.counts[:, 0] + self.counts[:, 1]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.drawn)])
+
+    @cached_property
+    def positives_before(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.counts[:, 1])])
+
+    def sample(self) -> LabeledScores:
+        """The drawn rows as a dataset, ``data.take(indices)``."""
+        return self.data.take(self.indices)
+
+
+def _whole(data: LabeledScores) -> Replicate:
+    """The draw of every row once: statistics read the dataset itself."""
+    return Replicate(_Source(data), np.arange(data.n))
+
+
+def _auc(replicate: Replicate, _coefficients, bins: int = 10) -> float:
+    n_pos = replicate.positives_before[-1]
+    if n_pos == 0 or n_pos == replicate.data.n:
+        raise DegenerateDataError("AUC undefined: dataset contains only one class")
+    return float(auc_from_runs(replicate.starts, replicate.positives_before))
+
+
+def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
+    # the rule score >= 0.5 accepts every run from half_run on
+    n, half = replicate.data.n, replicate._source.half_run
+    n_pos = int(replicate.positives_before[-1])
+    tp = n_pos - int(replicate.positives_before[half])
+    fp = n - int(replicate.starts[half]) - tp
+    return (tp + (n - n_pos - fp)) / n
+
+
+def _ece(replicate: Replicate, _coefficients, bins: int = 10) -> float:
+    runs = replicate.data.runs
+    sorted_scores = np.repeat(runs.values, replicate.drawn)
+    return ece(
+        calibration_from_runs(
+            sorted_scores,
+            replicate.starts,
+            replicate.positives_before,
+            replicate._source.blocks(bins),
+            bins,
+        )
+    )
+
+
 def _max_utility(
-    data: LabeledScores, coefficients: CostCoefficients | None, bins: int = 10
+    replicate: Replicate, coefficients: CostCoefficients | None, bins: int = 10
 ) -> float:
     if coefficients is None:
         raise ValidationError("the u_max metric requires cost coefficients")
-    return utility_curve(data, coefficients).max_utility
+    if coefficients.is_constant:
+        return max_utilities(replicate.starts, replicate.positives_before, [coefficients])[0]
+    return utility_curve(replicate.sample(), coefficients).max_utility
 
 
-# name -> statistic(data, coefficients, bins=10)
+# name -> statistic(replicate, coefficients, bins=10), each equal bit for bit
+# to the metric of the drawn dataset
 BOOTSTRAP_METRICS = {
-    "auc": lambda data, _, bins=10: auc_rank(data),
-    "brier": lambda data, _, bins=10: brier(data),
-    "accuracy": lambda data, _, bins=10: accuracy(data, DecisionRule(0.5)),
-    "ece": lambda data, _, bins=10: ece(calibration_curve(data, bins=bins)),
-    "net_trust": lambda data, _, bins=10: net_trust(data),
+    "auc": _auc,
+    "brier": lambda r, _, bins=10: float(np.mean(r._source.brier_terms[r.indices])),
+    "accuracy": _accuracy,
+    "ece": _ece,
+    "net_trust": lambda r, _, bins=10: float(np.mean(r._source.net_trust_terms[r.indices])),
     "u_max": _max_utility,
 }
 
@@ -97,16 +217,17 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     """Bootstrap every statistic on every row-aligned dataset from one stream.
 
     Each step draws ``integers(0, n, n)`` row indices from the stream seeded
-    with ``SeedSequence([seed])``, takes every dataset (and per-row
-    ``coefficients``) once, its runs counted from the runs of the drawn rows
-    of the dataset's one sort (no sample is sorted), and calls
-    ``statistics[name](data, coefficients)`` on the resampled pair for every
-    dataset and statistic that still has fewer than ``replicates`` values.
-    A statistic raising :class:`DegenerateDataError` skips the draw, which
-    counts as one of its redraws; 100 redraws per replicate exhaust its
-    budget.  Returns ``(values, redraws)``: per dataset, a mapping from
-    statistic name to its replicate array (one row per replicate) and to its
-    redraw count.  ``replicates`` may be at most :data:`MAX_REPLICATES`.
+    with ``SeedSequence([seed])`` and calls
+    ``statistics[name](replicate, coefficients)`` for every dataset and
+    statistic that still has fewer than ``replicates`` values, where
+    ``replicate`` is the dataset's :class:`Replicate` of the draw (shared by
+    the dataset's statistics) and ``coefficients`` are the drawn rows'
+    coefficients (constant ones as given).  A statistic raising
+    :class:`DegenerateDataError` skips the draw, which counts as one of its
+    redraws; 100 redraws per replicate exhaust its budget.  Returns
+    ``(values, redraws)``: per dataset, a mapping from statistic name to its
+    replicate array (one row per replicate) and to its redraw count.
+    ``replicates`` may be at most :data:`MAX_REPLICATES`.
     """
     if not 0 <= replicates <= MAX_REPLICATES:
         raise ValidationError(
@@ -114,16 +235,17 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     n = datasets[0].n
+    sources = [_Source(data) for data in datasets]
     values = [{name: [] for name in statistics} for _ in datasets]
     redraws = [dict.fromkeys(statistics, 0) for _ in datasets]
     pending = [(i, name) for i in range(len(datasets)) for name in statistics]
     while pending := [(i, name) for i, name in pending if len(values[i][name]) < replicates]:
         idx = rng.integers(0, n, n)
-        resampled = [data.take(idx) for data in datasets]
+        draws = [Replicate(source, idx) for source in sources]
         sub = None if coefficients is None else coefficients.take(idx)
         for i, name in pending:
             try:
-                values[i][name].append(statistics[name](resampled[i], sub))
+                values[i][name].append(statistics[name](draws[i], sub))
             except DegenerateDataError:
                 redraws[i][name] += 1
                 if redraws[i][name] >= 100 * replicates:
@@ -172,7 +294,7 @@ def bootstrap_ci(
             f"unknown metric {metric!r}; expected one of {sorted(BOOTSTRAP_METRICS)}"
         )
     evaluate = partial(BOOTSTRAP_METRICS[metric], bins=bins)
-    point = evaluate(data, coefficients)
+    point = evaluate(_whole(data), coefficients)
     values, redraws = resample(
         [data], {metric: evaluate}, config.replicates, config.seed, coefficients
     )
@@ -237,7 +359,7 @@ def paired_max_utility_test(
         [data_a, data_b], {"u_max": _max_utility}, config.replicates, config.seed, coefficients
     )
     return PairedTestResult.from_diffs(
-        _max_utility(data_a, coefficients) - _max_utility(data_b, coefficients),
+        _max_utility(_whole(data_a), coefficients) - _max_utility(_whole(data_b), coefficients),
         values[0]["u_max"] - values[1]["u_max"],
         config.level,
     )

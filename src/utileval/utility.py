@@ -48,6 +48,7 @@ __all__ = [
     "candidate_thresholds",
     "utility_curve",
     "utility_at_thresholds",
+    "max_utilities",
     "bayes_threshold",
     "cost_family",
     "age_discounted_coeffs",
@@ -58,6 +59,16 @@ def _utility_from_counts(tp, fp, fn, tn, n, a11, a01, a10, a00):
     # shared between the pointwise evaluator (scalars) and the sweep (vectors);
     # identical operation order keeps the two bit-for-bit consistent
     return (a11 * tp - a01 * fp - a10 * fn + a00 * tn) / n
+
+
+def _outcomes(accepted, tp, n: int, n_pos: int):
+    """``tp, fp, fn, tn`` of the rules accepting ``accepted`` rows, ``tp`` of
+    them positive, out of ``n`` rows with ``n_pos`` positives, as float
+    arrays; every count is below 2**53, so each is exact and multiplies as
+    its integer would."""
+    tp = np.asarray(tp, dtype=np.float64)
+    fp = accepted - tp
+    return tp, fp, n_pos - tp, n - n_pos - fp
 
 
 def _contributions(
@@ -130,12 +141,9 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray)
     """Utility of each rule that accepts every run of ``data.runs`` from ``run[i]`` on."""
     runs = data.runs
     if coefficients.is_constant:
-        accepted_rows, tp = runs.accepted(run)
-        fp = accepted_rows - tp
         c = coefficients
-        return _utility_from_counts(
-            tp, fp, data.n_positive - tp, data.n_negative - fp, data.n, c.a11, c.a01, c.a10, c.a00
-        )
+        counts = _outcomes(*runs.accepted(run), data.n, data.n_positive)
+        return _utility_from_counts(*counts, data.n, c.a11, c.a01, c.a10, c.a00)
     accepted, rejected, scale = _contributions(data, coefficients)
     # per_run[k]: how the all-accept total moves when run k is rejected
     per_run = [0] * (runs.starts.size - 1)
@@ -170,6 +178,25 @@ def utility_at_thresholds(
     """
     grid = as_float_vector(thresholds, "thresholds")
     return _sweep(data, coefficients, data.runs.first_accepted(grid))
+
+
+def max_utilities(starts, positives_before, coefficient_sets) -> list[float]:
+    """The largest utility of any threshold rule under each constant set of
+    ``coefficient_sets``, for runs laid out as in
+    :class:`~utileval.core.ScoreRuns`.
+
+    Each value has the bits of :func:`utility_curve`'s ``max_utility`` on the
+    dataset of those runs.  Empty runs may stand in the run list: the rule
+    that starts at an empty run is the rule that starts at the run after it.
+    """
+    n, n_pos = int(starts[-1]), int(positives_before[-1])
+    counts = _outcomes(n - starts, n_pos - positives_before, n, n_pos)
+    out = []
+    for c in coefficient_sets:
+        if not c.is_constant:
+            raise ValidationError("max_utilities requires constant coefficients")
+        out.append(float(_utility_from_counts(*counts, n, c.a11, c.a01, c.a10, c.a00).max()))
+    return out
 
 
 def bayes_threshold(coefficients: CostCoefficients) -> float:

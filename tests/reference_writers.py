@@ -1,12 +1,14 @@
-"""The per-value report writers that the one-pass encoder replaced.
+"""The per-value writers that the one-pass encoder and the column-wise score
+writer replaced.
 
 Tests render a payload with these and compare the bytes with what
-``utileval.dataio.write_json`` and ``write_csv`` write for it.
+``utileval.dataio.write_json``, ``write_csv`` and ``write_scores`` write for it.
 """
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -51,4 +53,38 @@ def reference_csv_text(header, rows) -> str:
             else:
                 out.append(str(value))
         writer.writerow(out)
+    return handle.getvalue()
+
+
+def _score_cell(value) -> str:
+    value = float(value)
+    negative_zero = value == 0 and math.copysign(1.0, value) < 0
+    if value.is_integer() and abs(value) < 2**53 and not negative_zero:
+        return str(int(value))
+    return format_number(value)
+
+
+def reference_scores_text(data, delimiter=",") -> str:
+    """The text the old per-cell ``write_scores`` wrote for ``data``."""
+    header = ["score", "label"]
+    columns = [data.scores, data.labels]
+    if data.group is not None:
+        header.append("group")
+        columns.append(data.group)
+    if data.reference_scores is not None:
+        header.append("reference_score")
+        columns.append(data.reference_scores)
+    for name in sorted(data.context):
+        header.append(name)
+        columns.append(data.context[name])
+    if data.coefficients is not None:
+        vectors = data.coefficients.as_vectors(data.n)
+        for name, column in zip(("a11", "a01", "a10", "a00"), vectors):
+            header.append(name)
+            columns.append(column)
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([_score_cell(v) for v in row])
     return handle.getvalue()

@@ -250,6 +250,27 @@ def test_eval_report_checks():
         EvalReport(metrics={}, intervals={"auc@95": (0.6, 0.9, 1.5)})
 
 
+def test_eval_report_keeps_read_only_curves_and_copies_writeable_ones():
+    points = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
+    writeable = EvalReport(metrics={}, curves={"roc": points}).curves["roc"]
+    assert writeable is not points and not writeable.flags.writeable
+    points[1, 1] = 0.25
+    assert writeable[1, 1] == 1.0
+    points.setflags(write=False)
+    assert EvalReport(metrics={}, curves={"roc": points}).curves["roc"] is points
+    # a read-only array of another dtype or not C-contiguous is copied
+    for other in (points.astype(np.float32), np.asfortranarray(points)[::2]):
+        other.setflags(write=False)
+        kept = EvalReport(metrics={}, curves={"roc": other}).curves["roc"]
+        assert kept is not other and kept.dtype == np.float64
+    with pytest.raises(ValidationError, match="ordered"):
+        EvalReport(metrics={}, curves={"roc": points[::-1]})
+    shape = np.zeros((2, 3))
+    shape.setflags(write=False)
+    with pytest.raises(ValidationError, match="points"):
+        EvalReport(metrics={}, curves={"roc": shape})
+
+
 @given(st.data())
 def test_confusion_partitions_the_data(data):
     n = data.draw(st.integers(min_value=1, max_value=60))

@@ -26,7 +26,12 @@ from utileval import dataio
 from utileval.dataio import FormattedArray, _read_table, encode_json, format_number
 
 from reference_reader import reference_read_table
-from reference_writers import reference_csv_text, reference_json_text, reference_jsonable
+from reference_writers import (
+    reference_csv_text,
+    reference_json_text,
+    reference_jsonable,
+    reference_scores_text,
+)
 
 
 def test_read_scores_full_columns(tmp_path):
@@ -147,6 +152,36 @@ def test_write_read_round_trip_is_exact(tmp_path, rng):
         data.coefficients.as_vectors(n), back.coefficients.as_vectors(n)
     ):
         np.testing.assert_array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "."])
+def test_write_scores_bytes_match_the_per_cell_writer(tmp_path, rng, monkeypatch, delimiter):
+    n = 300
+    scores = np.round(rng.random(n), 2)
+    scores[:4] = [-0.0, 0.0, 1.0, 5e-324]
+    ages = np.round(rng.random(n) * 100, 1)
+    # integral values on both sides of 2**53, whose texts differ in kind
+    big = np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**60), 1e300, -3.0, -0.0, 0.5])
+    benefit = rng.choice(big, n)
+    data = LabeledScores(
+        scores=scores,
+        labels=rng.integers(0, 2, n),
+        group=rng.integers(0, 2, n),
+        reference_scores=rng.random(n),
+        context={"age": ages, "benefit": benefit},
+        coefficients=CostCoefficients(1.0, rng.choice(big[big >= 0], n), rng.random(n), 2.0),
+    )
+    path = tmp_path / "scores.csv"
+    for subset in (data, LabeledScores(scores=scores[:1], labels=[1])):
+        write_scores(subset, path, delimiter=delimiter)
+        assert path.read_bytes() == reference_scores_text(subset, delimiter).encode()
+    # a file of several blocks of rows
+    monkeypatch.setattr(dataio, "_BLOCK", 7)
+    write_scores(data, path, delimiter=delimiter)
+    assert path.read_bytes() == reference_scores_text(data, delimiter).encode()
+    if delimiter == ".":
+        assert '"0.5"' in path.read_text()
+    np.testing.assert_array_equal(read_scores(path, delimiter=delimiter).scores, scores)
 
 
 def test_read_features(tmp_path):

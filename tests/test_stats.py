@@ -1,7 +1,9 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from utileval import (
     BootstrapConfig,
@@ -12,15 +14,21 @@ from utileval import (
     SimStudyConfig,
     ValidationError,
     accuracy,
+    age_discounted_coeffs,
     auc_rank,
     bootstrap_ci,
+    brier,
+    calibration_curve,
     cost_family,
+    ece,
     generate_realization,
     monotone_transform,
+    net_trust,
     paired_max_utility_test,
     sem,
+    utility_curve,
 )
-from utileval.stats import resample
+from utileval.stats import BOOTSTRAP_METRICS, resample
 from conftest import make_dataset
 
 
@@ -98,7 +106,8 @@ def test_bootstrap_redraws_counted(rng):
 
 def test_resample_matches_separate_loops_per_statistic(rng):
     # the redraw-heavy data above, plus a noisy scorer of the same rows whose
-    # accuracy varies from draw to draw
+    # accuracy varies from draw to draw; "auc" and "accuracy" read the draw's
+    # run counts, "sample_auc" the drawn dataset
     scores = np.concatenate([rng.random(40) * 0.5, [0.9]])
     labels = np.array([0] * 40 + [1])
     datasets = [
@@ -106,8 +115,14 @@ def test_resample_matches_separate_loops_per_statistic(rng):
         LabeledScores(scores=rng.random(41), labels=labels),
     ]
     statistics = {
-        "auc": lambda data, _: auc_rank(data),
-        "accuracy": lambda data, _: accuracy(data, DecisionRule(0.5)),
+        "auc": BOOTSTRAP_METRICS["auc"],
+        "accuracy": BOOTSTRAP_METRICS["accuracy"],
+        "sample_auc": lambda replicate, _: auc_rank(replicate.sample()),
+    }
+    reference = {
+        "auc": auc_rank,
+        "accuracy": lambda data: accuracy(data, DecisionRule(0.5)),
+        "sample_auc": auc_rank,
     }
     values, redraws = resample(datasets, statistics, 150, seed=4)
 
@@ -116,10 +131,10 @@ def test_resample_matches_separate_loops_per_statistic(rng):
         out, skipped = [], 0
         while len(out) < 150:
             sample = data.take(rng.integers(0, data.n, data.n))
-            if metric == "auc" and sample.labels.min() == sample.labels.max():
+            if metric != "accuracy" and sample.labels.min() == sample.labels.max():
                 skipped += 1
                 continue
-            out.append(statistics[metric](sample, None))
+            out.append(reference[metric](sample))
         return np.array(out), skipped
 
     for i, data in enumerate(datasets):
@@ -131,11 +146,96 @@ def test_resample_matches_separate_loops_per_statistic(rng):
     assert np.unique(values[1]["accuracy"]).size > 1
 
 
+# each built-in metric of the drawn dataset, as the drawn dataset's own code
+# computes it
+_METRICS_OF_SAMPLE = {
+    "auc": lambda data, _, bins: auc_rank(data),
+    "brier": lambda data, _, bins: brier(data),
+    "accuracy": lambda data, _, bins: accuracy(data, DecisionRule(0.5)),
+    "ece": lambda data, _, bins: ece(calibration_curve(data, bins=bins)),
+    "net_trust": lambda data, _, bins: net_trust(data),
+    "u_max": lambda data, coefficients, bins: utility_curve(data, coefficients).max_utility,
+}
+
+
+def _score_column(rng, n, kind):
+    if kind == "continuous":
+        return rng.random(n)
+    if kind == "signed zeros":
+        # runs of zeros holding both signs, beside tied nonzero runs
+        scores = np.round(rng.random(n), 1)
+        zero = rng.random(n) < 0.3
+        scores[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+        return scores
+    return np.round(rng.random(n), kind)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    kinds=st.lists(st.sampled_from(["continuous", 0, 1, 2, 3, "signed zeros"]), min_size=1, max_size=3),
+    single_positive=st.booleans(),
+    bins=st.sampled_from([2, 3, 10, 37, 2**53]),
+    contextual=st.booleans(),
+)
+def test_bootstrap_metrics_read_from_counts_equal_the_drawn_dataset(
+    seed, n, kinds, single_positive, bins, contextual
+):
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.5).astype(np.int64)
+    if single_positive:
+        # most draws miss the one positive, so AUC redraws often
+        labels[:] = 0
+        labels[rng.integers(0, n)] = 1
+    elif labels.min() == labels.max():
+        labels[0] = 1 - labels[0]
+    datasets = [LabeledScores(scores=_score_column(rng, n, kind), labels=labels) for kind in kinds]
+    if contextual:
+        ages = np.round(rng.random(n) * 100, 1)
+        coefficients = age_discounted_coeffs(
+            LabeledScores(scores=np.zeros(n), labels=labels, context={"age": ages})
+        )
+    else:
+        coefficients = CostCoefficients.constant(*(rng.random(4) * 3 + 0.01))
+    replicates = 6
+    statistics = {name: partial(f, bins=bins) for name, f in BOOTSTRAP_METRICS.items()}
+    values, redraws = resample(datasets, statistics, replicates, seed, coefficients)
+
+    for i, data in enumerate(datasets):
+        for name, metric in _METRICS_OF_SAMPLE.items():
+            draws = np.random.default_rng(np.random.SeedSequence([seed]))
+            expected, skipped = [], 0
+            while len(expected) < replicates:
+                idx = draws.integers(0, n, n)
+                sample = data.take(idx)
+                if name == "auc" and sample.labels.min() == sample.labels.max():
+                    skipped += 1
+                    continue
+                expected.append(metric(sample, coefficients.take(idx), bins))
+            assert values[i][name].tobytes() == np.array(expected).tobytes(), name
+            assert redraws[i][name] == skipped, name
+
+
+def test_bootstrap_point_estimates_are_the_metrics_of_the_data(rng):
+    data = LabeledScores(scores=_score_column(rng, 80, "signed zeros"), labels=rng.integers(0, 2, 80))
+    config = BootstrapConfig(replicates=100, level=0.95, seed=1)
+    for coefficients in (cost_family(1.5), CostCoefficients(1.0, rng.random(80), 0.5, 1.0)):
+        for name, metric in _METRICS_OF_SAMPLE.items():
+            result = bootstrap_ci(data, name, config, coefficients, bins=7)
+            assert result.point.hex() == float(metric(data, coefficients, 7)).hex(), name
+
+
 def test_resample_vector_statistic_and_validation(rng):
     data = make_dataset(rng, 30)
-    values, _ = resample([data], {"pair": lambda d, _: [d.scores.min(), d.scores.max()]}, 7, 0)
+
+    def extremes(replicate, _):
+        drawn = replicate.sample().scores
+        return [drawn.min(), drawn.max()]
+
+    values, _ = resample([data], {"pair": extremes}, 7, 0)
     assert values[0]["pair"].shape == (7, 2)
-    empty, _ = resample([data], {"pair": lambda d, _: [0.0, 1.0]}, 0, 0)
+    empty, _ = resample([data], {"pair": lambda r, _: [0.0, 1.0]}, 0, 0)
     assert empty[0]["pair"].size == 0
     with pytest.raises(ValidationError, match="replicates must be >= 0"):
         resample([data], {}, -1, 0)
