@@ -124,7 +124,8 @@ class Replicate:
     the draw missed stays as an empty run, so the draw keeps the dataset's
     own run numbering.  ``starts`` and ``positives_before`` lay the draw's runs
     out as in :class:`~utileval.core.ScoreRuns`.  :meth:`sample` builds the
-    drawn dataset itself, for statistics that need its rows.
+    drawn dataset itself, for statistics that need its rows.  :func:`resample`
+    makes one per dataset and draw; every array is computed on first use.
     """
 
     def __init__(self, source: _Source, indices: np.ndarray) -> None:
@@ -178,11 +179,9 @@ def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
 
 
 def _ece(replicate: Replicate, _coefficients, bins: int = 10) -> float:
-    runs = replicate.data.runs
-    sorted_scores = np.repeat(runs.values, replicate.drawn)
     return ece(
         calibration_from_runs(
-            sorted_scores,
+            np.repeat(replicate.data.runs.values, replicate.drawn),
             replicate.starts,
             replicate.positives_before,
             replicate._source.blocks(bins),
