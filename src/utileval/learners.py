@@ -39,9 +39,10 @@ __all__ = [
 MAX_REPEATS = 1_000_000
 MAX_TUNE_CELLS = 4_000_000
 
-# distance comparisons (test rows x k values x training rows) per block of
-# test rows in ``_knn_counts``
-_KNN_BLOCK_CELLS = 1 << 22
+# cells per block of stacked kNN work: training values plus distance
+# comparisons, folds x training rows x (columns + test rows x k values), in
+# ``_knn_counts``, and count-histogram bins in ``kfold_cv``
+_KNN_BLOCK_CELLS = 1 << 17
 
 # the model-selection criteria of ``kfold_cv`` and ``tune_and_compare``, in
 # the order of every result mapping and report table
@@ -265,58 +266,145 @@ def fit_logistic(
     )
 
 
-def _knn_counts(
-    train: FeatureMatrix, train_labels: np.ndarray, test: FeatureMatrix, ks
-) -> np.ndarray:
-    """Positives among the k nearest training rows, per test row and k (int64).
+def _scratch(buffer: np.ndarray, shape, dtype=np.float64) -> np.ndarray:
+    """The first cells of the flat scratch ``buffer`` as an array of ``shape``."""
+    return buffer.view(dtype)[: math.prod(shape)].reshape(shape)
 
-    Distances are squared Euclidean on standardized features; equal distances
-    are broken toward the lowest training index.  Each row's distances are
-    sorted once.  Where the k-th and (k+1)-th smallest differ, the k nearest
-    are exactly the rows within the k-th smallest distance, whatever their
-    order.  Only rows where a tie straddles some k take a stable argsort.
-    Test rows are processed in blocks, so memory does not grow with them.
+
+def _knn_counts(values, labels, order, starts, size: int, ks) -> np.ndarray:
+    """Positives among the k nearest training rows, per fold, test row and k (int64).
+
+    Fold ``f`` tests the rows ``order[starts[f] : starts[f] + size]`` and
+    trains on the rest of ``order``, in that order.  Each fold standardizes
+    with its own training statistics and drops the columns constant there.
+    Distances are squared Euclidean; equal distances are broken toward the
+    lowest training position.  Each row's distances are sorted once.  Where
+    the k-th and (k+1)-th smallest differ, the k nearest are exactly the rows
+    within the k-th smallest distance, whatever their order.  Only rows where
+    a tie straddles some k take a stable argsort.
+
+    Folds are stacked in blocks of at most ``_KNN_BLOCK_CELLS`` training
+    values and distance comparisons, and a fold too large for one block is
+    split over its test rows, so memory grows with neither.  Every block
+    reuses one scratch allocation, so the allocator does not hand each block
+    fresh pages to fault in.  Folds that keep the same columns are
+    computed together, each laid out in memory as it would be alone, so every
+    sum and product rounds as it would one fold at a time.  A refusal names
+    the first failing check of the lowest-numbered failing fold.
     """
-    standardized = train.standardize()
-    train_values = standardized.values
-    train_sq = (train_values**2).sum(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        test_values = standardized.transform(test).values
-        test_sq = (test_values**2).sum(axis=1)
-    # a test value far outside a tiny training spread can still overflow; a
-    # standardized training value is at most sqrt(n) in size, so with every
-    # test squared norm within a quarter of the largest double, no distance does
-    if not (test_sq <= np.finfo(np.float64).max / 4).all():
-        raise ValidationError(
-            "feature values are too far apart for float64 distances after standardizing"
-        )
     ks = np.asarray(ks, dtype=np.int64)
-    n_train = train_values.shape[0]
-    positive = train_labels == 1
+    starts = np.asarray(starts)
+    n_train, d = order.size - size, values.shape[1]
+    per_block = min(starts.size, max(1, _KNN_BLOCK_CELLS // (n_train * (d + size * ks.size))))
+    # test rows in near-equal parts of at most _KNN_BLOCK_CELLS comparisons
+    parts = min(size, -(-per_block * size * ks.size * n_train // _KNN_BLOCK_CELLS))
+    bounds = np.arange(parts + 1) * size // parts
+    stack_cells = per_block * n_train * d
+    grid_cells = per_block * int(np.diff(bounds).max()) * n_train
+    # one scratch allocation for every block: the training stack, its
+    # squares, its kept columns one after another, the distances, their sorted
+    # copy and the comparisons (bytes)
+    lengths = [stack_cells] * 3 + [grid_cells] * 2 + [-(-grid_cells * ks.size // 8)]
+    stack, squares, by_column, grid, ordered, within = np.split(
+        np.empty(sum(lengths)), np.cumsum(lengths)[:-1]
+    )
+    positions = np.arange(n_train)
     past_last = ks == n_train
-    counts = np.empty((test_values.shape[0], ks.size), dtype=np.int64)
-    rows = max(1, _KNN_BLOCK_CELLS // (ks.size * n_train))
-    for start in range(0, test_values.shape[0], rows):
-        block = slice(start, start + rows)
-        d2 = test_sq[block, None] + train_sq[None, :] - 2.0 * (test_values[block] @ train_values.T)
-        ordered = np.sort(d2, axis=1)
-        kth = ordered[:, ks - 1]
-        counts[block] = (d2[:, None, positive] <= kth[:, :, None]).sum(axis=2)
-        after = ordered[:, np.minimum(ks, n_train - 1)]
-        after[:, past_last] = np.inf
-        # also true where a NaN sorts into position k or k + 1
-        tied = np.flatnonzero(~np.all(kth < after, axis=1))
-        if tied.size:
-            order = np.argsort(d2[tied], axis=1, kind="stable")
-            counts[start + tied] = np.cumsum(train_labels[order], axis=1)[:, ks - 1]
+    edges = np.concatenate([ks - 1, np.minimum(ks, n_train - 1)])
+    counts = np.empty((starts.size, size, ks.size), dtype=np.int64)
+    for first in range(0, starts.size, per_block):
+        block = starts[first : first + per_block]
+        train_rows = order[positions + size * (positions >= block[:, None])]
+        positive = labels[train_rows] == 1
+        test = values[order[block[:, None] + np.arange(size)]]
+        # rows outermost: NumPy then sums each column over a fold's rows one
+        # after another, as over one fold's (rows, columns) array; a lone
+        # column it sums pairwise there, and so with folds outermost
+        index = train_rows.T if d > 1 else train_rows
+        # "clip" writes straight into the scratch; every row is in range
+        train = np.take(values, index, axis=0, out=_scratch(stack, index.shape + (d,)), mode="clip")
+        train_squares = _scratch(squares, train.shape)
+        if d > 1:
+            train, train_squares = train.transpose(1, 0, 2), train_squares.transpose(1, 0, 2)
+        # np.std's steps, keeping the centered values: a constant column
+        # divides 0 by 0 and an overflowing spread gives inf or NaN; neither
+        # is read: such columns are dropped, such folds refused
+        with np.errstate(all="ignore"):
+            means = train.sum(axis=1, keepdims=True) / n_train
+            train -= means
+            stds = np.multiply(train, train, out=train_squares).sum(axis=1, keepdims=True)
+            stds = np.sqrt(stds / n_train)
+            train /= stds
+            test -= means
+            test /= stds
+        spread = np.isfinite(stds[:, 0]).all(axis=1)
+        far = np.zeros_like(spread)
+        keep = stds[:, 0] > 0.0
+        todo = np.flatnonzero(spread)
+        while todo.size:
+            same = (keep[todo] == keep[todo[0]]).all(axis=1)
+            group, todo = todo[same], todo[~same]
+            kept = keep[group[0]]
+            # each fold's kept columns one after another, the layout one fold
+            # standardized alone has, which fixes how its sums and products round
+            train_t, test_t = train.transpose(0, 2, 1), test.transpose(0, 2, 1)
+            if group.size < block.size:
+                train_t, test_t = train_t[group], test_t[group]
+            if not kept.all():
+                train_t, test_t = train_t[:, kept], test_t[:, kept]
+            columns = _scratch(by_column, train_t.shape)
+            np.copyto(columns, train_t)
+            test_t = np.ascontiguousarray(test_t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                test_sq = (test_t**2).sum(axis=1)
+            # a test value far outside a tiny training spread can still
+            # overflow; a standardized training value is at most sqrt(n) in
+            # size, so with every test squared norm within a quarter of the
+            # largest double, no distance does
+            wide = ~(test_sq <= np.finfo(np.float64).max / 4).all(axis=1)
+            if wide.any():
+                far[group[wide]] = True
+                continue
+            train_sq = np.multiply(columns, columns, out=_scratch(squares, columns.shape))
+            train_sq = train_sq.sum(axis=1)
+            group_positive = positive[group]
+            for part in map(slice, bounds[:-1], bounds[1:]):
+                shape = (group.size, part.stop - part.start, n_train)
+                test_part = test_t[:, :, part].transpose(0, 2, 1)
+                d2 = np.matmul(test_part, columns, out=_scratch(grid, shape))
+                # -2 (test . train) + (|test|^2 + |train|^2): the bits of
+                # |test|^2 + |train|^2 - 2 (test . train)
+                d2 *= -2.0
+                d2 += np.add(
+                    test_sq[:, part, None], train_sq[:, None, :], out=_scratch(ordered, shape)
+                )
+                sorted_d2 = _scratch(ordered, shape)
+                np.copyto(sorted_d2, d2)
+                sorted_d2.sort(axis=2)
+                bounding = sorted_d2[:, :, edges]
+                kth, after = bounding[:, :, : ks.size], bounding[:, :, ks.size :]
+                after[:, :, past_last] = np.inf
+                # also true where a NaN sorts into position k or k + 1
+                fold, row = np.nonzero(~np.all(kth < after, axis=2))
+                tied = d2[fold, row]
+                # a negative never counts, so it stands at +inf
+                np.copyto(d2, np.inf, where=~group_positive[:, None, :])
+                near = _scratch(within, shape[:2] + (ks.size, n_train), np.bool_)
+                np.less_equal(d2[:, :, None, :], kth[:, :, :, None], out=near)
+                part_counts = near.sum(axis=3)
+                if fold.size:
+                    by_distance = np.argsort(tied, axis=1, kind="stable")
+                    hits = np.take_along_axis(group_positive[fold], by_distance, axis=1)
+                    part_counts[fold, row] = np.cumsum(hits, axis=1)[:, ks - 1]
+                counts[first + group, part] = part_counts
+        failed = np.flatnonzero(~spread | far)
+        if failed.size and spread[failed[0]]:
+            raise ValidationError(
+                "feature values are too far apart for float64 distances after standardizing"
+            )
+        if failed.size:
+            raise ValidationError("feature values are too far apart to standardize in float64")
     return counts
-
-
-def _knn_score_grid(
-    train: FeatureMatrix, train_labels: np.ndarray, test: FeatureMatrix, ks
-) -> np.ndarray:
-    """kNN positive-fraction scores on ``test`` for every k."""
-    return _knn_counts(train, train_labels, test, ks) / np.asarray(ks)
 
 
 def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarray:
@@ -327,7 +415,9 @@ def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarra
     k = _integer_k(k)
     if not 1 <= k <= train.n:
         raise ValidationError(f"k must be in [1, {train.n}], got {k}")
-    return _knn_score_grid(train, y, test, [k])[:, 0]
+    values = np.vstack([train.values, _select_columns(test, train.names)])
+    counts = _knn_counts(values, y, np.arange(values.shape[0]), [train.n], test.n, [k])
+    return counts[0, :, 0] / k
 
 
 @dataclass(frozen=True)
@@ -375,8 +465,10 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     """Seeded shuffled k-fold cross-validation of kNN over a k grid.
 
     Rows are permuted once with the seed and split into ``n_folds`` contiguous
-    chunks of the permutation.  Each fold is scored with every k from one
-    distance computation, and its AUCs are read from its neighbour counts.
+    chunks of the permutation, as ``np.array_split`` splits it; each fold
+    trains on the other chunks in order.  Folds of one size are scored with
+    every k together (:func:`_knn_counts`), and every fold's AUCs are read
+    from histograms of its neighbour counts.
     """
     matrix = _as_features(features)
     y = as_binary_vector(labels, "label", matrix.n)
@@ -389,21 +481,44 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     ks = np.asarray(grid)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     permutation = rng.permutation(n)
-    folds = np.array_split(permutation, n_folds)
-    fold = {criterion: np.empty((n_folds, len(grid))) for criterion in _CRITERIA}
-    skipped = []
-    for f, test_idx in enumerate(folds):
-        train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != f])
-        counts = _knn_counts(matrix.take(train_idx), y[train_idx], matrix.take(test_idx), grid)
-        test_labels = y[test_idx]
-        fold["accuracy"][f] = np.mean((counts / ks >= 0.5) == (test_labels == 1)[:, None], axis=0)
-        if test_labels.min() == test_labels.max():
-            skipped.append(f)
-            fold["auc"][f] = np.nan
-        else:
-            fold["auc"][f] = _count_auc(counts, test_labels, ks)
-    if len(skipped) == n_folds:
+    # np.array_split's chunks: the first n % n_folds folds hold one row more
+    sizes = np.full(n_folds, n // n_folds)
+    sizes[: n % n_folds] += 1
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    counts = np.concatenate(
+        [
+            _knn_counts(matrix.values, y, permutation, bounds[:-1][sizes == size], size, grid)
+            .reshape(-1, ks.size)
+            for size in sorted(set(sizes.tolist()), reverse=True)
+        ]
+    )
+    labels = y[permutation]
+    correct = (counts / ks >= 0.5) == (labels == 1)[:, None]
+    fold = {
+        "auc": np.full((n_folds, ks.size), np.nan),
+        "accuracy": np.add.reduceat(correct, bounds[:-1], axis=0, dtype=np.int64) / sizes[:, None],
+    }
+    positives = np.add.reduceat(labels, bounds[:-1])
+    scored = (positives > 0) & (positives < sizes)
+    if not scored.any():
         raise DegenerateDataError("AUC undefined in every fold (single-class test folds)")
+    # c -> c / k is strictly increasing, so the bins 0..k of one fold's counts
+    # for one k are its tie runs in score order; empty bins are empty runs.
+    # Counts go to bins 1..k + 1, so that running sums over bins start at 0
+    width = grid[-1] + 2
+    cells = 2 * ks.size * width
+    fold_of_row = np.repeat(np.arange(n_folds), sizes)[:, None]
+    keys = 2 * (counts + 1 + width * (np.arange(ks.size) + ks.size * fold_of_row)) + labels[:, None]
+    step = max(1, _KNN_BLOCK_CELLS // cells)
+    for first in range(0, n_folds, step):
+        last = min(first + step, n_folds)
+        block_keys = keys[bounds[first] : bounds[last]].ravel() - first * cells
+        runs = np.bincount(block_keys, minlength=(last - first) * cells)
+        runs = np.cumsum(runs.reshape(-1, ks.size, width, 2), axis=2)
+        both = scored[first:last]
+        if not both.all():
+            runs = runs[both]
+        fold["auc"][first:last][both] = auc_from_runs(runs.sum(axis=3), runs[..., 1])
     mean = {"auc": np.nanmean(fold["auc"], axis=0), "accuracy": fold["accuracy"].mean(axis=0)}
     return CvResult(
         k_grid=grid,
@@ -412,26 +527,8 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
         fold=fold,
         mean=mean,
         best_k={criterion: grid[int(np.argmax(means))] for criterion, means in mean.items()},
-        skipped_auc_folds=tuple(skipped),
+        skipped_auc_folds=tuple(np.flatnonzero(~scored).tolist()),
     )
-
-
-def _count_auc(counts: np.ndarray, labels: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """AUC of the scores ``counts / ks`` in every column, from count histograms.
-
-    ``c -> c / k`` is strictly increasing, so the bins 0..k of a column's
-    counts are its tie runs in score order; empty bins are empty runs.
-    """
-    width = int(ks[-1]) + 1
-    bins = counts + width * np.arange(ks.size)
-    shape = (ks.size, width)
-    rows = np.bincount(bins.ravel(), minlength=ks.size * width).reshape(shape)
-    positives = np.bincount(bins[labels == 1].ravel(), minlength=ks.size * width).reshape(shape)
-    starts = np.zeros((ks.size, width + 1), dtype=np.int64)
-    positives_before = np.zeros_like(starts)
-    np.cumsum(rows, axis=1, out=starts[:, 1:])
-    np.cumsum(positives, axis=1, out=positives_before[:, 1:])
-    return auc_from_runs(starts, positives_before)
 
 
 @dataclass(frozen=True)
@@ -519,11 +616,10 @@ def tune_and_compare(
         cv_seed = int(rng.integers(0, 2**31 - 1))
         train_idx = permutation[:n_train]
         test_idx = permutation[n_train:]
-        train = matrix.take(train_idx)
-        test = matrix.take(test_idx)
-        cv = kfold_cv(train, y[train_idx], n_folds, grid, cv_seed)
+        cv = kfold_cv(matrix.take(train_idx), y[train_idx], n_folds, grid, cv_seed)
         test_coefficients = coefficients.take(test_idx)
-        scores = _knn_score_grid(train, y[train_idx], test, list(cv.best_k.values()))
+        chosen = list(cv.best_k.values())
+        scores = _knn_counts(matrix.values, y, permutation, [n_train], n_test, chosen)[0] / chosen
         for column, (criterion, k) in enumerate(cv.best_k.items()):
             data = LabeledScores(scores=scores[:, column], labels=y[test_idx])
             result.chosen_k[criterion][r] = k

@@ -1,10 +1,14 @@
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from utileval import learners
+from utileval.dataio import read_features
+from utileval.metrics import auc_from_runs
 from utileval import (
     ConvergenceError,
     CostCoefficients,
@@ -137,9 +141,10 @@ def _counts_reference(train, labels, test, ks):
 
 
 def _knn_counts(train, labels, test, ks):
-    return learners._knn_counts(
-        FeatureMatrix.from_arrays(train), labels, FeatureMatrix.from_arrays(test), ks
-    )
+    # one fold: the test rows follow the training rows
+    values = np.vstack([train, test]).astype(float)
+    order = np.arange(len(values))
+    return learners._knn_counts(values, labels, order, [len(train)], len(test), ks)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,6 +213,119 @@ def test_kfold_cv_fold_metrics_equal_per_column_references(seed):
     assert result.fold["accuracy"].tobytes() == accuracy.tobytes()
     assert result.skipped_auc_folds == tuple(np.flatnonzero(np.isnan(auc[:, 0])))
     assert result.skipped_auc_folds
+
+
+def _kfold_reference(X, y, n_folds, ks, seed):
+    # one fold at a time: standardize its training rows, rank its test rows'
+    # neighbours by a stable argsort, and read each k's AUC from that k's own
+    # count histogram
+    X = np.asarray(X, dtype=float)
+    permutation = np.random.default_rng(np.random.SeedSequence([seed])).permutation(len(y))
+    folds = np.array_split(permutation, n_folds)
+    auc = np.full((n_folds, len(ks)), np.nan)
+    accuracy = np.empty((n_folds, len(ks)))
+    for f, test_idx in enumerate(folds):
+        train_idx = np.concatenate(folds[:f] + folds[f + 1 :])
+        counts = _counts_reference(X[train_idx], y[train_idx], X[test_idx], ks)
+        labels = y[test_idx]
+        accuracy[f] = np.mean((counts / np.asarray(ks) >= 0.5) == (labels == 1)[:, None], axis=0)
+        if labels.min() == labels.max():
+            continue
+        for column, k in enumerate(ks):
+            rows = np.bincount(counts[:, column], minlength=k + 1)
+            positives = np.bincount(counts[labels == 1, column], minlength=k + 1)
+            auc[f, column] = auc_from_runs(
+                np.concatenate(([0], np.cumsum(rows))), np.concatenate(([0], np.cumsum(positives)))
+            )
+    return auc, accuracy
+
+
+def _assert_kfold_matches_reference(X, y, n_folds, ks, seed):
+    auc, accuracy = _kfold_reference(X, y, n_folds, ks, seed)
+    skipped = tuple(np.flatnonzero(np.isnan(auc[:, 0])).tolist())
+    if len(skipped) == n_folds:
+        with pytest.raises(DegenerateDataError):
+            kfold_cv(X, y, n_folds, ks, seed)
+        return
+    result = kfold_cv(X, y, n_folds, ks, seed)
+    assert np.array_equal(result.fold["auc"], auc, equal_nan=True)
+    assert np.array_equal(result.fold["accuracy"], accuracy)
+    assert result.skipped_auc_folds == skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    d=st.integers(1, 10),
+    levels=st.sampled_from([None, 2, 3, 4, 5]),
+    fold_count=st.sampled_from(["two", "n - 1", "any"]),
+    columns=st.sampled_from(["varied", "constant in one fold's training part", "constant"]),
+    positives=st.sampled_from([0.5, 0.1]),
+    budget=st.sampled_from(["default", "one fold per block", "one block"]),
+)
+# one-row folds of tied levels, where a product or squared norm summed in
+# another order than one fold's moves a distance across a tie
+@example(57945944, 15, 4, 4, "n - 1", "varied", 0.5, "default")
+@example(0, 10, 9, 2, "n - 1", "varied", 0.5, "default")
+def test_stacked_kfold_cv_equals_one_fold_at_a_time(
+    seed, n, d, levels, fold_count, columns, positives, budget
+):
+    # integer levels tie distances across every k; None is continuous
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) if levels is None else rng.integers(0, levels, (n, d)).astype(float)
+    if columns == "constant":
+        X[:] = 1.5
+    elif columns != "varied":
+        # constant in the training part of the one fold that tests row 0 only
+        X[:, 0] = 0.25
+        X[0, 0] = 4.0
+    y = (rng.random(n) < positives).astype(np.int64)
+    n_folds = {"two": 2, "n - 1": n - 1, "any": int(rng.integers(2, n))}[fold_count]
+    largest = -(-n // n_folds)
+    ks = np.unique(rng.integers(1, n - largest + 1, 4)).tolist()
+    cells = {
+        "default": learners._KNN_BLOCK_CELLS,
+        # every fold's training values and distance comparisons, but never two
+        "one fold per block": max(
+            (n - size) * (d + size * len(ks)) for size in {n // n_folds, largest}
+        ),
+        "one block": 2**62,
+    }[budget]
+    with mock.patch.object(learners, "_KNN_BLOCK_CELLS", cells):
+        _assert_kfold_matches_reference(X, y, n_folds, ks, int(seed % 2**31))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kfold_cv_on_the_bundled_data_equals_one_fold_at_a_time(seed):
+    # the stacked products and sums must round as one fold's do on whatever
+    # BLAS runs the suite, not only on the one the report digests came from
+    table = read_features(Path(__file__).resolve().parents[1] / "data" / "breast_cancer.csv")
+    _assert_kfold_matches_reference(
+        table.features.values, table.labels, 20, [5, 15, 45, 85, 151, 201], seed
+    )
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_kfold_cv_refuses_with_the_first_failing_fold_s_message(n):
+    # column 1 spans 1e-150 except one 1e200 cell, tested in fold 0: fold 0's
+    # training part standardizes, but that cell's distance overflows; every
+    # other fold trains on the cell, so its spread overflows.  One fold at a
+    # time, fold 0 refuses first, for its distances (at n = 41 it is also the
+    # one fold of its size)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(n, 2))
+    X[:, 1] *= 1e-150
+    fold_0 = np.array_split(np.random.default_rng(np.random.SeedSequence([0])).permutation(n), 4)[0]
+    X[fold_0[0], 1] = 1e200
+    y = np.arange(n) % 2
+    for cells in (learners._KNN_BLOCK_CELLS, 2**62):
+        with mock.patch.object(learners, "_KNN_BLOCK_CELLS", cells):
+            with pytest.raises(ValidationError) as excinfo:
+                kfold_cv(X, y, 4, [1, 3], seed=0)
+        assert str(excinfo.value) == (
+            "feature values are too far apart for float64 distances after standardizing"
+        )
 
 
 def test_kfold_cv_shapes_and_determinism(rng):
