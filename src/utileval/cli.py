@@ -66,6 +66,7 @@ from .stats import (
     BootstrapConfig,
     PairedTestResult,
     percentile_interval,
+    percentiles,
     resample,
     sem,
 )
@@ -186,7 +187,7 @@ def _intervals(values) -> dict:
     """68% and 95% intervals of every metric from its one replicate sample."""
     intervals = {}
     for metric in _INTERVAL_METRICS:
-        low68, high68 = np.percentile(values[metric], [16.0, 84.0])
+        low68, high68 = percentiles(values[metric], [16.0, 84.0])
         intervals[f"{metric}@68"] = (float(low68), float(high68), 0.68)
         intervals[f"{metric}@95"] = (*percentile_interval(values[metric], 0.95), 0.95)
     return intervals
@@ -358,9 +359,7 @@ def cmd_simulate(args) -> int:
         "bands": summary.bands,
         "positive_rate": {
             "mean": float(rate.mean()),
-            "p16": float(np.percentile(rate, 16.0)),
-            "p50": float(np.percentile(rate, 50.0)),
-            "p84": float(np.percentile(rate, 84.0)),
+            **{f"p{q:g}": float(percentiles(rate, [q])[0]) for q in (16.0, 50.0, 84.0)},
         },
     }
     metric_names = sorted(next(iter(summary.values.values())).keys())

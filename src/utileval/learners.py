@@ -64,7 +64,7 @@ class FeatureMatrix:
     """A dense feature table: values, column names, optional scaling stats.
 
     ``means``/``stds`` are populated once :meth:`standardize` has been applied
-    and record the training-data statistics used for the transform.
+    and record the statistics of the kept columns it used.
     """
 
     values: np.ndarray
@@ -106,10 +106,6 @@ class FeatureMatrix:
         """The rows at ``indices``; they were validated with this matrix."""
         return replace(self, values=self.values[indices])
 
-    @property
-    def is_standardized(self) -> bool:
-        return self.means is not None
-
     def standardize(self) -> "FeatureMatrix":
         """Center and scale columns; constant columns are dropped entirely.
 
@@ -126,18 +122,6 @@ class FeatureMatrix:
         values = (self.values[:, keep] - means) / stds
         names = tuple(name for name, k in zip(self.names, keep) if k)
         return FeatureMatrix(values=values, names=names, means=means, stds=stds)
-
-    def transform(self, other: "FeatureMatrix") -> "FeatureMatrix":
-        """Standardize ``other`` with this (already standardized) matrix's stats."""
-        if not self.is_standardized:
-            raise ValidationError("transform requires a standardized feature matrix")
-        values = _select_columns(other, self.names)
-        return FeatureMatrix(
-            values=(values - self.means) / self.stds,
-            names=self.names,
-            means=self.means,
-            stds=self.stds,
-        )
 
 
 def _select_columns(matrix: FeatureMatrix, names: tuple[str, ...]) -> np.ndarray:

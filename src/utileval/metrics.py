@@ -39,7 +39,6 @@ __all__ = [
     "CalibrationCurve",
     "calibration_curve",
     "calibration_blocks",
-    "calibration_from_runs",
     "MAX_BINS",
     "ece",
     "net_trust",
@@ -87,16 +86,19 @@ def auc_rank(data: LabeledScores) -> float:
     return float(auc_from_runs(data.runs.starts, data.runs.positives_before))
 
 
-def auc_from_runs(starts, positives_before):
+def auc_from_runs(starts, positives_before, positives=None):
     """Mid-rank AUC from tie runs in ascending score order, along the last axis.
 
     ``starts`` and ``positives_before`` are laid out as in
     :class:`~utileval.core.ScoreRuns`: each run's first sorted position and
     the positives sorted before it, followed by the row and positive totals.
-    A 2-D pair gives one AUC per row.  Empty runs add nothing, so empty
-    histogram bins may stand in the run list.  Both classes must be present.
+    ``positives`` may give each run's positives, the steps of
+    ``positives_before``, when they are at hand.  A 2-D pair gives one AUC per
+    row.  Empty runs add nothing, so empty histogram bins may stand in the run
+    list.  Both classes must be present.
     """
-    positives = np.diff(positives_before, axis=-1)
+    if positives is None:
+        positives = np.diff(positives_before, axis=-1)
     # a tie run occupying sorted positions [start, end) has mid-rank
     # (start + 1 + end) / 2 in 1-based terms; the sum is exact in integers
     twice_ranks = starts[..., :-1] + starts[..., 1:] + 1
@@ -167,13 +169,23 @@ def calibration_curve(data: LabeledScores, bins: int = 10) -> CalibrationCurve:
     grow with ``bins``.
     """
     runs = data.runs
-    return calibration_from_runs(
-        runs.sorted_scores,
-        runs.starts,
-        runs.positives_before,
-        calibration_blocks(runs.values, bins),
-        bins,
-    )
+    starts, positives_before = runs.starts, runs.positives_before
+    indices, edges = calibration_blocks(runs.values, bins)
+    out = []
+    # each occupied bin is a contiguous slice of the sorted scores
+    for index, first, last in zip(indices, edges[:-1], edges[1:]):
+        start, end = starts[first], starts[last]
+        count = int(end - start)
+        positives = positives_before[last] - positives_before[first]
+        out.append(
+            CalibrationBin(
+                bin_index=int(index),
+                mean_predicted=float(runs.sorted_scores[start:end].sum() / count),
+                observed_frequency=float(positives / count),
+                count=count,
+            )
+        )
+    return CalibrationCurve(bins=tuple(out), n_bins=int(bins), n=data.n)
 
 
 def calibration_blocks(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,32 +202,6 @@ def calibration_blocks(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
     run_bin = np.minimum((values * bins).astype(np.int64), bins - 1)
     edges = np.concatenate([[0], np.flatnonzero(np.diff(run_bin)) + 1, [run_bin.size]])
     return run_bin[edges[:-1]], edges
-
-
-def calibration_from_runs(sorted_scores, starts, positives_before, blocks, bins: int):
-    """The calibration curve of runs laid out as in
-    :class:`~utileval.core.ScoreRuns`, for the ``blocks`` of
-    :func:`calibration_blocks` over their values.
-
-    Each bin is a contiguous slice of ``sorted_scores``.  Empty runs may stand
-    in the run list, so a block may be empty; empty blocks are omitted.
-    """
-    out = []
-    for index, first, last in zip(blocks[0], blocks[1][:-1], blocks[1][1:]):
-        start, end = starts[first], starts[last]
-        count = int(end - start)
-        if count == 0:
-            continue
-        positives = positives_before[last] - positives_before[first]
-        out.append(
-            CalibrationBin(
-                bin_index=int(index),
-                mean_predicted=float(sorted_scores[start:end].sum() / count),
-                observed_frequency=float(positives / count),
-                count=count,
-            )
-        )
-    return CalibrationCurve(bins=tuple(out), n_bins=int(bins), n=int(starts[-1]))
 
 
 def ece(curve: CalibrationCurve) -> float:

@@ -35,6 +35,7 @@ import numpy as np
 from .core import CostCoefficients, DecisionRule, LabeledScores, ValidationError
 from .metrics import brier, calibration_curve, ece, net_trust
 from .special import expit, ndtri
+from .stats import percentiles
 from .utility import utility_at_thresholds, utility_curve
 
 __all__ = [
@@ -172,7 +173,7 @@ class ThresholdBands:
 
 def _mean_and_band(block: np.ndarray) -> tuple:
     """Mean, 16th and 84th percentile over the realizations (axis 0)."""
-    p16, p84 = np.percentile(block, [16.0, 84.0], axis=0)
+    p16, p84 = percentiles(block, [16.0, 84.0])
     return block.mean(axis=0), p16, p84
 
 
@@ -236,7 +237,7 @@ def simulate(
                 pooled[name].setdefault(b.bin_index, []).append(b)
     values = {name: dict(zip(_METRICS, rows)) for name, rows in zip(CLASSIFIERS, series)}
     bands = {
-        name: {metric: tuple(np.percentile(s, BAND_PERCENTILES)) for metric, s in per.items()}
+        name: {metric: tuple(percentiles(s, BAND_PERCENTILES)) for metric, s in per.items()}
         for name, per in values.items()
     }
     curves = tuple(

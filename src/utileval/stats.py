@@ -27,14 +27,7 @@ from .core import (
     LabeledScores,
     ValidationError,
 )
-from .metrics import (
-    auc_from_runs,
-    brier_terms,
-    calibration_blocks,
-    calibration_from_runs,
-    ece,
-    net_trust_terms,
-)
+from .metrics import auc_from_runs, brier_terms, calibration_blocks, net_trust_terms
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through stats
 from .utility import max_utilities, utility_curve
 
@@ -46,6 +39,7 @@ __all__ = [
     "bootstrap_ci",
     "paired_max_utility_test",
     "percentile_interval",
+    "percentiles",
     "resample",
     "sem",
     "BOOTSTRAP_METRICS",
@@ -145,12 +139,20 @@ class Replicate:
         return self.counts[:, 0] + self.counts[:, 1]
 
     @cached_property
+    def _before(self) -> np.ndarray:
+        # row k: the negatives and the positives drawn before run k
+        before = np.empty((self.counts.shape[0] + 1, 2), dtype=self.counts.dtype)
+        before[0] = 0
+        np.cumsum(self.counts, axis=0, out=before[1:])
+        return before
+
+    @cached_property
     def starts(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.drawn)])
+        return self._before[:, 0] + self._before[:, 1]
 
     @cached_property
     def positives_before(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.counts[:, 1])])
+        return self._before[:, 1]
 
     def sample(self) -> LabeledScores:
         """The drawn rows as a dataset, ``data.take(indices)``."""
@@ -166,7 +168,9 @@ def _auc(replicate: Replicate, _coefficients, bins: int = 10) -> float:
     n_pos = replicate.positives_before[-1]
     if n_pos == 0 or n_pos == replicate.data.n:
         raise DegenerateDataError("AUC undefined: dataset contains only one class")
-    return float(auc_from_runs(replicate.starts, replicate.positives_before))
+    return float(
+        auc_from_runs(replicate.starts, replicate.positives_before, replicate.counts[:, 1])
+    )
 
 
 def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
@@ -179,15 +183,25 @@ def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
 
 
 def _ece(replicate: Replicate, _coefficients, bins: int = 10) -> float:
-    return ece(
-        calibration_from_runs(
-            np.repeat(replicate.data.runs.values, replicate.drawn),
-            replicate.starts,
-            replicate.positives_before,
-            replicate._source.blocks(bins),
-            bins,
-        )
-    )
+    # metrics.ece of metrics.calibration_curve on the drawn dataset, summed in
+    # the same order, from the running sums at the calibration block edges
+    edges = replicate._source.blocks(bins)[1]
+    sorted_scores = np.repeat(replicate.data.runs.values, replicate.drawn)
+    bounds = replicate.starts[edges].tolist()
+    positives = replicate.positives_before[edges].tolist()
+    n = bounds[-1]
+    total = 0.0
+    for start, end, before, after in zip(bounds, bounds[1:], positives, positives[1:]):
+        count = end - start
+        if count:
+            mean_predicted = float(sorted_scores[start:end].sum() / count)
+            total += (count / n) * abs((after - before) / count - mean_predicted)
+    return total
+
+
+def _mean_of_drawn(terms: np.ndarray, replicate: Replicate) -> float:
+    # the sum and division of np.mean, without its Python wrapper
+    return float(terms[replicate.indices].sum() / replicate.data.n)
 
 
 def _max_utility(
@@ -204,10 +218,10 @@ def _max_utility(
 # to the metric of the drawn dataset
 BOOTSTRAP_METRICS = {
     "auc": _auc,
-    "brier": lambda r, _, bins=10: float(np.mean(r._source.brier_terms[r.indices])),
+    "brier": lambda r, _, bins=10: _mean_of_drawn(r._source.brier_terms, r),
     "accuracy": _accuracy,
     "ece": _ece,
-    "net_trust": lambda r, _, bins=10: float(np.mean(r._source.net_trust_terms[r.indices])),
+    "net_trust": lambda r, _, bins=10: _mean_of_drawn(r._source.net_trust_terms, r),
     "u_max": _max_utility,
 }
 
@@ -258,8 +272,39 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
 def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]:
     """Central percentile interval of replicate values at ``level``."""
     tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(values, [tail, 100.0 - tail])
+    low, high = percentiles(values, [tail, 100.0 - tail])
     return float(low), float(high)
+
+
+def percentiles(values, q) -> np.ndarray:
+    """``np.percentile(values, q, axis=0)`` with the default ``"linear"``
+    method, bit for bit, for at least one row of float64 ``values`` (1-D or
+    2-D) and a sequence ``q`` of percentiles in [0, 100].
+
+    NumPy picks the partition positions with ``np.unique``, which imports
+    ``numpy.ma`` on first use; this takes the same sorted set of positions
+    without it.  The same partition of the same copy puts the same element at
+    each position, so ties of -0.0 and 0.0 resolve as in NumPy, and a NaN
+    makes its column NaN.
+    """
+    arr = np.array(values, dtype=np.float64, order="C")
+    n = arr.shape[0]
+    virtual = (n - 1) * (np.asarray(q, dtype=np.float64) / 100)
+    below = np.floor(virtual)
+    above = below + 1
+    # at or past the last row both neighbours are the last row
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    kth = sorted({0, -1, *below.tolist(), *above.tolist()})
+    arr.partition(np.array(kth, dtype=np.intp), axis=0)
+    gamma = (virtual - below).reshape(virtual.shape + (1,) * (arr.ndim - 1))
+    low, high = arr[below], arr[above]
+    step = high - low
+    out = low + step * gamma
+    np.subtract(high, step * (1 - gamma), out=out, where=gamma >= 0.5)
+    np.copyto(out, arr[-1], where=np.isnan(arr[-1]))
+    return out
 
 
 @dataclass(frozen=True)

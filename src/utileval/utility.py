@@ -56,8 +56,9 @@ __all__ = [
 ]
 
 def _utility_from_counts(tp, fp, fn, tn, n, a11, a01, a10, a00):
-    # shared between the pointwise evaluator (scalars) and the sweep (vectors);
-    # identical operation order keeps the two bit-for-bit consistent
+    # shared between the pointwise evaluator (scalars) and the sweep (vectors),
+    # and max_utilities sums in the same order; identical operation order
+    # keeps them bit-for-bit consistent
     return (a11 * tp - a01 * fp - a10 * fn + a00 * tn) / n
 
 
@@ -190,12 +191,30 @@ def max_utilities(starts, positives_before, coefficient_sets) -> list[float]:
     that starts at an empty run is the rule that starts at the run after it.
     """
     n, n_pos = int(starts[-1]), int(positives_before[-1])
-    counts = _outcomes(n - starts, n_pos - positives_before, n, n_pos)
+    # the outcome counts of the rule starting at each run are exact integers
+    # (fn is positives_before); the numerator of _utility_from_counts is summed
+    # in its order, in place
+    tp = np.subtract(n_pos, positives_before, dtype=np.float64)
+    tn = np.subtract(starts, positives_before, dtype=np.float64)
+    fp = np.subtract(n - n_pos, tn)
+    totals, term = np.empty_like(tp), np.empty_like(tp)
     out = []
     for c in coefficient_sets:
         if not c.is_constant:
             raise ValidationError("max_utilities requires constant coefficients")
-        out.append(float(_utility_from_counts(*counts, n, c.a11, c.a01, c.a10, c.a00).max()))
+        np.multiply(c.a11, tp, out=totals)
+        totals -= np.multiply(c.a01, fp, out=term)
+        totals -= np.multiply(c.a10, positives_before, out=term)
+        totals += np.multiply(c.a00, tn, out=term)
+        # correctly rounded division by n > 0 is monotone, so the largest
+        # numerator gives the largest utility; a zero maximum may tie with a
+        # -0.0 from a negative numerator that underflowed, so it takes the
+        # first maximum, as utility_curve does
+        best = totals.max() / n
+        if best == 0.0:
+            totals /= n
+            best = totals[np.argmax(totals)]
+        out.append(float(best))
     return out
 
 

@@ -321,6 +321,26 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     assert result.stdout.strip() == "[]"
 
 
+def test_compare_and_simulate_load_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on first use, which costs a fresh
+    # process about 10 ms; the bootstrap intervals and the study's bands use
+    # stats.percentiles instead
+    a = _write_scores(tmp_path / "model_a.csv", seed=5, with_extras=False)
+    compare = ["compare", str(a), str(a), "--utility", "c:2", "--replicates", "100"]
+    simulate = ["simulate", "--samples", "200", "--realizations", "3", "--grid", "11"]
+    env = {**os.environ, "PYTHONPATH": str(Path(utileval.__file__).parents[1])}
+    code = f"""
+import sys, utileval.cli
+for argv, out in (({compare!r}, "compare"), ({simulate!r}, "simulate")):
+    assert utileval.cli.main(argv + ["--out-dir", {str(tmp_path)!r} + "/" + out]) == 0
+    print(out, "numpy.ma" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["compare", "False", "simulate", "False"]
+
+
 def test_compare(tmp_path):
     a = _write_scores(tmp_path / "model_a.csv", seed=5, with_extras=False)
     b = _write_scores(tmp_path / "model_b.csv", seed=5, with_extras=False)

@@ -132,9 +132,12 @@ def test_knn_k_validation(rng):
 
 def _counts_reference(train, labels, test, ks):
     # positives among the first k of a stable argsort of the squared distances
-    standardized = FeatureMatrix.from_arrays(train).standardize()
+    matrix = FeatureMatrix.from_arrays(train)
+    standardized = matrix.standardize()
     a = standardized.values
-    b = standardized.transform(FeatureMatrix.from_arrays(test)).values
+    # the test rows' kept columns, scaled by the training rows' statistics
+    kept = [matrix.names.index(name) for name in standardized.names]
+    b = (np.asarray(test, dtype=np.float64)[:, kept] - standardized.means) / standardized.stds
     d2 = (b**2).sum(axis=1)[:, None] + (a**2).sum(axis=1)[None, :] - 2.0 * (b @ a.T)
     order = np.argsort(d2, axis=1, kind="stable")
     return np.cumsum(labels[order], axis=1)[:, np.asarray(ks) - 1]

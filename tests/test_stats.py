@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from utileval import (
     BootstrapConfig,
@@ -28,7 +28,7 @@ from utileval import (
     sem,
     utility_curve,
 )
-from utileval.stats import BOOTSTRAP_METRICS, resample
+from utileval.stats import BOOTSTRAP_METRICS, percentiles, resample
 from conftest import make_dataset
 
 
@@ -167,6 +167,13 @@ def _score_column(rng, n, kind):
         zero = rng.random(n) < 0.3
         scores[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
         return scores
+    if kind == "clusters":
+        # a run of -0.0 and 0.0 rows, a cluster of ties and a few lone rows:
+        # most bins are empty, and draws miss whole occupied bins
+        scores = np.round(0.05 + 0.1 * rng.random(n), 2)
+        scores[::3] = np.where(rng.random(scores[::3].size) < 0.5, -0.0, 0.0)
+        scores[1::11] = rng.choice([0.49, 0.51, 0.93], scores[1::11].size)
+        return scores
     return np.round(rng.random(n), kind)
 
 
@@ -174,11 +181,18 @@ def _score_column(rng, n, kind):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 60),
-    kinds=st.lists(st.sampled_from(["continuous", 0, 1, 2, 3, "signed zeros"]), min_size=1, max_size=3),
+    kinds=st.lists(
+        st.sampled_from(["continuous", 0, 1, 2, 3, "signed zeros", "clusters"]),
+        min_size=1,
+        max_size=3,
+    ),
     single_positive=st.booleans(),
     bins=st.sampled_from([2, 3, 10, 37, 2**53]),
     contextual=st.booleans(),
 )
+@example(seed=4, n=30, kinds=["clusters"], single_positive=False, bins=2, contextual=False)
+@example(seed=4, n=45, kinds=["clusters"], single_positive=False, bins=10, contextual=False)
+@example(seed=5, n=50, kinds=["clusters"], single_positive=False, bins=37, contextual=True)
 def test_bootstrap_metrics_read_from_counts_equal_the_drawn_dataset(
     seed, n, kinds, single_positive, bins, contextual
 ):
@@ -215,6 +229,25 @@ def test_bootstrap_metrics_read_from_counts_equal_the_drawn_dataset(
                 expected.append(metric(sample, coefficients.take(idx), bins))
             assert values[i][name].tobytes() == np.array(expected).tobytes(), name
             assert redraws[i][name] == skipped, name
+
+
+def test_percentiles_equal_numpy_bit_for_bit():
+    # NumPy partitions a copy, so which of tied -0.0 and 0.0 lands at a
+    # position depends on its partition, and a NaN makes its column NaN
+    rng = np.random.default_rng(11)
+    pools = [None, [-0.0, 0.0], [-0.0, 0.0, 0.25, -1.0], [-0.0, 0.0, 0.5, np.nan]]
+    grids = [[0.0], [100.0], [0.0, 100.0], [2.5, 97.5], [16.0, 84.0], [16.0, 50.0, 84.0]]
+    for case in range(1200):
+        n = [1, 2, 3, 8, 9, 100, 257][case % 7]
+        pool = pools[case % 4]
+        columns = 1 + case % 3 if case % 5 < 2 else 0
+        shape = (n, columns) if columns else (n,)
+        values = rng.random(shape) if pool is None else rng.choice(pool, shape)
+        q = list(rng.random(3) * 100) if case % 11 == 0 else grids[case % 6]
+        expected = np.percentile(values, q, axis=0)
+        got = percentiles(values, q)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (values, q)
 
 
 def test_bootstrap_point_estimates_are_the_metrics_of_the_data(rng):

@@ -17,6 +17,8 @@ from utileval import (
     utility_at_thresholds,
     utility_curve,
 )
+from utileval.core import MAX_COEFFICIENT
+from utileval.utility import max_utilities
 from conftest import make_dataset
 
 TIED = LabeledScores(scores=[0.2, 0.5, 0.5, 0.9], labels=[0, 0, 1, 1])
@@ -162,6 +164,52 @@ def test_utility_scaling():
     scaled_curve = utility_curve(data, scaled)
     assert scaled_curve.max_utility == pytest.approx(1.7 * curve.max_utility, rel=1e-9)
     assert scaled_curve.best_threshold == curve.best_threshold
+
+
+def _drawn_runs(data, idx):
+    # the runs of data.take(idx) in the numbering of data.runs: a run the draw
+    # misses stays as an empty run
+    size = data.runs.starts.size - 1
+    key = 2 * data.runs.run_of_row[idx] + data.labels[idx]
+    counts = np.bincount(key, minlength=2 * size).reshape(size, 2)
+    starts = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    return starts, np.concatenate([[0], np.cumsum(counts[:, 1])])
+
+
+def test_max_utilities_equal_the_curve_maximum_bitwise(rng):
+    near_max = [MAX_COEFFICIENT, math.nextafter(MAX_COEFFICIENT, 0.0), MAX_COEFFICIENT / 3]
+    costs = [cost_family(c) for c in [0.0, 0.5, 2.0, 1e200, 1e-300, *near_max]]
+    # tiny coefficients round some negative utilities to -0.0 beside a zero
+    # maximum, whose sign the curve takes from its first maximum
+    costs += [
+        CostCoefficients.constant(*values)
+        for values in [
+            (0.0, 5e-324, 0.0, 0.0),
+            (5e-324, 1e-310, 5e-324, 0.0),
+            (5e-324, 5e-324, 5e-324, 5e-324),
+            (MAX_COEFFICIENT, 0.0, MAX_COEFFICIENT, 0.0),
+            (0.0, MAX_COEFFICIENT, 1e-300, 3.0),
+        ]
+    ]
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        if n == 1:
+            data = LabeledScores(scores=[0.5], labels=[trial % 2])
+        else:
+            data = make_dataset(rng, n, tie_decimals=[None, 0, 1, 2][trial % 4])
+        runs = data.runs
+        expected = [utility_curve(data, c).max_utility for c in costs]
+        got = max_utilities(runs.starts, runs.positives_before, costs)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        # a draw of the rows, read in the dataset's own runs
+        idx = rng.integers(0, n, n)
+        sample = data.take(idx)
+        expected = [utility_curve(sample, c).max_utility for c in costs]
+        got = max_utilities(*_drawn_runs(data, idx), costs)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+    with pytest.raises(ValidationError, match="constant"):
+        per_row = CostCoefficients(1.0, np.ones(n), 0.0, 1.0)
+        max_utilities(runs.starts, runs.positives_before, [per_row])
 
 
 def test_bayes_threshold_values():
