@@ -39,9 +39,9 @@ __all__ = [
 MAX_REPEATS = 1_000_000
 MAX_TUNE_CELLS = 4_000_000
 
-# cells per block of stacked kNN work: training values plus distance
-# comparisons, folds x training rows x (columns + test rows x k values), in
-# ``_knn_counts``, and count-histogram bins in ``kfold_cv``
+# cells per block of stacked kNN work: training values plus distances,
+# folds x training rows x (columns + test rows), in ``_knn_counts``, and
+# count-histogram bins in ``kfold_cv``
 _KNN_BLOCK_CELLS = 1 << 17
 
 # the model-selection criteria of ``kfold_cv`` and ``tune_and_compare``, in
@@ -262,13 +262,18 @@ def _knn_counts(values, labels, order, starts, size: int, ks) -> np.ndarray:
     trains on the rest of ``order``, in that order.  Each fold standardizes
     with its own training statistics and drops the columns constant there.
     Distances are squared Euclidean; equal distances are broken toward the
-    lowest training position.  Each row's distances are sorted once.  Where
-    the k-th and (k+1)-th smallest differ, the k nearest are exactly the rows
-    within the k-th smallest distance, whatever their order.  Only rows where
-    a tie straddles some k take a stable argsort.
+    lowest training position.  Each row's distances are sorted once as
+    floats whose lowest bit is replaced by the training row's label, and each
+    k's count is the running sum of those bits up to position k.  Replacing
+    the last bit keeps the order of any two distances that still differ with
+    their last bits cleared.  So where the k-th and (k+1)-th sorted values,
+    last bits cleared, are strictly increasing, the first k are exactly the k
+    nearest rows, whatever their order.  Only rows where they are not (ties
+    in all but the last bit, exact ties, -5e-324 against 0.0, a NaN) take a
+    stable argsort of the untouched distances.
 
     Folds are stacked in blocks of at most ``_KNN_BLOCK_CELLS`` training
-    values and distance comparisons, and a fold too large for one block is
+    values and distances, and a fold too large for one block is
     split over its test rows, so memory grows with neither.  Every block
     reuses one scratch allocation, so the allocator does not hand each block
     fresh pages to fault in.  Folds that keep the same columns are
@@ -279,20 +284,21 @@ def _knn_counts(values, labels, order, starts, size: int, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
     starts = np.asarray(starts)
     n_train, d = order.size - size, values.shape[1]
-    per_block = min(starts.size, max(1, _KNN_BLOCK_CELLS // (n_train * (d + size * ks.size))))
-    # test rows in near-equal parts of at most _KNN_BLOCK_CELLS comparisons
-    parts = min(size, -(-per_block * size * ks.size * n_train // _KNN_BLOCK_CELLS))
+    per_block = min(starts.size, max(1, _KNN_BLOCK_CELLS // (n_train * (d + size))))
+    # test rows in near-equal parts of at most _KNN_BLOCK_CELLS distances
+    parts = min(size, -(-per_block * size * n_train // _KNN_BLOCK_CELLS))
     bounds = np.arange(parts + 1) * size // parts
     stack_cells = per_block * n_train * d
     grid_cells = per_block * int(np.diff(bounds).max()) * n_train
     # one scratch allocation for every block: the training stack, its
-    # squares, its kept columns one after another, the distances, their sorted
-    # copy and the comparisons (bytes)
-    lengths = [stack_cells] * 3 + [grid_cells] * 2 + [-(-grid_cells * ks.size // 8)]
-    stack, squares, by_column, grid, ordered, within = np.split(
+    # squares, its kept columns one after another, the distances and their
+    # tagged, sorted copy
+    lengths = [stack_cells] * 3 + [grid_cells] * 2
+    stack, squares, by_column, grid, ordered = np.split(
         np.empty(sum(lengths)), np.cumsum(lengths)[:-1]
     )
     positions = np.arange(n_train)
+    longest = int(ks.max())
     past_last = ks == n_train
     edges = np.concatenate([ks - 1, np.minimum(ks, n_train - 1)])
     counts = np.empty((starts.size, size, ks.size), dtype=np.int64)
@@ -362,22 +368,21 @@ def _knn_counts(values, labels, order, starts, size: int, ks) -> np.ndarray:
                 d2 += np.add(
                     test_sq[:, part, None], train_sq[:, None, :], out=_scratch(ordered, shape)
                 )
-                sorted_d2 = _scratch(ordered, shape)
-                np.copyto(sorted_d2, d2)
-                sorted_d2.sort(axis=2)
-                bounding = sorted_d2[:, :, edges]
+                # the lowest bit of each distance becomes its row's label
+                tagged = _scratch(ordered, shape, np.int64)
+                np.bitwise_and(d2.view(np.int64), -2, out=tagged)
+                tagged |= group_positive[:, None, :]
+                tagged.view(np.float64).sort(axis=2)
+                bounding = (tagged[:, :, edges] & -2).view(np.float64)
                 kth, after = bounding[:, :, : ks.size], bounding[:, :, ks.size :]
                 after[:, :, past_last] = np.inf
                 # also true where a NaN sorts into position k or k + 1
                 fold, row = np.nonzero(~np.all(kth < after, axis=2))
-                tied = d2[fold, row]
-                # a negative never counts, so it stands at +inf
-                np.copyto(d2, np.inf, where=~group_positive[:, None, :])
-                near = _scratch(within, shape[:2] + (ks.size, n_train), np.bool_)
-                np.less_equal(d2[:, :, None, :], kth[:, :, :, None], out=near)
-                part_counts = near.sum(axis=3)
+                sorted_labels = tagged[:, :, :longest]
+                sorted_labels &= 1
+                part_counts = np.cumsum(sorted_labels, axis=2, out=sorted_labels)[:, :, ks - 1]
                 if fold.size:
-                    by_distance = np.argsort(tied, axis=1, kind="stable")
+                    by_distance = np.argsort(d2[fold, row], axis=1, kind="stable")
                     hits = np.take_along_axis(group_positive[fold], by_distance, axis=1)
                     part_counts[fold, row] = np.cumsum(hits, axis=1)[:, ks - 1]
                 counts[first + group, part] = part_counts
@@ -396,7 +401,7 @@ def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarra
     train = _as_features(train_features)
     test = _as_features(test_features)
     y = as_binary_vector(train_labels, "label", train.n)
-    k = _integer_k(k)
+    k = _integer(k, "k")
     if not 1 <= k <= train.n:
         raise ValidationError(f"k must be in [1, {train.n}], got {k}")
     values = np.vstack([train.values, _select_columns(test, train.names)])
@@ -424,14 +429,14 @@ class CvResult:
     skipped_auc_folds: tuple[int, ...]
 
 
-def _integer_k(k) -> int:
-    if isinstance(k, (float, np.floating)) and not float(k).is_integer():
-        raise ValidationError(f"k must be an integer, got {k}")
-    return int(k)
+def _integer(value, name: str) -> int:
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _validate_k_grid(k_grid, limit: int) -> tuple[int, ...]:
-    grid = tuple(_integer_k(k) for k in k_grid)
+    grid = tuple(_integer(k, "k") for k in k_grid)
     if len(grid) == 0:
         raise ValidationError("k grid must be non-empty")
     if any(k < 1 for k in grid):
@@ -457,7 +462,7 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     matrix = _as_features(features)
     y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
-    n_folds = int(n_folds)
+    n_folds = _integer(n_folds, "n_folds")
     if not 2 <= n_folds <= n:
         raise ValidationError(f"n_folds must be in [2, {n}], got {n_folds}")
     largest_fold = -(-n // n_folds)
@@ -560,9 +565,10 @@ def tune_and_compare(
     matrix = _as_features(features)
     y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
-    repeats = int(repeats)
+    repeats = _integer(repeats, "repeats")
     if not 1 <= repeats <= MAX_REPEATS:
         raise ValidationError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
+    grid_size = _integer(grid_size, "grid_size")
     if grid_size < 1:
         raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
     if not 0.0 < test_fraction < 1.0:
@@ -576,6 +582,7 @@ def tune_and_compare(
         raise ValidationError(
             f"coefficient length {own} does not match feature rows {n}"
         )
+    n_folds = _integer(n_folds, "n_folds")
     if not 2 <= n_folds <= n_train:
         raise ValidationError(f"n_folds must be in [2, {n_train}], got {n_folds}")
     grid = _validate_k_grid(k_grid, n_train - (-(-n_train // n_folds)))

@@ -168,7 +168,8 @@ def test_knn_counts_match_a_stable_argsort(seed, n_train, n_test, d, levels):
     labels = rng.integers(0, 2, n_train)
     every_k = np.arange(1, n_train + 1)
     some_k = np.unique(rng.integers(1, n_train + 1, 3))
-    for ks in (every_k, some_k, [n_train]):
+    # tune_and_compare passes [k_auc, k_acc]: unsorted, or one k twice
+    for ks in (every_k, some_k, [n_train], some_k[::-1], [some_k[-1]] * 2):
         got = _knn_counts(train, labels, test, ks)
         assert got.dtype == np.int64
         assert np.array_equal(got, _counts_reference(train, labels, test, ks))
@@ -184,7 +185,46 @@ def test_knn_counts_blocks_over_test_rows(monkeypatch, rows_per_block):
     train = np.column_stack([rng.permutation(np.repeat([-1.0, 1.0], n_train // 2)) for _ in range(3)])
     test = rng.integers(-2, 3, (50, 3)).astype(float)
     labels = rng.integers(0, 2, n_train)
-    monkeypatch.setattr(learners, "_KNN_BLOCK_CELLS", rows_per_block * ks.size * n_train)
+    monkeypatch.setattr(learners, "_KNN_BLOCK_CELLS", rows_per_block * n_train)
+    got = _knn_counts(train, labels, test, ks)
+    assert np.array_equal(got, _counts_reference(train, labels, test, ks))
+
+
+def test_knn_counts_fall_back_where_distances_differ_only_in_the_last_bit():
+    # balanced +-1 training columns standardize to themselves, so the test
+    # row (-gap / 4, gap / 4, 0) is at the exact distances 3 - gap, 3 and
+    # 3 + gap, gap being one unit in the last place of 3: 2, 6 and 2 rows.
+    # 3 and 3 + gap differ in the last bit alone: with that bit replaced by
+    # the label, the positives at 3 sort after the negatives at 3 + gap
+    gap = np.nextafter(3.0, 4.0) - 3.0
+    first = np.repeat([-1.0, 1.0, -1.0, 1.0], [2, 3, 3, 2])
+    second = np.repeat([1.0, 1.0, -1.0, -1.0], [2, 3, 3, 2])
+    train = np.column_stack([first, second, np.tile([-1.0, 1.0], 5)])
+    labels = np.repeat([0, 1, 0], [2, 6, 2])
+    test = np.array([[-gap / 4, gap / 4, 0.0]])
+    ks = np.arange(1, 11)
+    reference = _counts_reference(train, labels, test, ks)
+    assert reference[0, 7] == 6
+    # the 8th nearest is at 3 and the 9th at 3 + gap
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        got = _knn_counts(train, labels, test, [8])
+    assert [call.args[0].shape for call in argsort.call_args_list] == [(1, 10)]
+    assert np.array_equal(got, reference[:, [7]])
+    assert np.array_equal(_knn_counts(train, labels, test, ks), reference)
+
+
+def test_knn_counts_of_test_rows_equal_to_training_rows():
+    # a row's distance to itself cancels to a tiny value of either sign
+    rng = np.random.default_rng(3)
+    train = rng.normal(size=(40, 4)) * [1.0, 1e3, 1e-3, 7.0]
+    labels = rng.integers(0, 2, 40)
+    test = train[::3]
+    # some of the reference's distances from a test row to its own copy are
+    # below zero
+    a = FeatureMatrix.from_arrays(train).standardize().values
+    d2 = (a[::3] ** 2).sum(axis=1)[:, None] + (a**2).sum(axis=1) - 2.0 * (a[::3] @ a.T)
+    assert (d2[np.arange(14), np.arange(0, 40, 3)] < 0.0).any()
+    ks = np.arange(1, 41)
     got = _knn_counts(train, labels, test, ks)
     assert np.array_equal(got, _counts_reference(train, labels, test, ks))
 
@@ -289,10 +329,8 @@ def test_stacked_kfold_cv_equals_one_fold_at_a_time(
     ks = np.unique(rng.integers(1, n - largest + 1, 4)).tolist()
     cells = {
         "default": learners._KNN_BLOCK_CELLS,
-        # every fold's training values and distance comparisons, but never two
-        "one fold per block": max(
-            (n - size) * (d + size * len(ks)) for size in {n // n_folds, largest}
-        ),
+        # every fold's training values and distances, but never two
+        "one fold per block": max((n - size) * (d + size) for size in {n // n_folds, largest}),
         "one block": 2**62,
     }[budget]
     with mock.patch.object(learners, "_KNN_BLOCK_CELLS", cells):
@@ -381,6 +419,22 @@ def test_kfold_cv_validation(rng):
     for k in (5.5, np.inf, np.nan):
         with pytest.raises(ValidationError, match="must be an integer"):
             kfold_cv(X, y, n_folds=4, k_grid=[1, k], seed=0)
+    with pytest.raises(ValidationError, match="n_folds must be an integer, got 2.7"):
+        kfold_cv(X, y, n_folds=2.7, k_grid=[1], seed=0)
+    assert kfold_cv(X, y, n_folds=4.0, k_grid=[1], seed=0).n_folds == 4
+
+
+@pytest.mark.parametrize(
+    "name, value", [("repeats", 2.5), ("n_folds", 3.5), ("grid_size", 10.5), ("repeats", np.nan)]
+)
+def test_tune_refuses_non_integer_counts(rng, name, value):
+    X, y = _blobs(rng, 20)
+    arguments = {"repeats": 1, "n_folds": 3, "grid_size": 11, name: value}
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value}$"):
+        tune_and_compare(X, y, k_grid=[1], coefficients=cost_family(1.0), **arguments)
+    # a float holding an integer is that integer
+    arguments[name] = 2.0
+    tune_and_compare(X, y, k_grid=[1], coefficients=cost_family(1.0), **arguments)
 
 
 def test_tune_checks_fold_count_before_k_grid(rng):
