@@ -20,7 +20,6 @@ from .core import (
     LabeledScores,
     ValidationError,
     confusion_at,
-    validate,
 )
 from .metrics import (
     CalibrationBin,
@@ -89,7 +88,6 @@ from .dataio import (
     read_scores,
     write_csv,
     write_json,
-    write_scores,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +103,6 @@ __all__ = [
     "ConfusionCounts",
     "EvalReport",
     "confusion_at",
-    "validate",
     # metrics
     "CalibrationBin",
     "CalibrationCurve",
@@ -167,5 +164,4 @@ __all__ = [
     "read_scores",
     "write_csv",
     "write_json",
-    "write_scores",
 ]

@@ -27,8 +27,8 @@ __all__ = [
     "ConfusionCounts",
     "EvalReport",
     "confusion_at",
-    "validate",
     "as_float",
+    "as_integer",
     "as_float_vector",
     "as_binary_vector",
     "MAX_COEFFICIENT",
@@ -74,6 +74,14 @@ def as_float(value, name: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a float that no integer equals (2.5, NaN, inf) is
+    refused, naming ``name``."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _vector(values, name: str, n: int | None) -> np.ndarray:
@@ -234,8 +242,7 @@ class ScoreRuns:
     ``positives_before[k]`` counts the positives sorted before it; both arrays
     end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
     ``run_of_row[i]`` is the run of row ``i`` and ``values[k]`` the score of
-    run ``k`` (``sorted_scores[starts[:-1]]``).  :meth:`resampled` derives the
-    runs of a row sample from them without sorting again.
+    run ``k`` (``sorted_scores[starts[:-1]]``).
     """
 
     sorted_scores: np.ndarray
@@ -243,34 +250,6 @@ class ScoreRuns:
     positives_before: np.ndarray
     run_of_row: np.ndarray
     values: np.ndarray
-
-    def resampled(self, labels: np.ndarray, indices: np.ndarray) -> "ScoreRuns":
-        """The runs of the row sample ``indices``, derived from this sort.
-
-        ``labels[j]`` is the label of row ``indices[j]``.  Each run's draws and
-        positives are counted from the runs of the drawn rows; runs the sample
-        misses are dropped and the rest renumbered in order.  The sample's
-        sorted scores repeat each run's value (so a run holding both -0.0 and
-        0.0 reads one sign there); every other array equals that of a fresh
-        sort of ``scores[indices]``.
-        """
-        run = self.run_of_row[indices]
-        size = self.starts.size - 1
-        # one count of 2 * run + label: the negatives and positives of each run
-        counts = np.bincount(2 * run + labels, minlength=2 * size).reshape(size, 2)
-        positives = counts[:, 1]
-        drawn = counts[:, 0] + positives
-        hit = np.flatnonzero(drawn)
-        renumber = np.cumsum(drawn > 0) - 1
-        drawn = drawn[hit]
-        values = self.values[hit]
-        return ScoreRuns(
-            _readonly(np.repeat(values, drawn)),
-            _readonly(np.concatenate([[0], np.cumsum(drawn)])),
-            _readonly(np.concatenate([[0], np.cumsum(positives[hit])])),
-            _readonly(renumber[run]),
-            _readonly(values),
-        )
 
     def first_accepted(self, thresholds) -> np.ndarray:
         """Per threshold, the first run that ``score >= t`` accepts; the run
@@ -361,14 +340,13 @@ class LabeledScores:
         )
 
     def take(self, indices) -> "LabeledScores":
-        """Row subset (used by resampling code); keeps all columns.
+        """Row subset; keeps all columns.
 
         The subset's rows passed the construction checks already, so they are
-        not run again.  Its ``runs`` come from :meth:`ScoreRuns.resampled`,
-        never from a sort.
+        not run again.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        subset = _unchecked(
+        return _unchecked(
             LabeledScores,
             scores=self.scores[idx],
             labels=self.labels[idx],
@@ -379,21 +357,6 @@ class LabeledScores:
             context={k: _readonly(v[idx]) for k, v in self.context.items()},
             coefficients=None if self.coefficients is None else self.coefficients.take(idx),
         )
-        # seeds the subset's cached ``runs`` property
-        subset.__dict__["runs"] = self.runs.resampled(subset.labels, idx)
-        return subset
-
-
-def validate(data: LabeledScores) -> LabeledScores:
-    """Re-run all construction-time checks and hand the dataset back.
-
-    Construction already validates, so this is primarily useful after external
-    code has produced a ``LabeledScores`` through unpickling or similar paths.
-    """
-    if not isinstance(data, LabeledScores):
-        raise ValidationError(f"expected LabeledScores, got {type(data).__name__}")
-    LabeledScores.__post_init__(data)
-    return data
 
 
 @dataclass(frozen=True)

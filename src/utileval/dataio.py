@@ -13,11 +13,11 @@ cells, whitespace-only lines, underscores in numbers, over-long lines, bad
 bytes) goes to the ``csv`` row loop, which reads and refuses exactly what it
 always has.
 
-Writing uses shortest round-trip float formatting, so a parse/emit cycle
-preserves every value exactly.  Reports are written by one encoder: its bytes
-equal ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy
-arrays and scalars turned into Python lists and numbers, NaN into ``null``
-and keys into strings.  A float array, or a list of finite floats or of
+Reports use shortest round-trip float formatting, so every value reads back
+exactly.  They are written by one encoder: its bytes equal
+``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy arrays
+and scalars turned into Python lists and numbers, NaN into ``null`` and keys
+into strings.  A float array, or a list of finite floats or of
 equal-length rows of them, is formatted in blocks of at most ``_BLOCK`` rows,
 each block in one pass over its values, and each block goes to the file
 before the next is formatted: no text of the whole report is held.  A CSV
@@ -49,7 +49,6 @@ from .learners import FeatureMatrix
 __all__ = [
     "FormattedArray",
     "read_scores",
-    "write_scores",
     "FeatureTable",
     "read_features",
     "read_bonus_table",
@@ -232,49 +231,6 @@ def format_number(value) -> str:
     if value != value:
         return "nan"
     return repr(value)
-
-
-def write_scores(data: LabeledScores, path, delimiter: str = ",") -> None:
-    """Emit a score file that :func:`read_scores` parses back exactly."""
-    header = ["score", "label"]
-    columns = [data.scores, data.labels]
-    if data.group is not None:
-        header.append("group")
-        columns.append(data.group)
-    if data.reference_scores is not None:
-        header.append("reference_score")
-        columns.append(data.reference_scores)
-    for name in sorted(data.context):
-        header.append(name)
-        columns.append(data.context[name])
-    if data.coefficients is not None:
-        vectors = data.coefficients.as_vectors(data.n)
-        for name, column in zip(_COEFFICIENT_COLUMNS, vectors):
-            header.append(name)
-            columns.append(column)
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
-        for start in range(0, data.n, _BLOCK):
-            texts = [_score_texts(column[start : start + _BLOCK]) for column in columns]
-            writer.writerows(zip(*texts))
-
-
-def _score_texts(values) -> list[str]:
-    """Each value as an integer where that reads back as the same float, else
-    as its round-trip text."""
-    values = np.asarray(values, dtype=np.float64)
-    # -0.0 is integral, but only its round-trip text keeps its sign
-    whole = (
-        (values == np.trunc(values))
-        & (np.abs(values) < 2.0**53)
-        & ~((values == 0.0) & np.signbit(values))
-    )
-    texts = np.empty(values.size, dtype=object)
-    texts[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
-    # float.__repr__ is format_number for every float, NaN included
-    texts[~whole] = list(map(float.__repr__, values[~whole].tolist()))
-    return texts.tolist()
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DegenerateDataError, LabeledScores, ValidationError, as_binary_vector
+from .core import (
+    DegenerateDataError,
+    LabeledScores,
+    ValidationError,
+    as_binary_vector,
+    as_integer,
+)
 from .metrics import auc_from_runs
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through learners
 from .special import expit
@@ -401,7 +407,7 @@ def knn_scores(train_features, train_labels, test_features, k: int) -> np.ndarra
     train = _as_features(train_features)
     test = _as_features(test_features)
     y = as_binary_vector(train_labels, "label", train.n)
-    k = _integer(k, "k")
+    k = as_integer(k, "k")
     if not 1 <= k <= train.n:
         raise ValidationError(f"k must be in [1, {train.n}], got {k}")
     values = np.vstack([train.values, _select_columns(test, train.names)])
@@ -429,14 +435,8 @@ class CvResult:
     skipped_auc_folds: tuple[int, ...]
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
 def _validate_k_grid(k_grid, limit: int) -> tuple[int, ...]:
-    grid = tuple(_integer(k, "k") for k in k_grid)
+    grid = tuple(as_integer(k, "k") for k in k_grid)
     if len(grid) == 0:
         raise ValidationError("k grid must be non-empty")
     if any(k < 1 for k in grid):
@@ -462,13 +462,14 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     matrix = _as_features(features)
     y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
-    n_folds = _integer(n_folds, "n_folds")
+    n_folds = as_integer(n_folds, "n_folds")
     if not 2 <= n_folds <= n:
         raise ValidationError(f"n_folds must be in [2, {n}], got {n_folds}")
     largest_fold = -(-n // n_folds)
     grid = _validate_k_grid(k_grid, n - largest_fold)
     ks = np.asarray(grid)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    seed = as_integer(seed, "seed")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     permutation = rng.permutation(n)
     # np.array_split's chunks: the first n % n_folds folds hold one row more
     sizes = np.full(n_folds, n // n_folds)
@@ -512,7 +513,7 @@ def kfold_cv(features, labels, n_folds: int, k_grid, seed: int) -> CvResult:
     return CvResult(
         k_grid=grid,
         n_folds=n_folds,
-        seed=int(seed),
+        seed=seed,
         fold=fold,
         mean=mean,
         best_k={criterion: grid[int(np.argmax(means))] for criterion, means in mean.items()},
@@ -565,10 +566,11 @@ def tune_and_compare(
     matrix = _as_features(features)
     y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
-    repeats = _integer(repeats, "repeats")
+    seed = as_integer(seed, "seed")
+    repeats = as_integer(repeats, "repeats")
     if not 1 <= repeats <= MAX_REPEATS:
         raise ValidationError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
-    grid_size = _integer(grid_size, "grid_size")
+    grid_size = as_integer(grid_size, "grid_size")
     if grid_size < 1:
         raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
     if not 0.0 < test_fraction < 1.0:
@@ -582,7 +584,7 @@ def tune_and_compare(
         raise ValidationError(
             f"coefficient length {own} does not match feature rows {n}"
         )
-    n_folds = _integer(n_folds, "n_folds")
+    n_folds = as_integer(n_folds, "n_folds")
     if not 2 <= n_folds <= n_train:
         raise ValidationError(f"n_folds must be in [2, {n_train}], got {n_folds}")
     grid = _validate_k_grid(k_grid, n_train - (-(-n_train // n_folds)))
@@ -594,7 +596,7 @@ def tune_and_compare(
     result = TuneResult(
         k_grid=grid,
         repeats=repeats,
-        seed=int(seed),
+        seed=seed,
         thresholds=np.linspace(0.0, 1.0, grid_size),
         chosen_k={criterion: np.empty(repeats, dtype=np.int64) for criterion in _CRITERIA},
         max_utility={criterion: np.empty(repeats) for criterion in _CRITERIA},
@@ -602,7 +604,7 @@ def tune_and_compare(
         utility_grid={criterion: np.empty((repeats, grid_size)) for criterion in _CRITERIA},
     )
     for r in range(repeats):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         permutation = rng.permutation(n)
         cv_seed = int(rng.integers(0, 2**31 - 1))
         train_idx = permutation[:n_train]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CostCoefficients, DecisionRule, LabeledScores, ValidationError
+from .core import CostCoefficients, DecisionRule, LabeledScores, ValidationError, as_integer
 from .metrics import brier, calibration_curve, ece, net_trust
 from .special import expit, ndtri
 from .stats import percentiles
@@ -81,6 +81,8 @@ class SimStudyConfig:
     coefficients: CostCoefficients = field(default_factory=CostCoefficients.zero_one)
 
     def __post_init__(self) -> None:
+        for name in ("n_samples", "n_realizations", "master_seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if not 10 <= self.n_samples <= MAX_SAMPLES:
             raise ValidationError(
                 f"n_samples must be in [10, {MAX_SAMPLES}], got {self.n_samples}"
@@ -123,7 +125,7 @@ def generate_realization(config: SimStudyConfig, index: int) -> Realization:
             f"realization index {index} outside [0, {config.n_realizations})"
         )
     rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.master_seed), int(index)])
+        np.random.SeedSequence([config.master_seed, int(index)])
     )
     n = config.n_samples
     x1, x2, x3 = (_standard_normals(rng, n) for _ in range(3))
@@ -196,6 +198,8 @@ def simulate(
     holds ``(bin_index, mean_predicted, observed_mean, observed_p16,
     observed_p84, mean_count)`` per bin, pooled over the realizations in it.
     """
+    grid_size = as_integer(grid_size, "grid_size")
+    bins = as_integer(bins, "bins")
     if grid_size < 2:
         raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
     realizations = config.n_realizations

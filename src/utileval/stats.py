@@ -5,7 +5,7 @@ side information stay aligned.  :func:`resample` draws each row sample once
 from the seeded stream and offers it to every statistic of every row-aligned
 dataset; a statistic undefined on a draw (AUC on a single-class sample) skips
 it, so each statistic gets exactly the values it would get if it were
-resampled alone.  A draw is read as counts per run of the dataset's one sort
+bootstrapped alone.  A draw is read as counts per run of the dataset's one sort
 (:class:`Replicate`), from which the built-in statistics compute what they
 would compute on the drawn dataset, bit for bit, without building it.
 Intervals are plain percentile intervals of the replicate values; with a
@@ -26,10 +26,12 @@ from .core import (
     DegenerateDataError,
     LabeledScores,
     ValidationError,
+    as_integer,
 )
 from .metrics import auc_from_runs, brier_terms, calibration_blocks, net_trust_terms
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through stats
-from .utility import max_utilities, utility_curve
+from .utility import max_utilities, per_sample_sweep
+from .utility import utility_curve  # noqa: F401  perfbench traces it through stats
 
 __all__ = [
     "BootstrapConfig",
@@ -77,6 +79,7 @@ class BootstrapConfig:
             )
         if not 0.0 < self.level < 1.0:
             raise ValidationError(f"level must be in (0, 1), got {self.level}")
+        object.__setattr__(self, "seed", as_integer(self.seed, "seed"))
 
 
 class _Source:
@@ -117,9 +120,8 @@ class Replicate:
     draws of run ``k`` of ``data.runs`` that are negative and positive; a run
     the draw missed stays as an empty run, so the draw keeps the dataset's
     own run numbering.  ``starts`` and ``positives_before`` lay the draw's runs
-    out as in :class:`~utileval.core.ScoreRuns`.  :meth:`sample` builds the
-    drawn dataset itself, for statistics that need its rows.  :func:`resample`
-    makes one per dataset and draw; every array is computed on first use.
+    out as in :class:`~utileval.core.ScoreRuns`.  :func:`resample` makes one
+    per dataset and draw; every array is computed on first use.
     """
 
     def __init__(self, source: _Source, indices: np.ndarray) -> None:
@@ -153,10 +155,6 @@ class Replicate:
     @cached_property
     def positives_before(self) -> np.ndarray:
         return self._before[:, 1]
-
-    def sample(self) -> LabeledScores:
-        """The drawn rows as a dataset, ``data.take(indices)``."""
-        return self.data.take(self.indices)
 
 
 def _whole(data: LabeledScores) -> Replicate:
@@ -211,7 +209,14 @@ def _max_utility(
         raise ValidationError("the u_max metric requires cost coefficients")
     if coefficients.is_constant:
         return max_utilities(replicate.starts, replicate.positives_before, [coefficients])[0]
-    return utility_curve(replicate.sample(), coefficients).max_utility
+    # the drawn dataset's candidate rules start at the runs the draw hit, then
+    # the all-reject tail; the first maximum keeps a zero's sign
+    data, idx, drawn = replicate.data, replicate.indices, replicate.drawn
+    run = np.append(np.flatnonzero(drawn), drawn.size)
+    utilities = per_sample_sweep(
+        data.runs.run_of_row[idx], data.labels[idx], coefficients, drawn.size, run
+    )
+    return float(utilities[np.argmax(utilities)])
 
 
 # name -> statistic(replicate, coefficients, bins=10), each equal bit for bit
@@ -246,7 +251,7 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
         raise ValidationError(
             f"replicates must be >= 0 and <= {MAX_REPLICATES}, got {replicates}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = np.random.default_rng(np.random.SeedSequence([as_integer(seed, "seed")]))
     n = datasets[0].n
     sources = [_Source(data) for data in datasets]
     values = [{name: [] for name in statistics} for _ in datasets]
@@ -329,7 +334,7 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Percentile bootstrap interval for a named metric.
 
-    Rows are resampled with replacement; resamples on which the metric is
+    Rows are drawn with replacement; draws on which the metric is
     undefined (a single-class draw for AUC) are redrawn and counted in
     ``redraws``.
     """

@@ -49,6 +49,7 @@ __all__ = [
     "utility_curve",
     "utility_at_thresholds",
     "max_utilities",
+    "per_sample_sweep",
     "bayes_threshold",
     "cost_family",
     "age_discounted_coeffs",
@@ -73,15 +74,16 @@ def _outcomes(accepted, tp, n: int, n_pos: int):
 
 
 def _contributions(
-    data: LabeledScores, coefficients: CostCoefficients
+    labels: np.ndarray, coefficients: CostCoefficients
 ) -> tuple[list[int], list[int], int]:
     """Per-sample utility contribution when predicted positive / negative, as
     integers ``accepted``, ``rejected`` and one shared ``scale``: the mean
     utility of a decision vector whose contributions sum to ``total`` is
     ``total / scale``.  Python's int / int rounds that correctly, subnormal
     results included, and the mean of finite values cannot overflow."""
-    a11, a01, a10, a00 = coefficients.as_vectors(data.n)
-    positive = data.labels == 1
+    n = labels.size
+    a11, a01, a10, a00 = coefficients.as_vectors(n)
+    positive = labels == 1
     values = np.concatenate([np.where(positive, a11, -a01), np.where(positive, -a10, a00)])
     mantissa, exponent = np.frexp(values)
     # |mantissa| is 0 or in [0.5, 1), so scaling by 2**53 gives an exact int64
@@ -90,7 +92,7 @@ def _contributions(
     # row i contributes ints[i] * 2**lo exactly; lo <= 0 keeps scale an int
     lo = min(int(exponent.min()), 0)
     ints = [m << s for m, s in zip(mantissa.tolist(), (exponent - lo).tolist())]
-    return ints[: data.n], ints[data.n :], data.n << -lo
+    return ints[:n], ints[n:], n << -lo
 
 
 def empirical_utility(
@@ -112,7 +114,7 @@ def empirical_utility(
                 coefficients.a00,
             )
         )
-    accepted, rejected, scale = _contributions(data, coefficients)
+    accepted, rejected, scale = _contributions(data.labels, coefficients)
     predicted = rule.apply(data.scores).tolist()
     return sum(a if p else r for a, r, p in zip(accepted, rejected, predicted)) / scale
 
@@ -145,10 +147,29 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray)
         c = coefficients
         counts = _outcomes(*runs.accepted(run), data.n, data.n_positive)
         return _utility_from_counts(*counts, data.n, c.a11, c.a01, c.a10, c.a00)
-    accepted, rejected, scale = _contributions(data, coefficients)
+    size = runs.starts.size - 1
+    return per_sample_sweep(runs.run_of_row, data.labels, coefficients, size, run)
+
+
+def per_sample_sweep(
+    run_of_row: np.ndarray,
+    labels: np.ndarray,
+    coefficients: CostCoefficients,
+    size: int,
+    run: np.ndarray,
+) -> np.ndarray:
+    """Utility under per-row ``coefficients`` of each rule that accepts every
+    run from ``run[i]`` on, for rows with ``labels`` that lie in runs
+    ``run_of_row`` of ``size`` runs; run ``size`` is the all-reject rule.
+
+    Each value is the correctly rounded mean of the rows' exact contributions.
+    Runs no row lies in may stand in the run list: the rule that starts at an
+    empty run is the rule that starts at the run after it.
+    """
+    accepted, rejected, scale = _contributions(labels, coefficients)
     # per_run[k]: how the all-accept total moves when run k is rejected
-    per_run = [0] * (runs.starts.size - 1)
-    for k, a, r in zip(runs.run_of_row.tolist(), accepted, rejected):
+    per_run = [0] * size
+    for k, a, r in zip(run_of_row.tolist(), accepted, rejected):
         per_run[k] += r - a
     change = [0, *accumulate(per_run)]
     total = sum(accepted)

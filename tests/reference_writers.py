@@ -1,8 +1,9 @@
-"""The per-value writers that the one-pass encoder and the column-wise score
-writer replaced.
+"""The per-value report writers that the one-pass encoder replaced, and a
+score-file writer.
 
 Tests render a payload with these and compare the bytes with what
-``utileval.dataio.write_json``, ``write_csv`` and ``write_scores`` write for it.
+``utileval.dataio.write_json`` and ``write_csv`` write for it, and read score
+files written by :func:`reference_scores_text` back with ``read_scores``.
 """
 
 import csv
@@ -65,7 +66,9 @@ def _score_cell(value) -> str:
 
 
 def reference_scores_text(data, delimiter=",") -> str:
-    """The text the old per-cell ``write_scores`` wrote for ``data``."""
+    """A score file holding every column of ``data``: each value as an
+    integer where that reads back as the same float, else as its round-trip
+    text."""
     header = ["score", "label"]
     columns = [data.scores, data.labels]
     if data.group is not None:

@@ -9,12 +9,14 @@ from hypothesis import given, strategies as st
 
 import utileval
 from utileval import (
+    BootstrapConfig,
     ConfusionCounts,
     CostCoefficients,
     DecisionRule,
     EquityUtility,
     EvalReport,
     LabeledScores,
+    SimStudyConfig,
     ValidationError,
     confusion_at,
     cost_family,
@@ -25,8 +27,9 @@ from utileval import (
     preserves_ranking_by_group,
     read_features,
     tune_and_compare,
-    validate,
 )
+from utileval.simstudy import simulate
+from utileval.stats import resample
 
 
 def test_confusion_counts_inclusive_threshold():
@@ -164,7 +167,6 @@ def test_take_equals_the_validated_construction():
             assert _same_bits(got, want) and not got.flags.writeable
         else:
             assert type(got) is float and got == want
-    assert validate(sub) is sub
 
 
 def test_counts_properties():
@@ -172,11 +174,41 @@ def test_counts_properties():
     assert (data.n, data.n_positive, data.n_negative) == (3, 2, 1)
 
 
-def test_validate_roundtrip():
-    data = LabeledScores(scores=[0.1, 0.9], labels=[0, 1])
-    assert validate(data) is data
-    with pytest.raises(ValidationError):
-        validate("not a dataset")
+_X = [[0.1], [0.4], [0.35], [0.8], [0.9], [0.2], [0.7], [0.6], [0.3], [0.5]]
+_Y = [0, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+_SMALL_STUDY = SimStudyConfig(n_samples=50, n_realizations=2)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n_samples", lambda v: SimStudyConfig(n_samples=v, n_realizations=2)),
+        ("n_realizations", lambda v: SimStudyConfig(n_samples=50, n_realizations=v)),
+        ("master_seed", lambda v: SimStudyConfig(n_samples=50, n_realizations=2, master_seed=v)),
+        ("grid_size", lambda v: simulate(_SMALL_STUDY, grid_size=v)),
+        ("bins", lambda v: simulate(_SMALL_STUDY, bins=v)),
+        ("seed", lambda v: BootstrapConfig(replicates=100, seed=v)),
+        ("seed", lambda v: resample([LabeledScores([0.2, 0.8], [0, 1])], {}, 1, v)),
+        ("seed", lambda v: kfold_cv(_X, _Y, n_folds=2, k_grid=[1], seed=v)),
+        ("seed", lambda v: tune_and_compare(_X, _Y, [1], cost_family(1.0), 1, seed=v, n_folds=2)),
+    ],
+    ids=[
+        "n_samples",
+        "n_realizations",
+        "master_seed",
+        "grid_size",
+        "bins",
+        "BootstrapConfig",
+        "resample",
+        "kfold_cv",
+        "tune_and_compare",
+    ],
+)
+def test_counts_and_seeds_refuse_non_integers(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got 20.5$"):
+        call(20.5)
+    # a float holding an integer is that integer
+    call(20.0)
 
 
 def test_coefficients_validation():

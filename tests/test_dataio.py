@@ -20,7 +20,6 @@ from utileval import (
     read_scores,
     write_csv,
     write_json,
-    write_scores,
 )
 from utileval import dataio
 from utileval.dataio import FormattedArray, _read_table, encode_json, format_number
@@ -138,50 +137,23 @@ def test_write_read_round_trip_is_exact(tmp_path, rng):
         coefficients=CostCoefficients(1.0, rng.random(n) * 3, rng.random(n), 1.0),
     )
     path = tmp_path / "round.csv"
-    write_scores(data, path)
-    back = read_scores(path)
-    assert np.signbit(back.scores[:3]).tolist() == [True, False, False]
-    assert np.signbit(back.context["age"][:3]).tolist() == [True, True, False]
-    np.testing.assert_array_equal(back.scores, data.scores)
-    np.testing.assert_array_equal(back.labels, data.labels)
-    np.testing.assert_array_equal(back.group, data.group)
-    np.testing.assert_array_equal(back.reference_scores, data.reference_scores)
-    for key in data.context:
-        np.testing.assert_array_equal(back.context[key], data.context[key])
-    for expected, actual in zip(
-        data.coefficients.as_vectors(n), back.coefficients.as_vectors(n)
-    ):
-        np.testing.assert_array_equal(actual, expected)
-
-
-@pytest.mark.parametrize("delimiter", [",", ";", "."])
-def test_write_scores_bytes_match_the_per_cell_writer(tmp_path, rng, monkeypatch, delimiter):
-    n = 300
-    scores = np.round(rng.random(n), 2)
-    scores[:4] = [-0.0, 0.0, 1.0, 5e-324]
-    ages = np.round(rng.random(n) * 100, 1)
-    # integral values on both sides of 2**53, whose texts differ in kind
-    big = np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**60), 1e300, -3.0, -0.0, 0.5])
-    benefit = rng.choice(big, n)
-    data = LabeledScores(
-        scores=scores,
-        labels=rng.integers(0, 2, n),
-        group=rng.integers(0, 2, n),
-        reference_scores=rng.random(n),
-        context={"age": ages, "benefit": benefit},
-        coefficients=CostCoefficients(1.0, rng.choice(big[big >= 0], n), rng.random(n), 2.0),
-    )
-    path = tmp_path / "scores.csv"
-    for subset in (data, LabeledScores(scores=scores[:1], labels=[1])):
-        write_scores(subset, path, delimiter=delimiter)
-        assert path.read_bytes() == reference_scores_text(subset, delimiter).encode()
-    # a file of several blocks of rows
-    monkeypatch.setattr(dataio, "_BLOCK", 7)
-    write_scores(data, path, delimiter=delimiter)
-    assert path.read_bytes() == reference_scores_text(data, delimiter).encode()
-    if delimiter == ".":
-        assert '"0.5"' in path.read_text()
-    np.testing.assert_array_equal(read_scores(path, delimiter=delimiter).scores, scores)
+    for delimiter in (",", "."):
+        path.write_text(reference_scores_text(data, delimiter), encoding="utf-8")
+        if delimiter == ".":  # every cell holding a "." is quoted
+            assert '"-0.0"' in path.read_text()
+        back = read_scores(path, delimiter=delimiter)
+        assert np.signbit(back.scores[:3]).tolist() == [True, False, False]
+        assert np.signbit(back.context["age"][:3]).tolist() == [True, True, False]
+        np.testing.assert_array_equal(back.scores, data.scores)
+        np.testing.assert_array_equal(back.labels, data.labels)
+        np.testing.assert_array_equal(back.group, data.group)
+        np.testing.assert_array_equal(back.reference_scores, data.reference_scores)
+        for key in data.context:
+            np.testing.assert_array_equal(back.context[key], data.context[key])
+        for expected, actual in zip(
+            data.coefficients.as_vectors(n), back.coefficients.as_vectors(n)
+        ):
+            np.testing.assert_array_equal(actual, expected)
 
 
 def test_read_features(tmp_path):

@@ -18,7 +18,6 @@ from utileval import (
     CostCoefficients,
     DecisionRule,
     LabeledScores,
-    age_discounted_coeffs,
     auc_rank,
     calibration_curve,
     confusion_at,
@@ -169,7 +168,7 @@ def test_runs_keep_the_bits_of_a_stable_sort(first_zero):
     assert threshold == 0.0 and math.copysign(1.0, threshold) == math.copysign(1.0, first_zero)
 
 
-def _argsort_calls(tmp_path, monkeypatch, command, files, options):
+def _numpy_calls(tmp_path, monkeypatch, command, files, options, function="argsort"):
     rng = np.random.default_rng(3)
     labels = (rng.random(200) < 0.5).astype(int)
     ages = np.round(rng.random(200) * 100, 1)
@@ -180,39 +179,48 @@ def _argsort_calls(tmp_path, monkeypatch, command, files, options):
         rows = zip(scores.tolist(), labels.tolist(), ages.tolist())
         path.write_text("score,label,age\n" + "".join(f"{s!r},{y},{a!r}\n" for s, y, a in rows))
         paths.append(str(path))
-    return _count_argsorts(monkeypatch, [command, *paths, "--out-dir", str(tmp_path / command), *options])
+    argv = [command, *paths, "--out-dir", str(tmp_path / command), *options]
+    return _count_numpy_calls(monkeypatch, argv, function)
 
 
-def _count_argsorts(monkeypatch, argv):
+def _count_numpy_calls(monkeypatch, argv, function="argsort"):
     calls = []
-    original = np.argsort
+    original = getattr(np, function)
 
-    def counting_argsort(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counting_argsort)
+    monkeypatch.setattr(np, function, counting)
     assert main(argv) == 0
     return len(calls)
 
 
 def test_evaluate_sorts_the_scores_once(tmp_path, monkeypatch):
-    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, ["--utility", "c:1"]) == 1
+    assert _numpy_calls(tmp_path, monkeypatch, "evaluate", 1, ["--utility", "c:1"]) == 1
 
 
 def test_evaluate_sorts_the_scores_once_with_per_sample_coefficients(tmp_path, monkeypatch):
     options = ["--utility", "age-contextual"]
-    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
+    assert _numpy_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
 
 
 def test_bootstrap_replicates_do_not_sort(tmp_path, monkeypatch):
     # each replicate derives its runs from the input's one sort
     options = ["--utility", "c:2", "--replicates", "100"]
-    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
-    assert _argsort_calls(tmp_path, monkeypatch, "compare", 2, options) == 2
+    assert _numpy_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
+    assert _numpy_calls(tmp_path, monkeypatch, "compare", 2, options) == 2
     # a per-sample sweep on a replicate reads the runs of its rows, not an order
     options = ["--utility", "age-contextual", "--replicates", "100"]
-    assert _argsort_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
+    assert _numpy_calls(tmp_path, monkeypatch, "evaluate", 1, options) == 1
+
+
+@pytest.mark.parametrize("utility", ["c:2", "age-contextual"])
+def test_bootstrap_replicates_count_each_draw_once(tmp_path, monkeypatch, utility):
+    # every statistic, the per-sample u_max included, reads one count of the
+    # draw's runs
+    options = ["--utility", utility, "--replicates", "100"]
+    assert _numpy_calls(tmp_path, monkeypatch, "evaluate", 1, options, "bincount") == 100
 
 
 def test_simulate_draws_and_sorts_each_realization_once(tmp_path, monkeypatch):
@@ -226,7 +234,7 @@ def test_simulate_draws_and_sorts_each_realization_once(tmp_path, monkeypatch):
     monkeypatch.setattr(simstudy, "generate_realization", counting_generate)
     options = ["--samples", "300", "--realizations", "4", "--grid", "11", "--bins", "7"]
     # one sort per scorer and realization
-    assert _argsort_calls(tmp_path, monkeypatch, "simulate", 0, options) == 3 * 4
+    assert _numpy_calls(tmp_path, monkeypatch, "simulate", 0, options) == 3 * 4
     assert drawn == [0, 1, 2, 3]
 
 
@@ -242,58 +250,12 @@ def test_tune_sorts_only_the_held_out_scores(tmp_path, monkeypatch):
     path.write_text("label,x1,x2,x3\n" + rows)
     repeats = 3
     argv = ["tune", str(path), "--k-grid", "1,4,9,30", "--folds", "5", "--repeats", str(repeats)]
-    assert _count_argsorts(monkeypatch, argv + ["--out-dir", str(tmp_path / "tune")]) <= 2 * repeats
+    assert _count_numpy_calls(monkeypatch, argv + ["--out-dir", str(tmp_path / "tune")]) <= 2 * repeats
 
 
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 120),
-    tie_decimals=st.sampled_from([None, 0, 1, 2, 3]),
-    hit=st.floats(0.05, 1.0),
-    bins=st.integers(2, 12),
-)
-def test_resampled_runs_equal_a_fresh_sort(seed, n, tie_decimals, hit, bins):
-    rng = np.random.default_rng(seed)
-    scores = rng.random(n)
-    if tie_decimals is not None:
-        scores = np.round(scores, tie_decimals)
-    labels = (rng.random(n) < 0.5).astype(np.int64)
-    ages = np.round(rng.random(n) * 100, 1)
-    data = LabeledScores(scores=scores, labels=labels, context={"age": ages})
-    # draw only rows of some runs, so that the draw misses whole runs
-    values = np.unique(scores)
-    kept = values[rng.random(values.size) < hit]
-    pool = np.flatnonzero(np.isin(scores, kept if kept.size else values[:1]))
-    idx = rng.choice(pool, size=n)
-
-    derived = data.take(idx)
-    fresh = LabeledScores(scores=scores[idx], labels=labels[idx], context={"age": ages[idx]})
-    for name in ("sorted_scores", "starts", "positives_before", "run_of_row", "values"):
-        assert _same_bits(getattr(derived.runs, name), getattr(fresh.runs, name))
-    runs = derived.runs
-    assert _same_bits(runs.values, runs.sorted_scores[runs.starts[:-1]])
-
-    if 0 < fresh.n_positive < n:
-        assert _same_bits(auc_rank(derived), auc_rank(fresh))
-    for left, right in (
-        (CostCoefficients.constant(*(rng.random(4) * 3 + 0.01)),) * 2,
-        (age_discounted_coeffs(derived), age_discounted_coeffs(fresh)),
-    ):
-        a, b = utility_curve(derived, left), utility_curve(fresh, right)
-        assert _same_bits(a.thresholds, b.thresholds)
-        assert _same_bits(a.utilities, b.utilities)
-        assert (a.best_threshold, a.max_utility) == (b.best_threshold, b.max_utility)
-    a, b = (
-        [(c.bin_index, c.count, c.mean_predicted.hex(), c.observed_frequency.hex()) for c in d.bins]
-        for d in (calibration_curve(derived, bins=bins), calibration_curve(fresh, bins=bins))
-    )
-    assert a == b
 
 
 def test_per_sample_utility_is_the_exact_mean_of_extreme_coefficients():

@@ -117,7 +117,7 @@ def test_resample_matches_separate_loops_per_statistic(rng):
     statistics = {
         "auc": BOOTSTRAP_METRICS["auc"],
         "accuracy": BOOTSTRAP_METRICS["accuracy"],
-        "sample_auc": lambda replicate, _: auc_rank(replicate.sample()),
+        "sample_auc": lambda replicate, _: auc_rank(replicate.data.take(replicate.indices)),
     }
     reference = {
         "auc": auc_rank,
@@ -188,13 +188,17 @@ def _score_column(rng, n, kind):
     ),
     single_positive=st.booleans(),
     bins=st.sampled_from([2, 3, 10, 37, 2**53]),
-    contextual=st.booleans(),
+    costs=st.sampled_from(["constant", "age", "extreme"]),
 )
-@example(seed=4, n=30, kinds=["clusters"], single_positive=False, bins=2, contextual=False)
-@example(seed=4, n=45, kinds=["clusters"], single_positive=False, bins=10, contextual=False)
-@example(seed=5, n=50, kinds=["clusters"], single_positive=False, bins=37, contextual=True)
+@example(seed=4, n=30, kinds=["clusters"], single_positive=False, bins=2, costs="constant")
+@example(seed=4, n=45, kinds=["clusters"], single_positive=False, bins=10, costs="constant")
+@example(seed=5, n=50, kinds=["clusters"], single_positive=False, bins=37, costs="age")
+# draws that miss whole runs: a u_max of 0.0, and one whose maximum is tied
+# by zeros of both signs, where the first maximum sets the sign
+@example(seed=2, n=8, kinds=["clusters"], single_positive=False, bins=10, costs="extreme")
+@example(seed=4, n=31, kinds=["clusters"], single_positive=False, bins=10, costs="extreme")
 def test_bootstrap_metrics_read_from_counts_equal_the_drawn_dataset(
-    seed, n, kinds, single_positive, bins, contextual
+    seed, n, kinds, single_positive, bins, costs
 ):
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < 0.5).astype(np.int64)
@@ -205,11 +209,19 @@ def test_bootstrap_metrics_read_from_counts_equal_the_drawn_dataset(
     elif labels.min() == labels.max():
         labels[0] = 1 - labels[0]
     datasets = [LabeledScores(scores=_score_column(rng, n, kind), labels=labels) for kind in kinds]
-    if contextual:
+    if costs == "age":
         ages = np.round(rng.random(n) * 100, 1)
         coefficients = age_discounted_coeffs(
             LabeledScores(scores=np.zeros(n), labels=labels, context={"age": ages})
         )
+    elif costs == "extreme":
+        # per-row coefficients from part of a pool that spans zero, subnormals
+        # and 1e300, so some draws' utilities round to zeros of either sign
+        pool = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300])
+        part = np.union1d(pool[rng.random(pool.size) < 0.5], [rng.choice(pool[1:])])
+        vectors = [rng.choice(part, n) for _ in range(4)]
+        vectors[0][0] = part[-1]
+        coefficients = CostCoefficients(*vectors)
     else:
         coefficients = CostCoefficients.constant(*(rng.random(4) * 3 + 0.01))
     replicates = 6
@@ -263,7 +275,7 @@ def test_resample_vector_statistic_and_validation(rng):
     data = make_dataset(rng, 30)
 
     def extremes(replicate, _):
-        drawn = replicate.sample().scores
+        drawn = replicate.data.scores[replicate.indices]
         return [drawn.min(), drawn.max()]
 
     values, _ = resample([data], {"pair": extremes}, 7, 0)
