@@ -16,7 +16,6 @@ from .core import (
     CostCoefficients,
     DecisionRule,
     DegenerateDataError,
-    EvalReport,
     LabeledScores,
     ValidationError,
     confusion_at,
@@ -101,7 +100,6 @@ __all__ = [
     "LabeledScores",
     "DecisionRule",
     "ConfusionCounts",
-    "EvalReport",
     "confusion_at",
     # metrics
     "CalibrationBin",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +28,6 @@ from .core import (
     CostCoefficients,
     DecisionRule,
     DegenerateDataError,
-    EvalReport,
     LabeledScores,
     ValidationError,
 )
@@ -188,8 +186,9 @@ def _intervals(values) -> dict:
     intervals = {}
     for metric in _INTERVAL_METRICS:
         low68, high68 = percentiles(values[metric], [16.0, 84.0])
-        intervals[f"{metric}@68"] = (float(low68), float(high68), 0.68)
-        intervals[f"{metric}@95"] = (*percentile_interval(values[metric], 0.95), 0.95)
+        low95, high95 = percentile_interval(values[metric], 0.95)
+        intervals[f"{metric}@68"] = {"low": float(low68), "high": float(high68), "level": 0.68}
+        intervals[f"{metric}@95"] = {"low": low95, "high": high95, "level": 0.95}
     return intervals
 
 
@@ -200,10 +199,6 @@ def cmd_evaluate(args) -> int:
     curve = utility_curve(data, coefficients)
     roc = roc_points(data)
     calibration = calibration_curve(data, bins=args.bins)
-    utility = np.column_stack([curve.thresholds, curve.utilities])
-    # read-only curves go into the report without a copy
-    roc.setflags(write=False)
-    utility.setflags(write=False)
     metrics = {
         "auc": auc_rank(data),
         "brier": brier(data),
@@ -221,17 +216,6 @@ def cmd_evaluate(args) -> int:
         values, redraws = _bootstrap([data], coefficients, args)
         intervals = _intervals(values[0])
         diagnostics = {metric: {"redraws": count} for metric, count in redraws[0].items()}
-    report = EvalReport(
-        metrics=metrics,
-        curves={
-            "roc": roc,
-            "calibration": [
-                (b.mean_predicted, b.observed_frequency) for b in calibration.bins
-            ],
-            "utility": utility,
-        },
-        intervals=intervals,
-    )
     checks = {}
     if data.reference_scores is not None:
         checks["preserves_reference_ranking"] = preserves_ranking(
@@ -241,10 +225,15 @@ def cmd_evaluate(args) -> int:
             checks["preserves_reference_ranking_by_group"] = preserves_ranking_by_group(
                 data.scores, data.reference_scores, data.group
             )
-    # the report's own curve arrays, not to_dict()'s list copies; each of them
-    # is formatted once for the JSON report and for its CSV table
-    curves = {name: FormattedArray(points) for name, points in report.curves.items()}
-    body = {**replace(report, curves={}).to_dict(), "curves": curves}
+    # each curve is formatted once for the JSON report and for its CSV table
+    curves = {
+        "roc": FormattedArray(roc),
+        "calibration": FormattedArray(
+            [(b.mean_predicted, b.observed_frequency) for b in calibration.bins]
+        ),
+        "utility": FormattedArray(np.column_stack([curve.thresholds, curve.utilities])),
+    }
+    body = {"metrics": metrics, "curves": curves, "intervals": intervals}
     payload = {"report": body, "checks": checks, "bootstrap": diagnostics}
     tables = {
         "evaluate_roc.csv": (["fpr", "tpr"], curves["roc"]),
@@ -264,12 +253,29 @@ def cmd_evaluate(args) -> int:
 _COMPARE_METRICS = ("auc", "accuracy", "brier", "net_trust", "u_max")
 
 
+def _row_coefficients(spec: str, data: LabeledScores) -> np.ndarray | None:
+    """The columns ``--utility spec`` reads per-row coefficients from, if ``data`` has them."""
+    if spec == "age-contextual":
+        return data.context.get("age")
+    if spec == "columns" and data.coefficients is not None:
+        return np.column_stack(data.coefficients.as_vectors(data.n))
+    return None
+
+
 def cmd_compare(args) -> int:
     if len(args.scores) < 2:
         raise ValidationError("compare requires at least two score files")
     out = _out_dir(args)
     datasets, names = _read_same_rows(args)
     coefficients = _resolve_utility(args.utility, data=datasets[0])
+    first = _row_coefficients(args.utility, datasets[0])
+    for name, data in zip(names[1:], datasets[1:]):
+        own = _row_coefficients(args.utility, data)
+        if own is not None and not np.array_equal(own, first):
+            raise ValidationError(
+                f"score files must share per-row coefficients: the --utility {args.utility} "
+                f"values of {name!r} differ from the first file"
+            )
     table = {}
     for name, data in zip(names, datasets):
         curve = utility_curve(data, coefficients)
@@ -288,10 +294,7 @@ def cmd_compare(args) -> int:
     )
     if args.replicates:
         for name, replicates in zip(names, values):
-            table[name]["intervals"] = {
-                key: {"low": low, "high": high, "level": level}
-                for key, (low, high, level) in _intervals(replicates).items()
-            }
+            table[name]["intervals"] = _intervals(replicates)
     pairwise = []
     for i in range(len(datasets)):
         for j in range(i + 1, len(datasets)):
@@ -421,13 +424,10 @@ def cmd_sweep_c(args) -> int:
 
     costs = [cost_family(c) for c in grid]
 
-    def sweep_maxima(replicate, _=None) -> list[float]:
-        return max_utilities(replicate.starts, replicate.positives_before, costs)
+    def sweep_maxima(runs, _=None) -> list[float]:
+        return max_utilities(runs.starts, runs.positives_before, costs)
 
-    points = {
-        name: [utility_curve(data, c).max_utility for c in costs]
-        for name, data in zip(names, datasets)
-    }
+    points = {name: sweep_maxima(data.runs) for name, data in zip(names, datasets)}
     values, _ = resample(datasets, {"u_max": sweep_maxima}, args.replicates, args.seed)
     rows = []
     models = {}

@@ -1,4 +1,4 @@
-"""Core data model: scored datasets, cost coefficients, decision rules, reports.
+"""Core data model: scored datasets, cost coefficients, decision rules.
 
 Every downstream module shares the same decision convention: a score is turned
 into a positive prediction exactly when it is greater than or equal to the
@@ -9,7 +9,6 @@ expressed by a threshold strictly above every observed score.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +24,6 @@ __all__ = [
     "LabeledScores",
     "DecisionRule",
     "ConfusionCounts",
-    "EvalReport",
     "confusion_at",
     "as_float",
     "as_integer",
@@ -404,89 +402,3 @@ def confusion_at(data: LabeledScores, rule: DecisionRule) -> ConfusionCounts:
     fn = int(np.count_nonzero(~predicted & positive))
     tn = int(np.count_nonzero(~predicted & ~positive))
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-def _check_curve(name: str, points) -> np.ndarray:
-    """``points`` as a read-only (m, 2) float array of finite, x-ordered points.
-
-    A read-only (m, 2) float64 array is kept as it is; anything else is copied.
-    """
-    if isinstance(points, np.ndarray):
-        keep = points.dtype == np.float64 and not points.flags.writeable
-    else:
-        keep, points = False, list(points)
-    try:
-        curve = points if keep else np.array(points, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"curve {name!r} is not a sequence of (x, y) points") from exc
-    if curve.size == 0:
-        curve = curve.reshape(0, 2)
-    if curve.ndim != 2 or curve.shape[1] != 2:
-        raise ValidationError(f"curve {name!r} is not a sequence of (x, y) points")
-    # the first point that is not finite or lies left of its predecessor
-    bad = ~np.isfinite(curve).all(axis=1)
-    bad[1:] |= curve[1:, 0] < curve[:-1, 0]
-    if bad.any():
-        x, y = curve[int(np.argmax(bad))].tolist()
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(f"curve {name!r} contains non-finite point ({x}, {y})")
-        raise ValidationError(f"curve {name!r} is not ordered by x at x={x}")
-    return _readonly(curve)
-
-
-@dataclass(frozen=True, eq=False)
-class EvalReport:
-    """Structured evaluation result: flat metrics, curves, and intervals.
-
-    ``metrics`` maps metric name to value; ``curves`` maps curve name to an
-    x-ordered sequence of (x, y) points, stored as a read-only (m, 2) float
-    array; ``intervals`` maps a name such as ``"auc@95"`` to a (low, high,
-    level) triple.  Serialization uses shortest round-trip float
-    representation, so every value survives a JSON round trip bit-exactly
-    (within the usual 17 significant digits of a double).
-    """
-
-    metrics: dict[str, float]
-    curves: dict[str, np.ndarray] = field(default_factory=dict)
-    intervals: dict[str, tuple[float, float, float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        metrics = {}
-        for key, value in dict(self.metrics).items():
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValidationError(f"metric {key!r} is not finite")
-            metrics[str(key)] = value
-        object.__setattr__(self, "metrics", metrics)
-        curves = {str(k): _check_curve(k, v) for k, v in dict(self.curves).items()}
-        object.__setattr__(self, "curves", curves)
-        intervals = {}
-        for key, triple in dict(self.intervals).items():
-            low, high, level = (float(triple[0]), float(triple[1]), float(triple[2]))
-            if not (math.isfinite(low) and math.isfinite(high)):
-                raise ValidationError(f"interval {key!r} is not finite")
-            if low > high:
-                raise ValidationError(f"interval {key!r} has low {low} > high {high}")
-            if not 0.0 < level < 1.0:
-                raise ValidationError(f"interval {key!r} has level {level} outside (0, 1)")
-            intervals[str(key)] = (low, high, level)
-        object.__setattr__(self, "intervals", intervals)
-
-    def to_dict(self) -> dict:
-        return {
-            "metrics": dict(self.metrics),
-            "curves": {k: v.tolist() for k, v in self.curves.items()},
-            "intervals": {
-                k: {"low": lo, "high": hi, "level": level}
-                for k, (lo, hi, level) in self.intervals.items()
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def __eq__(self, other) -> bool:
-        # field-wise == would compare the curve arrays element by element
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()

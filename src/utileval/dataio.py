@@ -17,10 +17,10 @@ Reports use shortest round-trip float formatting, so every value reads back
 exactly.  They are written by one encoder: its bytes equal
 ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy arrays
 and scalars turned into Python lists and numbers, NaN into ``null`` and keys
-into strings.  A float array, or a list of finite floats or of
-equal-length rows of them, is formatted in blocks of at most ``_BLOCK`` rows,
-each block in one pass over its values, and each block goes to the file
-before the next is formatted: no text of the whole report is held.  A CSV
+into strings.  A float array of finite values is formatted in blocks of at
+most ``_BLOCK`` rows, each block in one pass over its values, and each block
+goes to the file before the next is formatted: no text of the whole report is
+held.  A CSV
 table given as a 2-D float array is written the same way.  A
 :class:`FormattedArray` keeps its blocks' texts, so a curve in the JSON
 report and in a CSV table is formatted once.
@@ -37,7 +37,6 @@ import stat
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -304,7 +303,7 @@ def _json_float(value) -> str:
     return float.__repr__(value)
 
 
-# rows of a float list or array formatted, and written, at a time
+# rows of a float array formatted, and written, at a time
 _BLOCK = 1 << 16
 
 
@@ -397,38 +396,9 @@ def _write_float_list(blocks, width: int, indent: str, write) -> None:
     write("\n" + indent + "]")
 
 
-_FLOAT_TYPES = {float, np.float64}
-
-
-def _float_rows(items) -> tuple[list, int] | None:
-    """A non-empty list of finite floats as (floats, 0), or of equal-length
-    rows of them as (the floats row after row, width); None for any other."""
-    kinds = set(map(type, items))
-    if kinds <= _FLOAT_TYPES:
-        flat, width = items, 0
-    elif kinds <= {list, tuple}:
-        widths = set(map(len, items))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        flat, width = list(chain.from_iterable(items)), widths.pop()
-        if not set(map(type, flat)) <= _FLOAT_TYPES:
-            return None
-    else:
-        return None
-    if not all(map(math.isfinite, flat)):
-        return None
-    return flat, width
-
-
 def _encode_list(items, indent: str, write) -> None:
     if not items:
         write("[]")
-        return
-    floats = _float_rows(items)
-    if floats is not None:
-        flat, width = floats
-        rows = np.array(flat, dtype=np.float64).reshape(-1, max(width, 1))
-        _write_float_list(_line_blocks(rows), width, indent, write)
         return
     inner = indent + "  "
     separator = "[\n" + inner
@@ -511,7 +481,7 @@ def _writing(path):
 def write_json(path, payload) -> None:
     """:func:`encode_json` of ``payload`` plus a final newline.
 
-    The text goes to the file piece by piece, a float list in blocks of at
+    The text goes to the file piece by piece, a float array in blocks of at
     most ``_BLOCK`` rows, so no text of the whole report is held.  A payload
     that cannot be encoded leaves no file.
     """

@@ -406,6 +406,48 @@ def test_compare_paired_entry_matches_paired_test(tmp_path, replicates):
     assert entry["p_value"] == expected.p_value
 
 
+@pytest.mark.parametrize("utility", ["age-contextual", "columns"])
+def test_compare_refuses_other_per_row_coefficients(tmp_path, capsys, utility):
+    # every file is scored with the first file's per-row coefficients, so a
+    # later file may carry their columns only with the same values
+    rows = [(i / 40, i % 2, 20 + i, 1.0, i % 3, 0.5, 1.0) for i in range(40)]
+    other = [*rows]
+    other[3] = (*rows[3][:2], 70, 1.0, 2.5, 0.5, 1.0)
+    tables = {
+        "a": ("score,label,age,a11,a01,a10,a00", rows),
+        "same": ("score,label,age,a11,a01,a10,a00", rows),
+        "plain": ("score,label", [row[:2] for row in rows]),
+        "other": ("score,label,age,a11,a01,a10,a00", other),
+    }
+    for name, (header, table) in tables.items():
+        lines = [",".join(map(str, row)) for row in table]
+        (tmp_path / f"{name}.csv").write_text("\n".join([header, *lines]) + "\n")
+    for name, code in (("same", 0), ("plain", 0), ("other", 2)):
+        files = [str(tmp_path / "a.csv"), str(tmp_path / f"{name}.csv")]
+        argv = ["compare", *files, "--utility", utility, "--replicates", "0"]
+        assert main([*argv, "--out-dir", str(tmp_path / name)]) == code
+    assert capsys.readouterr().err == (
+        f"error: score files must share per-row coefficients: the --utility {utility} "
+        "values of 'other' differ from the first file\n"
+    )
+
+
+def test_evaluate_keeps_calibration_bins_whose_means_are_out_of_order(tmp_path):
+    # bin 1's mean_predicted, the rounded mean of 42 scores of 0.1, lies below
+    # bin 0's lone score, the double just under 0.1
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "score,label\n0.09999999999999999,0\n" + "".join(f"0.1,{i % 2}\n" for i in range(42))
+    )
+    out = tmp_path / "out"
+    assert main(["evaluate", str(scores), "--out-dir", str(out)]) == 0
+    lines = (out / "evaluate_calibration.csv").read_text().splitlines()
+    assert lines[1:] == ["0,0.09999999999999999,0.0,1", "1,0.09999999999999998,0.5,42"]
+    report = json.loads((out / "evaluate_report.json").read_text())
+    curve = report["report"]["curves"]["calibration"]
+    assert curve == [[0.09999999999999999, 0.0], [0.09999999999999998, 0.5]]
+
+
 def test_simulate_small(tmp_path):
     out = tmp_path / "sim"
     argv = [

@@ -1,5 +1,4 @@
 import ast
-import json
 import warnings
 from pathlib import Path
 
@@ -14,7 +13,6 @@ from utileval import (
     CostCoefficients,
     DecisionRule,
     EquityUtility,
-    EvalReport,
     LabeledScores,
     SimStudyConfig,
     ValidationError,
@@ -254,55 +252,6 @@ def test_confusion_counts_validation():
         ConfusionCounts(tp=1.5, fp=0, fn=0, tn=0)
 
 
-def test_eval_report_checks():
-    report = EvalReport(
-        metrics={"auc": 0.75},
-        curves={"roc": [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)]},
-        intervals={"auc@95": (0.6, 0.9, 0.95)},
-    )
-    parsed = json.loads(report.to_json())
-    assert parsed["metrics"]["auc"] == 0.75
-    assert report.to_dict()["curves"] == {"roc": [[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]]}
-    assert json.dumps(report.to_dict(), sort_keys=True, indent=2) == report.to_json()
-    same = EvalReport(
-        metrics={"auc": 0.75},
-        curves={"roc": np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])},
-        intervals={"auc@95": (0.6, 0.9, 0.95)},
-    )
-    assert report == same
-    assert report != EvalReport(metrics={"auc": 0.75}, intervals={"auc@95": (0.6, 0.9, 0.95)})
-    assert parsed["intervals"]["auc@95"]["level"] == 0.95
-    with pytest.raises(ValidationError, match="not finite"):
-        EvalReport(metrics={"auc": np.nan})
-    with pytest.raises(ValidationError, match="ordered"):
-        EvalReport(metrics={}, curves={"roc": [(1.0, 0.0), (0.0, 1.0)]})
-    with pytest.raises(ValidationError, match="low"):
-        EvalReport(metrics={}, intervals={"auc@95": (0.9, 0.6, 0.95)})
-    with pytest.raises(ValidationError, match="level"):
-        EvalReport(metrics={}, intervals={"auc@95": (0.6, 0.9, 1.5)})
-
-
-def test_eval_report_keeps_read_only_curves_and_copies_writeable_ones():
-    points = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
-    writeable = EvalReport(metrics={}, curves={"roc": points}).curves["roc"]
-    assert writeable is not points and not writeable.flags.writeable
-    points[1, 1] = 0.25
-    assert writeable[1, 1] == 1.0
-    points.setflags(write=False)
-    assert EvalReport(metrics={}, curves={"roc": points}).curves["roc"] is points
-    # a read-only array of another dtype or not C-contiguous is copied
-    for other in (points.astype(np.float32), np.asfortranarray(points)[::2]):
-        other.setflags(write=False)
-        kept = EvalReport(metrics={}, curves={"roc": other}).curves["roc"]
-        assert kept is not other and kept.dtype == np.float64
-    with pytest.raises(ValidationError, match="ordered"):
-        EvalReport(metrics={}, curves={"roc": points[::-1]})
-    shape = np.zeros((2, 3))
-    shape.setflags(write=False)
-    with pytest.raises(ValidationError, match="points"):
-        EvalReport(metrics={}, curves={"roc": shape})
-
-
 @given(st.data())
 def test_confusion_partitions_the_data(data):
     n = data.draw(st.integers(min_value=1, max_value=60))
@@ -422,3 +371,31 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_")
                 ]
     assert private == []
+
+
+def test_every_name_a_module_imports_is_used():
+    # a name a module imports is read in that module or exported in its
+    # __all__; only a line marked "# noqa: F401" may bind one for other readers
+    package = Path(utileval.__file__).parent
+    unused = []
+    for source in sorted(package.glob("*.py")):
+        text = source.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(source))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{source.name}:{alias.lineno}: {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in read
+                    and "# noqa: F401" not in lines[alias.lineno - 1]
+                ]
+    assert unused == []
