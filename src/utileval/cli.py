@@ -45,6 +45,7 @@ from .metrics import (
     auc_rank,
     brier,
     calibration_curve,
+    check_bins,
     ece,
     net_trust,
     roc_points,
@@ -118,18 +119,18 @@ def _resolve_utility(spec: str, data: LabeledScores | None = None, age=None) -> 
     )
 
 
-def _out_dir(args) -> Path:
+def _make_out_dir(args) -> None:
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out}: {exc}") from exc
-    return out
 
 
-def _write_reports(args, out: Path, inputs, report: str, payload: dict, tables: dict) -> None:
-    """Write ``payload`` to ``out / report`` and each ``{name: (header, rows)}``
-    table to ``out / name``; the payload's ``manifest`` lists exactly those files."""
+def _write_reports(args, inputs, report: str, payload: dict, tables: dict) -> None:
+    """Write ``payload`` to ``report`` and each ``{name: (header, rows)}`` table
+    to ``name`` in ``--out-dir``; the manifest lists exactly those files."""
+    out = Path(args.out_dir)
     options = {
         key: (str(value) if isinstance(value, Path) else value)
         for key, value in vars(args).items()
@@ -174,9 +175,15 @@ def _read_same_rows(args) -> tuple[list[LabeledScores], list[str]]:
     return datasets, names
 
 
-def _bootstrap(datasets, coefficients, args, metrics=_INTERVAL_METRICS):
+def _bootstrap_config(args) -> BootstrapConfig:
+    """The bootstrap of ``--replicates`` (100 without it), with ``--bins``
+    checked too, so that both are refused before any input is read."""
+    check_bins(args.bins)
+    return BootstrapConfig(replicates=args.replicates or 100, seed=args.seed)
+
+
+def _bootstrap(datasets, coefficients, args, config, metrics=_INTERVAL_METRICS):
     """Replicates of ``metrics`` on every file, all cut from one draw stream."""
-    config = BootstrapConfig(replicates=args.replicates or 100, seed=args.seed)
     statistics = {name: partial(BOOTSTRAP_METRICS[name], bins=args.bins) for name in metrics}
     return resample(datasets, statistics, config.replicates, config.seed, coefficients)
 
@@ -193,7 +200,7 @@ def _intervals(values) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+    config = _bootstrap_config(args)
     data = read_scores(args.scores, delimiter=args.delimiter)
     coefficients = _resolve_utility(args.utility, data=data)
     curve = utility_curve(data, coefficients)
@@ -213,7 +220,7 @@ def cmd_evaluate(args) -> int:
     intervals: dict = {}
     diagnostics: dict = {}
     if args.replicates:
-        values, redraws = _bootstrap([data], coefficients, args)
+        values, redraws = _bootstrap([data], coefficients, args, config)
         intervals = _intervals(values[0])
         diagnostics = {metric: {"redraws": count} for metric, count in redraws[0].items()}
     checks = {}
@@ -246,7 +253,7 @@ def cmd_evaluate(args) -> int:
         ),
         "evaluate_utility.csv": (["threshold", "utility"], curves["utility"]),
     }
-    _write_reports(args, out, [args.scores], "evaluate_report.json", payload, tables)
+    _write_reports(args, [args.scores], "evaluate_report.json", payload, tables)
     return 0
 
 
@@ -265,7 +272,7 @@ def _row_coefficients(spec: str, data: LabeledScores) -> np.ndarray | None:
 def cmd_compare(args) -> int:
     if len(args.scores) < 2:
         raise ValidationError("compare requires at least two score files")
-    out = _out_dir(args)
+    config = _bootstrap_config(args)
     datasets, names = _read_same_rows(args)
     coefficients = _resolve_utility(args.utility, data=datasets[0])
     first = _row_coefficients(args.utility, datasets[0])
@@ -290,7 +297,7 @@ def cmd_compare(args) -> int:
     # the paired tests reuse the u_max replicates behind the intervals (100
     # replicates of u_max alone without --replicates)
     values, _ = _bootstrap(
-        datasets, coefficients, args, _INTERVAL_METRICS if args.replicates else ("u_max",)
+        datasets, coefficients, args, config, _INTERVAL_METRICS if args.replicates else ("u_max",)
     )
     if args.replicates:
         for name, replicates in zip(names, values):
@@ -336,12 +343,11 @@ def cmd_compare(args) -> int:
                 )
             )
     tables = {"compare_metrics.csv": (["model", "metric", "value", "low95", "high95"], rows)}
-    _write_reports(args, out, args.scores, "compare_report.json", payload, tables)
+    _write_reports(args, args.scores, "compare_report.json", payload, tables)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     config = SimStudyConfig(
         n_samples=args.samples,
         n_realizations=args.realizations,
@@ -395,7 +401,7 @@ def cmd_simulate(args) -> int:
             for row in zip(bands.thresholds, stats["mean"], stats["p16"], stats["p84"])
         ]
         tables[filename] = (["classifier", "threshold", "mean_utility", "p16", "p84"], rows)
-    _write_reports(args, out, [], "simulate_summary.json", payload, tables)
+    _write_reports(args, [], "simulate_summary.json", payload, tables)
     return 0
 
 
@@ -410,8 +416,6 @@ def _parse_grid(text: str, what: str) -> list[float]:
 
 
 def cmd_sweep_c(args) -> int:
-    out = _out_dir(args)
-    datasets, names = _read_same_rows(args)
     grid = _parse_grid(args.grid, "cost")
     for c in grid:
         if c < 0:
@@ -421,8 +425,8 @@ def cmd_sweep_c(args) -> int:
             f"replicates x cost grid length must be <= {MAX_REPLICATE_CELLS}, "
             f"got {args.replicates} x {len(grid)}"
         )
-
     costs = [cost_family(c) for c in grid]
+    datasets, names = _read_same_rows(args)
 
     def sweep_maxima(runs, _=None) -> list[float]:
         return max_utilities(runs.starts, runs.positives_before, costs)
@@ -451,12 +455,11 @@ def cmd_sweep_c(args) -> int:
             )
     payload = {"grid": grid, "replicates": args.replicates, "models": models}
     tables = {"sweep_c.csv": (["model", "c", "u_max", "u_max_mean", "u_max_sem"], rows)}
-    _write_reports(args, out, args.scores, "sweep_c_report.json", payload, tables)
+    _write_reports(args, args.scores, "sweep_c_report.json", payload, tables)
     return 0
 
 
 def cmd_tune(args) -> int:
-    out = _out_dir(args)
     table = read_features(args.features, delimiter=args.delimiter)
     if args.utility == "columns":
         raise ValidationError("--utility columns is not available for feature files")
@@ -516,12 +519,11 @@ def cmd_tune(args) -> int:
             utility_rows,
         ),
     }
-    _write_reports(args, out, [args.features], "tune_report.json", payload, tables)
+    _write_reports(args, [args.features], "tune_report.json", payload, tables)
     return 0
 
 
 def cmd_equity(args) -> int:
-    out = _out_dir(args)
     data = read_scores(args.scores, delimiter=args.delimiter)
     if data.reference_scores is None:
         raise ValidationError("equity selection requires a reference_score column")
@@ -556,7 +558,7 @@ def cmd_equity(args) -> int:
         (j, value, int(value == value)) for j, value in enumerate(result.utility_by_group1_count)
     ]
     tables = {"equity_profile.csv": (["group1_count", "utility", "feasible"], profile)}
-    _write_reports(args, out, [args.scores, args.bonus], "equity_report.json", payload, tables)
+    _write_reports(args, [args.scores, args.bonus], "equity_report.json", payload, tables)
     return 0
 
 
@@ -685,6 +687,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _make_out_dir(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ __all__ = [
     "DegenerateDataError",
     "CostCoefficients",
     "ScoreRuns",
+    "rule_outcomes",
     "LabeledScores",
     "DecisionRule",
     "ConfusionCounts",
@@ -254,11 +255,16 @@ class ScoreRuns:
         count (the empty tail) where it accepts none."""
         return np.searchsorted(self.values, thresholds, side="left")
 
-    def accepted(self, run) -> tuple[np.ndarray, np.ndarray]:
-        """Accepted-row and true-positive counts of the rules that accept
-        every run from ``run`` on."""
-        n, n_pos = self.starts[-1], self.positives_before[-1]
-        return n - self.starts[run], n_pos - self.positives_before[run]
+
+def rule_outcomes(starts, positives_before, run=slice(None)):
+    """``tp, fp, fn, tn`` of the rules that accept every run from ``run`` on,
+    for runs laid out as in :class:`ScoreRuns`: ``fn`` is ``positives_before[run]``
+    itself and the other three are float64, exact as every count is below 2**53."""
+    n, n_pos = starts[-1], positives_before[-1]
+    fn = positives_before[run]
+    tp = np.subtract(n_pos, fn, dtype=np.float64)
+    tn = np.subtract(starts[run], fn, dtype=np.float64)
+    return tp, np.subtract(n - n_pos, tn), fn, tn
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ Reports use shortest round-trip float formatting, so every value reads back
 exactly.  They are written by one encoder: its bytes equal
 ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy arrays
 and scalars turned into Python lists and numbers, NaN into ``null`` and keys
-into strings.  A float array of finite values is formatted in blocks of at
-most ``_BLOCK`` rows, each block in one pass over its values, and each block
-goes to the file before the next is formatted: no text of the whole report is
-held.  A CSV
-table given as a 2-D float array is written the same way.  A
+into strings.  A 2-D float array of finite values is formatted in blocks of
+at most ``_BLOCK`` rows, each block in one pass over its values, and each
+block goes to the file before the next is formatted: no text of the whole
+report is held.  A CSV table given as a 2-D float array is written the same
+way.  A
 :class:`FormattedArray` keeps its blocks' texts, so a curve in the JSON
 report and in a CSV table is formatted once.
 """
@@ -226,10 +226,7 @@ def read_scores(path, delimiter: str = ",") -> LabeledScores:
 
 def format_number(value) -> str:
     """Shortest decimal representation that round-trips the exact double."""
-    value = float(value)
-    if value != value:
-        return "nan"
-    return repr(value)
+    return repr(float(value))
 
 
 @dataclass(frozen=True)
@@ -372,26 +369,18 @@ def _line_blocks(rows: np.ndarray):
         yield lines
 
 
-def _json_items(lines: str, width: int, indent: str) -> str:
-    """The items of a JSON list at ``indent`` from CSV ``lines`` of finite
-    floats: one float a line (``width`` 0), or one row of floats a line."""
+def _write_float_list(blocks, indent: str, write) -> None:
+    """Write the JSON list at ``indent`` of the rows in the non-empty CSV line
+    ``blocks`` of finite floats, one list of floats a row."""
     inner = indent + "  "
-    lines = lines[:-1]
-    if not width:
-        return lines.replace("\n", ",\n" + inner)
     cell = inner + "  "
-    # "\0" holds the cell breaks while the row breaks, which hold commas, go in
-    rows = lines.replace(",", "\0").replace("\n", "\n" + inner + "],\n" + inner + "[\n" + cell)
-    return "[\n" + cell + rows.replace("\0", ",\n" + cell) + "\n" + inner + "]"
-
-
-def _write_float_list(blocks, width: int, indent: str, write) -> None:
-    """Write the JSON list at ``indent`` of the non-empty CSV line ``blocks``."""
-    inner = indent + "  "
     separator = "[\n" + inner
     for lines in blocks:
+        # "\0" holds the cell breaks while the row breaks, which hold commas, go in
+        rows = lines[:-1].replace(",", "\0")
+        rows = rows.replace("\n", "\n" + inner + "],\n" + inner + "[\n" + cell)
         write(separator)
-        write(_json_items(lines, width, indent))
+        write("[\n" + cell + rows.replace("\0", ",\n" + cell) + "\n" + inner + "]")
         separator = ",\n" + inner
     write("\n" + indent + "]")
 
@@ -410,15 +399,11 @@ def _encode_list(items, indent: str, write) -> None:
 
 
 def _encode_array(value: np.ndarray, indent: str, write) -> None:
-    # a float vector or table goes in its own blocks, not as a list copy, so
-    # a FormattedArray's kept texts are used
-    if _is_float_array(value) and value.size and np.isfinite(value).all():
-        if value.ndim == 2:
-            _write_float_list(_line_blocks(value), value.shape[1], indent, write)
-            return
-        if value.ndim == 1:
-            _write_float_list(_line_blocks(value.reshape(-1, 1)), 0, indent, write)
-            return
+    # a float table goes in its own blocks, not as a list copy, so a
+    # FormattedArray's kept texts are used
+    if _is_float_array(value) and value.ndim == 2 and value.size and np.isfinite(value).all():
+        _write_float_list(_line_blocks(value), indent, write)
+        return
     # list() fails on a 0-d array's scalar as iterating it always did
     _encode_list(list(value.tolist()), indent, write)
 
@@ -481,7 +466,7 @@ def _writing(path):
 def write_json(path, payload) -> None:
     """:func:`encode_json` of ``payload`` plus a final newline.
 
-    The text goes to the file piece by piece, a float array in blocks of at
+    The text goes to the file piece by piece, a 2-D float array in blocks of at
     most ``_BLOCK`` rows, so no text of the whole report is held.  A payload
     that cannot be encoded leaves no file.
     """

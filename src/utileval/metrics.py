@@ -25,6 +25,7 @@ from .core import (
     LabeledScores,
     ValidationError,
     confusion_at,
+    rule_outcomes,
 )
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
     "CalibrationCurve",
     "calibration_curve",
     "calibration_blocks",
+    "calibration_block_stats",
+    "check_bins",
     "MAX_BINS",
     "ece",
     "net_trust",
@@ -119,9 +122,9 @@ def roc_points(data: LabeledScores) -> np.ndarray:
     if data.n_positive == 0 or data.n_negative == 0:
         raise DegenerateDataError("ROC undefined: dataset contains only one class")
     # one point per run, from the highest score down
-    accepted, tp = data.runs.accepted(np.arange(data.runs.starts.size - 2, -1, -1))
+    tp, fp, _, _ = rule_outcomes(data.runs.starts, data.runs.positives_before, slice(-2, None, -1))
     tpr = tp / data.n_positive
-    fpr = (accepted - tp) / data.n_negative
+    fpr = fp / data.n_negative
     return np.concatenate([[[0.0, 0.0]], np.column_stack([fpr, tpr])])
 
 
@@ -169,23 +172,22 @@ def calibration_curve(data: LabeledScores, bins: int = 10) -> CalibrationCurve:
     grow with ``bins``.
     """
     runs = data.runs
-    starts, positives_before = runs.starts, runs.positives_before
     indices, edges = calibration_blocks(runs.values, bins)
-    out = []
-    # each occupied bin is a contiguous slice of the sorted scores
-    for index, first, last in zip(indices, edges[:-1], edges[1:]):
-        start, end = starts[first], starts[last]
-        count = int(end - start)
-        positives = positives_before[last] - positives_before[first]
-        out.append(
-            CalibrationBin(
-                bin_index=int(index),
-                mean_predicted=float(runs.sorted_scores[start:end].sum() / count),
-                observed_frequency=float(positives / count),
-                count=count,
-            )
-        )
-    return CalibrationCurve(bins=tuple(out), n_bins=int(bins), n=data.n)
+    # every block of the dataset's own runs holds a row
+    blocks = calibration_block_stats(runs.sorted_scores, runs.starts, runs.positives_before, edges)
+    out = tuple(
+        CalibrationBin(int(index), mean_predicted, observed_frequency, count)
+        for index, (count, observed_frequency, mean_predicted) in zip(indices, blocks, strict=True)
+    )
+    return CalibrationCurve(bins=out, n_bins=int(bins), n=data.n)
+
+
+def check_bins(bins: int) -> None:
+    """Refuse a calibration bin count below 2 or above :data:`MAX_BINS`."""
+    if bins < 2:
+        raise ValidationError(f"bins must be >= 2, got {bins}")
+    if bins > MAX_BINS:
+        raise ValidationError(f"bins must be <= 2**53 ({MAX_BINS}), got {bins}")
 
 
 def calibration_blocks(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +197,23 @@ def calibration_blocks(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
     ending where the bin index changes.  Returns the bin index of each block
     and the run where each block starts, followed by the run count.
     """
-    if bins < 2:
-        raise ValidationError(f"bins must be >= 2, got {bins}")
-    if bins > MAX_BINS:
-        raise ValidationError(f"bins must be <= 2**53 ({MAX_BINS}), got {bins}")
+    check_bins(bins)
     run_bin = np.minimum((values * bins).astype(np.int64), bins - 1)
     edges = np.concatenate([[0], np.flatnonzero(np.diff(run_bin)) + 1, [run_bin.size]])
     return run_bin[edges[:-1]], edges
+
+
+def calibration_block_stats(sorted_scores, starts, positives_before, edges):
+    """Yield ``(count, observed_frequency, mean_predicted)`` of each non-empty
+    block that starts at the runs ``edges`` (see :func:`calibration_blocks`), for
+    runs laid out as in :class:`~utileval.core.ScoreRuns` over ``sorted_scores``;
+    the mean sums the block's slice of ``sorted_scores``, so row order changes no bit."""
+    bounds = starts[edges].tolist()
+    positives = positives_before[edges].tolist()
+    for start, end, before, after in zip(bounds, bounds[1:], positives, positives[1:]):
+        count = end - start
+        if count:
+            yield count, (after - before) / count, float(sorted_scores[start:end].sum() / count)
 
 
 def ece(curve: CalibrationCurve) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CostCoefficients, DecisionRule, LabeledScores, ValidationError, as_integer
+from .core import CostCoefficients, LabeledScores, ValidationError, as_integer, rule_outcomes
 from .metrics import brier, calibration_curve, ece, net_trust
 from .special import expit, ndtri
 from .stats import percentiles
@@ -211,7 +211,6 @@ def simulate(
         )
     zero_one = CostCoefficients.zero_one()
     reuse_sweep = config.coefficients.is_constant and config.coefficients == zero_one
-    half = DecisionRule(0.5)
     # [classifier, metric, realization] and [curve, classifier, realization, threshold]
     series = np.empty((len(CLASSIFIERS), len(_METRICS), realizations))
     grids = np.empty((len(curve_coefficients), len(CLASSIFIERS), realizations, grid_size))
@@ -225,10 +224,13 @@ def simulate(
             data = realization.dataset(name)
             u_max = utility_curve(data, config.coefficients).max_utility
             calibration = calibration_curve(data, bins=10)
+            tp, _, _, tn = rule_outcomes(
+                data.runs.starts, data.runs.positives_before, data.runs.first_accepted(0.5)
+            )
             series[k, :, r] = (
                 u_max,
                 u_max if reuse_sweep else utility_curve(data, zero_one).max_utility,
-                np.mean(half.apply(data.scores) == (data.labels == 1)),
+                (tp + tn) / data.n,
                 brier(data),
                 ece(calibration),
                 net_trust(data),

@@ -27,8 +27,15 @@ from .core import (
     LabeledScores,
     ValidationError,
     as_integer,
+    rule_outcomes,
 )
-from .metrics import auc_from_runs, brier_terms, calibration_blocks, net_trust_terms
+from .metrics import (
+    auc_from_runs,
+    brier_terms,
+    calibration_block_stats,
+    calibration_blocks,
+    net_trust_terms,
+)
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through stats
 from .utility import max_utilities, per_sample_sweep
 from .utility import utility_curve  # noqa: F401  perfbench traces it through stats
@@ -173,11 +180,10 @@ def _auc(replicate: Replicate, _coefficients, bins: int = 10) -> float:
 
 def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
     # the rule score >= 0.5 accepts every run from half_run on
-    n, half = replicate.data.n, replicate._source.half_run
-    n_pos = int(replicate.positives_before[-1])
-    tp = n_pos - int(replicate.positives_before[half])
-    fp = n - int(replicate.starts[half]) - tp
-    return (tp + (n - n_pos - fp)) / n
+    tp, _, _, tn = rule_outcomes(
+        replicate.starts, replicate.positives_before, replicate._source.half_run
+    )
+    return float((tp + tn) / replicate.data.n)
 
 
 def _ece(replicate: Replicate, _coefficients, bins: int = 10) -> float:
@@ -185,15 +191,12 @@ def _ece(replicate: Replicate, _coefficients, bins: int = 10) -> float:
     # the same order, from the running sums at the calibration block edges
     edges = replicate._source.blocks(bins)[1]
     sorted_scores = np.repeat(replicate.data.runs.values, replicate.drawn)
-    bounds = replicate.starts[edges].tolist()
-    positives = replicate.positives_before[edges].tolist()
-    n = bounds[-1]
+    n = replicate.data.n
     total = 0.0
-    for start, end, before, after in zip(bounds, bounds[1:], positives, positives[1:]):
-        count = end - start
-        if count:
-            mean_predicted = float(sorted_scores[start:end].sum() / count)
-            total += (count / n) * abs((after - before) / count - mean_predicted)
+    for count, observed, predicted in calibration_block_stats(
+        sorted_scores, replicate.starts, replicate.positives_before, edges
+    ):
+        total += (count / n) * abs(observed - predicted)
     return total
 
 

@@ -38,6 +38,7 @@ from .core import (
     as_float,
     as_float_vector,
     confusion_at,
+    rule_outcomes,
 )
 from .ranking import preserves_ranking
 from .special import expit, logit
@@ -61,16 +62,6 @@ def _utility_from_counts(tp, fp, fn, tn, n, a11, a01, a10, a00):
     # and max_utilities sums in the same order; identical operation order
     # keeps them bit-for-bit consistent
     return (a11 * tp - a01 * fp - a10 * fn + a00 * tn) / n
-
-
-def _outcomes(accepted, tp, n: int, n_pos: int):
-    """``tp, fp, fn, tn`` of the rules accepting ``accepted`` rows, ``tp`` of
-    them positive, out of ``n`` rows with ``n_pos`` positives, as float
-    arrays; every count is below 2**53, so each is exact and multiplies as
-    its integer would."""
-    tp = np.asarray(tp, dtype=np.float64)
-    fp = accepted - tp
-    return tp, fp, n_pos - tp, n - n_pos - fp
 
 
 def _contributions(
@@ -145,7 +136,7 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray)
     runs = data.runs
     if coefficients.is_constant:
         c = coefficients
-        counts = _outcomes(*runs.accepted(run), data.n, data.n_positive)
+        counts = rule_outcomes(runs.starts, runs.positives_before, run)
         return _utility_from_counts(*counts, data.n, c.a11, c.a01, c.a10, c.a00)
     size = runs.starts.size - 1
     return per_sample_sweep(runs.run_of_row, data.labels, coefficients, size, run)
@@ -211,13 +202,9 @@ def max_utilities(starts, positives_before, coefficient_sets) -> list[float]:
     dataset of those runs.  Empty runs may stand in the run list: the rule
     that starts at an empty run is the rule that starts at the run after it.
     """
-    n, n_pos = int(starts[-1]), int(positives_before[-1])
-    # the outcome counts of the rule starting at each run are exact integers
-    # (fn is positives_before); the numerator of _utility_from_counts is summed
-    # in its order, in place
-    tp = np.subtract(n_pos, positives_before, dtype=np.float64)
-    tn = np.subtract(starts, positives_before, dtype=np.float64)
-    fp = np.subtract(n - n_pos, tn)
+    n = int(starts[-1])
+    # the numerator of _utility_from_counts is summed in its order, in place
+    tp, fp, fn, tn = rule_outcomes(starts, positives_before)
     totals, term = np.empty_like(tp), np.empty_like(tp)
     out = []
     for c in coefficient_sets:
@@ -225,7 +212,7 @@ def max_utilities(starts, positives_before, coefficient_sets) -> list[float]:
             raise ValidationError("max_utilities requires constant coefficients")
         np.multiply(c.a11, tp, out=totals)
         totals -= np.multiply(c.a01, fp, out=term)
-        totals -= np.multiply(c.a10, positives_before, out=term)
+        totals -= np.multiply(c.a10, fn, out=term)
         totals += np.multiply(c.a00, tn, out=term)
         # correctly rounded division by n > 0 is monotone, so the largest
         # numerator gives the largest utility; a zero maximum may tie with a

@@ -281,6 +281,36 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["--version"]) == 0
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ("evaluate --replicates 3", "interval estimation requires >= 100 replicates, got 3"),
+        ("evaluate --bins 1", "bins must be >= 2, got 1"),
+        ("compare --replicates 3", "interval estimation requires >= 100 replicates, got 3"),
+        ("compare --bins 1 --replicates 0", "bins must be >= 2, got 1"),
+        ("sweep-c --grid x", "invalid cost grid 'x'"),
+        ("sweep-c --grid -1", "cost parameters must be >= 0, got -1.0"),
+        (
+            "sweep-c --replicates 1000000",
+            "replicates x cost grid length must be <= 4000000, got 1000000 x 8",
+        ),
+    ],
+)
+def test_options_are_checked_before_any_input_is_read(tmp_path, capsys, options, message):
+    command, *options = options.split()
+    inputs = ["nope.csv"] * (2 if command == "compare" else 1)
+    assert main([command, *inputs, *options, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_compare_checks_bins_without_replicates(tmp_path, capsys):
+    scores = str(_write_scores(tmp_path / "ok.csv", with_extras=False))
+    argv = ["compare", scores, scores, "--bins", "1", "--replicates", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: bins must be >= 2, got 1\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("bins", [10**12, 2**53])
 def test_evaluate_with_far_more_bins_than_rows(tmp_path, bins):
     scores = _write_scores(tmp_path / "scores.csv", with_extras=False)

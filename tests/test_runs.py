@@ -27,6 +27,8 @@ from utileval import (
     utility_curve,
 )
 from utileval import simstudy
+from utileval.core import rule_outcomes
+from utileval.stats import resample
 from utileval.cli import main
 from conftest import make_dataset
 
@@ -125,14 +127,68 @@ def test_runs_of_a_small_dataset():
     assert runs.values.tolist() == [0.2, 0.5, 0.9]
     run = runs.first_accepted([0.0, 0.2, 0.3, 0.9, 1.0])
     assert run.tolist() == [0, 0, 1, 2, 3]
-    accepted, tp = runs.accepted(run)
-    assert accepted.tolist() == [5, 5, 3, 1, 0]
+    tp, fp, fn, tn = rule_outcomes(runs.starts, runs.positives_before, run)
     assert tp.tolist() == [3, 3, 2, 1, 0]
+    assert fp.tolist() == [2, 2, 1, 0, 0]
+    assert fn.tolist() == [0, 0, 1, 2, 3]
+    assert tn.tolist() == [0, 0, 1, 2, 2]
     for array in (
         runs.sorted_scores, runs.starts, runs.positives_before, runs.run_of_row, runs.values
     ):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def _outcome_reference(data, thresholds):
+    counts = [confusion_at(data, DecisionRule(t)) for t in thresholds]
+    return tuple(np.array([getattr(c, name) for c in counts]) for name in ("tp", "fp", "fn", "tn"))
+
+
+def _same_outcomes(got, reference):
+    # fn is positives_before's int64; tp, fp and tn are exact float64 counts
+    return all(
+        _same_bits(a, b if name == "fn" else b.astype(np.float64))
+        for name, a, b in zip(("tp", "fp", "fn", "tn"), got, reference)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    kind=st.sampled_from(["continuous", "1-decimal ties", "signed zeros", "one class"]),
+)
+def test_rule_outcomes_match_confusion_at(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    labels = (rng.random(n) < 0.5).astype(np.int64)
+    if kind != "continuous":
+        scores = np.round(scores, 1)
+    if kind == "signed zeros":
+        zero = rng.random(n) < 0.5
+        scores[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    if kind == "one class":
+        labels[:] = rng.integers(0, 2)
+    data = LabeledScores(scores=scores, labels=labels)
+    runs = data.runs
+    unique = np.unique(data.scores)
+    candidates = np.append(unique, math.nextafter(float(unique[-1]), math.inf))
+    run = runs.first_accepted(candidates)
+    got = rule_outcomes(runs.starts, runs.positives_before, run)
+    assert _same_outcomes(got, _outcome_reference(data, candidates))
+
+    # a bootstrap draw's layout keeps the dataset's run numbering
+    draws = []
+
+    def record(replicate, _coefficients):
+        outcomes = rule_outcomes(replicate.starts, replicate.positives_before, run)
+        draws.append((replicate.indices, outcomes))
+        return 0.0
+
+    resample([data], {"record": record}, 4, seed)
+    assert len(draws) == 4
+    for indices, outcomes in draws:
+        assert _same_outcomes(outcomes, _outcome_reference(data.take(indices), candidates))
 
 
 def _stable_runs(scores, labels):
