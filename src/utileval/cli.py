@@ -64,6 +64,7 @@ from .stats import (
     MAX_REPLICATE_CELLS,
     BootstrapConfig,
     PairedTestResult,
+    check_replicates,
     percentile_interval,
     percentiles,
     resample,
@@ -83,8 +84,9 @@ VERSION = utileval.__version__
 _INTERVAL_METRICS = ("auc", "brier", "accuracy", "ece", "net_trust", "u_max")
 
 
-def _resolve_utility(spec: str, data: LabeledScores | None = None, age=None) -> CostCoefficients:
-    """Interpret the --utility option."""
+def _parse_utility(spec: str) -> CostCoefficients | str:
+    """The --utility option, read before any input: constant coefficients, or
+    the spec of per-row ones for :func:`_row_utility` to read from the input."""
     if spec == "zero-one":
         return CostCoefficients.zero_one()
     if spec.startswith("c:"):
@@ -93,30 +95,25 @@ def _resolve_utility(spec: str, data: LabeledScores | None = None, age=None) -> 
         except ValueError:
             raise ValidationError(f"invalid cost parameter in --utility {spec!r}") from None
         return cost_family(c)
-    if spec == "age-contextual":
-        if data is not None:
-            return age_discounted_coeffs(data)
-        if age is None:
-            raise ValidationError(
-                "--utility age-contextual requires an 'age' column in the input"
-            )
-        return age_discounted_coeffs(
-            LabeledScores(
-                scores=np.zeros(len(age)),
-                labels=np.zeros(len(age), dtype=np.int64),
-                context={"age": age},
-            )
-        )
-    if spec == "columns":
-        if data is None or data.coefficients is None:
-            raise ValidationError(
-                "--utility columns requires a11,a01,a10,a00 columns in the score file"
-            )
-        return data.coefficients
+    if spec in ("age-contextual", "columns"):
+        return spec
     raise ValidationError(
         f"unknown --utility {spec!r}; expected zero-one, c:<value>, "
         "age-contextual or columns"
     )
+
+
+def _row_utility(utility: CostCoefficients | str, data) -> CostCoefficients:
+    """Constant coefficients as they are; per-row ones read from ``data``."""
+    if isinstance(utility, CostCoefficients):
+        return utility
+    if utility == "age-contextual":
+        return age_discounted_coeffs(data)
+    if data.coefficients is None:
+        raise ValidationError(
+            "--utility columns requires a11,a01,a10,a00 columns in the score file"
+        )
+    return data.coefficients
 
 
 def _make_out_dir(args) -> None:
@@ -131,11 +128,7 @@ def _write_reports(args, inputs, report: str, payload: dict, tables: dict) -> No
     """Write ``payload`` to ``report`` and each ``{name: (header, rows)}`` table
     to ``name`` in ``--out-dir``; the manifest lists exactly those files."""
     out = Path(args.out_dir)
-    options = {
-        key: (str(value) if isinstance(value, Path) else value)
-        for key, value in vars(args).items()
-        if key != "func"
-    }
+    options = {key: value for key, value in vars(args).items() if key != "func"}
     payload["manifest"] = {
         "tool": {"name": "utileval", "version": VERSION},
         "command": args.command,
@@ -175,11 +168,15 @@ def _read_same_rows(args) -> tuple[list[LabeledScores], list[str]]:
     return datasets, names
 
 
-def _bootstrap_config(args) -> BootstrapConfig:
-    """The bootstrap of ``--replicates`` (100 without it), with ``--bins``
-    checked too, so that both are refused before any input is read."""
+def _bootstrap_options(args) -> tuple[BootstrapConfig, CostCoefficients | str]:
+    """The bootstrap of ``--replicates`` (100 without it) and the parsed
+    ``--utility``, with ``--bins`` checked too, so that all three are refused
+    before any input is read."""
     check_bins(args.bins)
-    return BootstrapConfig(replicates=args.replicates or 100, seed=args.seed)
+    config = BootstrapConfig(replicates=args.replicates or 100, seed=args.seed)
+    utility = _parse_utility(args.utility)
+    check_replicates(args.replicates)
+    return config, utility
 
 
 def _bootstrap(datasets, coefficients, args, config, metrics=_INTERVAL_METRICS):
@@ -200,9 +197,9 @@ def _intervals(values) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    config = _bootstrap_config(args)
+    config, utility = _bootstrap_options(args)
     data = read_scores(args.scores, delimiter=args.delimiter)
-    coefficients = _resolve_utility(args.utility, data=data)
+    coefficients = _row_utility(utility, data)
     curve = utility_curve(data, coefficients)
     roc = roc_points(data)
     calibration = calibration_curve(data, bins=args.bins)
@@ -272,9 +269,9 @@ def _row_coefficients(spec: str, data: LabeledScores) -> np.ndarray | None:
 def cmd_compare(args) -> int:
     if len(args.scores) < 2:
         raise ValidationError("compare requires at least two score files")
-    config = _bootstrap_config(args)
+    config, utility = _bootstrap_options(args)
     datasets, names = _read_same_rows(args)
-    coefficients = _resolve_utility(args.utility, data=datasets[0])
+    coefficients = _row_utility(utility, datasets[0])
     first = _row_coefficients(args.utility, datasets[0])
     for name, data in zip(names[1:], datasets[1:]):
         own = _row_coefficients(args.utility, data)
@@ -426,6 +423,7 @@ def cmd_sweep_c(args) -> int:
             f"got {args.replicates} x {len(grid)}"
         )
     costs = [cost_family(c) for c in grid]
+    check_replicates(args.replicates)
     datasets, names = _read_same_rows(args)
 
     def sweep_maxima(runs, _=None) -> list[float]:
@@ -460,15 +458,16 @@ def cmd_sweep_c(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    table = read_features(args.features, delimiter=args.delimiter)
-    if args.utility == "columns":
+    utility = _parse_utility(args.utility)
+    if utility == "columns":
         raise ValidationError("--utility columns is not available for feature files")
-    coefficients = _resolve_utility(args.utility, age=table.age)
+    k_grid = _parse_grid(args.k_grid, "k")
+    table = read_features(args.features, delimiter=args.delimiter)
     result = tune_and_compare(
         table.features,
         table.labels,
-        _parse_grid(args.k_grid, "k"),
-        coefficients,
+        k_grid,
+        _row_utility(utility, table),
         repeats=args.repeats,
         seed=args.seed,
         n_folds=args.folds,
@@ -574,14 +573,13 @@ def _seed(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
-    common.add_argument(
-        "--out-dir", default=".", help="directory for report files (default .)"
-    )
-    common.add_argument(
-        "--delimiter", default=",", help="input field delimiter (default ,)"
-    )
+    # each command composes the shared options it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
+    out_dir = argparse.ArgumentParser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".", help="directory for report files (default .)")
+    delimiter = argparse.ArgumentParser(add_help=False)
+    delimiter.add_argument("--delimiter", default=",", help="input field delimiter (default ,)")
     utility_help = (
         "utility family: zero-one, c:<value>, age-contextual, or columns "
         "(read a11,a01,a10,a00 from the file)"
@@ -594,9 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"utileval {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "evaluate", parents=[common], help="evaluate one score file"
-    )
+    shared = [seed, out_dir, delimiter]
+    p = sub.add_parser("evaluate", parents=shared, help="evaluate one score file")
     p.add_argument("scores", help="delimited file with score and label columns")
     p.add_argument("--utility", default="zero-one", help=utility_help)
     p.add_argument("--bins", type=int, default=10, help="calibration bins (default 10)")
@@ -608,9 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser(
-        "compare", parents=[common], help="compare scorers sharing the same rows"
-    )
+    p = sub.add_parser("compare", parents=shared, help="compare scorers sharing the same rows")
     p.add_argument("scores", nargs="+", help="two or more score files with identical labels")
     p.add_argument("--utility", default="zero-one", help=utility_help)
     p.add_argument("--bins", type=int, default=10, help="calibration bins (default 10)")
@@ -619,9 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="run the built-in synthetic study"
-    )
+    p = sub.add_parser("simulate", parents=[seed, out_dir], help="run the built-in synthetic study")
     p.add_argument("--samples", type=int, default=15000, help="samples per realization")
     p.add_argument("--realizations", type=int, default=400, help="number of realizations")
     p.add_argument(
@@ -631,9 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=201, help="threshold grid size (default 201)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "sweep-c", parents=[common], help="attainable utility across a cost grid"
-    )
+    p = sub.add_parser("sweep-c", parents=shared, help="attainable utility across a cost grid")
     p.add_argument("scores", nargs="+", help="score files with identical labels")
     p.add_argument(
         "--grid",
@@ -648,9 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_sweep_c)
 
-    p = sub.add_parser(
-        "tune", parents=[common], help="select k for kNN by AUC and by accuracy"
-    )
+    p = sub.add_parser("tune", parents=shared, help="select k for kNN by AUC and by accuracy")
     p.add_argument("features", help="delimited file with label and feature columns")
     p.add_argument(
         "--k-grid",
@@ -667,7 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser(
-        "equity", parents=[common], help="capacity-constrained selection across two groups"
+        "equity",
+        parents=[out_dir, delimiter],
+        help="capacity-constrained selection across two groups",
     )
     p.add_argument("scores", help="score file with reference_score and group columns")
     p.add_argument("--bonus", required=True, help="file with capacity+1 nondecreasing bonus values")

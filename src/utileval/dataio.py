@@ -237,6 +237,11 @@ class FeatureTable:
     labels: np.ndarray
     age: np.ndarray | None
 
+    @property
+    def context(self) -> dict:
+        """The age column as :class:`~utileval.core.LabeledScores` context."""
+        return {} if self.age is None else {"age": self.age}
+
 
 def read_features(path, delimiter: str = ",") -> FeatureTable:
     """Parse a feature file: a ``label`` column plus numeric feature columns.

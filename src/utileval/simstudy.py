@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CostCoefficients, LabeledScores, ValidationError, as_integer, rule_outcomes
-from .metrics import brier, calibration_curve, ece, net_trust
+from .metrics import brier, calibration_curve, check_bins, ece, net_trust
 from .special import expit, ndtri
 from .stats import percentiles
 from .utility import utility_at_thresholds, utility_curve
@@ -209,6 +209,7 @@ def simulate(
             f"realizations x grid_size must be <= {MAX_GRID_CELLS} and realizations x min(bins, "
             f"n_samples) <= {MAX_CALIBRATION_CELLS}, got {realizations} x {grid_size}, {occupied}"
         )
+    check_bins(bins)
     zero_one = CostCoefficients.zero_one()
     reuse_sweep = config.coefficients.is_constant and config.coefficients == zero_one
     # [classifier, metric, realization] and [curve, classifier, realization, threshold]

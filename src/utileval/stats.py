@@ -46,6 +46,7 @@ __all__ = [
     "PairedTestResult",
     "Replicate",
     "bootstrap_ci",
+    "check_replicates",
     "paired_max_utility_test",
     "percentile_interval",
     "percentiles",
@@ -234,6 +235,14 @@ BOOTSTRAP_METRICS = {
 }
 
 
+def check_replicates(replicates: int) -> None:
+    """Refuse a replicate count below 0 or above :data:`MAX_REPLICATES`."""
+    if not 0 <= replicates <= MAX_REPLICATES:
+        raise ValidationError(
+            f"replicates must be >= 0 and <= {MAX_REPLICATES}, got {replicates}"
+        )
+
+
 def resample(datasets, statistics, replicates: int, seed: int, coefficients=None):
     """Bootstrap every statistic on every row-aligned dataset from one stream.
 
@@ -248,12 +257,9 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     redraws; 100 redraws per replicate exhaust its budget.  Returns
     ``(values, redraws)``: per dataset, a mapping from statistic name to its
     replicate array (one row per replicate) and to its redraw count.
-    ``replicates`` may be at most :data:`MAX_REPLICATES`.
+    ``replicates`` must pass :func:`check_replicates`.
     """
-    if not 0 <= replicates <= MAX_REPLICATES:
-        raise ValidationError(
-            f"replicates must be >= 0 and <= {MAX_REPLICATES}, got {replicates}"
-        )
+    check_replicates(replicates)
     rng = np.random.default_rng(np.random.SeedSequence([as_integer(seed, "seed")]))
     n = datasets[0].n
     sources = [_Source(data) for data in datasets]

@@ -260,7 +260,8 @@ def cost_family(c: float) -> CostCoefficients:
 def age_discounted_coeffs(data: LabeledScores) -> CostCoefficients:
     """Per-sample coefficients whose error costs shrink linearly with age.
 
-    Requires an ``age`` context column in years on [0, 100].  Correct outcomes
+    Requires an ``age`` context column in years on [0, 100] (a
+    :class:`~utileval.dataio.FeatureTable` offers its own).  Correct outcomes
     earn a unit reward; a false positive costs ``3 * (1 - age/100)`` and a
     false negative ``0.5 * (1 - age/100)``.
     """

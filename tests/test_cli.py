@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -23,7 +24,8 @@ from utileval import (
     read_scores,
     tune_and_compare,
 )
-from utileval.cli import main
+from utileval import simstudy
+from utileval.cli import _make_out_dir, build_parser, main
 from utileval.dataio import file_digest, write_csv, write_json
 
 from reference_writers import reference_csv_text, reference_json_text
@@ -294,6 +296,19 @@ def test_exit_codes(tmp_path, capsys):
             "sweep-c --replicates 1000000",
             "replicates x cost grid length must be <= 4000000, got 1000000 x 8",
         ),
+        (
+            "evaluate --utility bogus",
+            "unknown --utility 'bogus'; expected zero-one, c:<value>, age-contextual or columns",
+        ),
+        ("evaluate --utility c:x", "invalid cost parameter in --utility 'c:x'"),
+        ("compare --utility c:-1", "cost parameter must be a finite value >= 0, got -1.0"),
+        ("evaluate --replicates 2000000", "replicates must be >= 0 and <= 1000000, got 2000000"),
+        (
+            "sweep-c --grid 1 --replicates 2000000",
+            "replicates must be >= 0 and <= 1000000, got 2000000",
+        ),
+        ("tune --utility columns", "--utility columns is not available for feature files"),
+        ("tune --k-grid x", "invalid k grid 'x'"),
     ],
 )
 def test_options_are_checked_before_any_input_is_read(tmp_path, capsys, options, message):
@@ -301,6 +316,18 @@ def test_options_are_checked_before_any_input_is_read(tmp_path, capsys, options,
     inputs = ["nope.csv"] * (2 if command == "compare" else 1)
     assert main([command, *inputs, *options, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_checks_bins_before_any_draw(tmp_path, capsys, monkeypatch):
+    draws = []
+    generate = simstudy.generate_realization
+    monkeypatch.setattr(
+        simstudy, "generate_realization", lambda *args: draws.append(args) or generate(*args)
+    )
+    argv = ["simulate", "--bins", "1", "--samples", "300", "--realizations", "3"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: bins must be >= 2, got 1\n"
+    assert draws == []
 
 
 def test_compare_checks_bins_without_replicates(tmp_path, capsys):
@@ -778,7 +805,7 @@ _GOLDEN_DIGESTS = {
         "5287d716e34453c61efbe6dd215e1cccffd39a7dc8bdbf4823d684a215259961"
     ),
     "equity/equity_report.json": (
-        "24718d0807a7c7fe1dbdb3d5bb700dc5da0c8fd625444f865bd124141b287b09"
+        "7a5d5ff3bfe9f4bc13383900b06e6d93d9ab343c7c2b566bd95889cc69204979"
     ),
     "sweep_c/sweep_c.csv": (
         "8556696fefe08d7ae7321176eea6751cc2e981df91aaa34d7f7d9f9f025071ba"
@@ -831,6 +858,27 @@ def test_report_bytes_match_reference_writers_and_digests(tmp_path, monkeypatch)
     assert {path.as_posix(): path.read_bytes() for path in reports} == expected
     digests = {path.relative_to("out").as_posix(): file_digest(path) for path in reports}
     assert {k: v for k, v in digests.items() if k in _GOLDEN_DIGESTS} == _GOLDEN_DIGESTS
+
+
+def test_every_option_a_command_defines_is_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_golden_inputs()
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    unread = {}
+    for name, argv in _GOLDEN_COMMANDS.items():
+        args = build_parser().parse_args([*argv, "--out-dir", "out"], RecordingNamespace())
+        reads.clear()
+        _make_out_dir(args)
+        assert args.func(args) == 0
+        # the manifest copies every option from vars(args), which reads none
+        unread[name] = sorted(set(vars(args)) - reads - {"func", "command"})
+    assert not any(unread.values()), unread
 
 
 _FUZZ_CELLS = {
@@ -978,7 +1026,7 @@ _FUZZ_OPTIONS = {
         "--utility": "zero-one",
         "--seed": "0",
     },
-    "equity": {"--seed": "0"},
+    "equity": {},
 }
 _FUZZ_LISTS = {("sweep-c", "--grid"), ("tune", "--k-grid")}
 
