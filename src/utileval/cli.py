@@ -70,7 +70,7 @@ from .stats import (
     resample,
     sem,
 )
-from .learners import tune_and_compare
+from .learners import check_tune_options, tune_and_compare
 from .utility import (
     age_discounted_coeffs,
     bayes_threshold,
@@ -462,6 +462,7 @@ def cmd_tune(args) -> int:
     if utility == "columns":
         raise ValidationError("--utility columns is not available for feature files")
     k_grid = _parse_grid(args.k_grid, "k")
+    check_tune_options(k_grid, args.repeats, args.folds, args.test_fraction, args.grid)
     table = read_features(args.features, delimiter=args.delimiter)
     result = tune_and_compare(
         table.features,

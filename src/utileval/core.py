@@ -206,17 +206,15 @@ class CostCoefficients:
         return None
 
     def as_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcast all four coefficients to length-``n`` float vectors."""
+        """Broadcast all four coefficients to length-``n`` float vectors; a
+        constant is a read-only view of its one value, not a copy."""
         own = self.n_samples
         if own is not None and own != n:
             raise ValidationError(f"coefficient length {own} does not match data length {n}")
         out = []
         for name in ("a11", "a01", "a10", "a00"):
             value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                out.append(value)
-            else:
-                out.append(np.full(n, value))
+            out.append(value if isinstance(value, np.ndarray) else np.broadcast_to(value, n))
         return tuple(out)
 
     def take(self, indices: np.ndarray) -> "CostCoefficients":
@@ -240,15 +238,23 @@ class ScoreRuns:
     Run ``k`` covers ``sorted_scores[starts[k]:starts[k + 1]]`` and
     ``positives_before[k]`` counts the positives sorted before it; both arrays
     end with one extra entry (``n`` and ``n_pos``), the empty all-reject tail.
-    ``run_of_row[i]`` is the run of row ``i`` and ``values[k]`` the score of
-    run ``k`` (``sorted_scores[starts[:-1]]``).
+    ``order`` is the sort: the rows of run ``k`` are
+    ``order[starts[k]:starts[k + 1]]``, in no specified order.  ``values[k]``
+    is the score of run ``k`` (``sorted_scores[starts[:-1]]``).
     """
 
     sorted_scores: np.ndarray
     starts: np.ndarray
     positives_before: np.ndarray
-    run_of_row: np.ndarray
+    order: np.ndarray
     values: np.ndarray
+
+    @cached_property
+    def run_of_row(self) -> np.ndarray:
+        """The run of each row, made on first use."""
+        run_of_row = np.empty(self.order.size, dtype=np.int64)
+        run_of_row[self.order] = np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts))
+        return _readonly(run_of_row)
 
     def first_accepted(self, thresholds) -> np.ndarray:
         """Per threshold, the first run that ``score >= t`` accepts; the run
@@ -336,12 +342,8 @@ class LabeledScores:
         if ordered[0] == 0.0:  # the zero run lists its signs in row order
             ordered[: starts[1]] = self.scores[self.scores == 0.0]
         positives = np.concatenate([[0], np.cumsum(self.labels[order])])[starts]
-        run_of_row = np.empty(self.n, dtype=np.int64)
-        run_of_row[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
         values = ordered[starts[:-1]]
-        return ScoreRuns(
-            *(_readonly(a) for a in (ordered, starts, positives, run_of_row, values))
-        )
+        return ScoreRuns(*(_readonly(a) for a in (ordered, starts, positives, order, values)))
 
     def take(self, indices) -> "LabeledScores":
         """Row subset; keeps all columns.

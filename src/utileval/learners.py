@@ -37,6 +37,7 @@ __all__ = [
     "CvResult",
     "kfold_cv",
     "TuneResult",
+    "check_tune_options",
     "tune_and_compare",
 ]
 
@@ -435,7 +436,8 @@ class CvResult:
     skipped_auc_folds: tuple[int, ...]
 
 
-def _validate_k_grid(k_grid, limit: int) -> tuple[int, ...]:
+def _validate_k_grid(k_grid, limit: int | None) -> tuple[int, ...]:
+    """``k_grid`` as ints; with ``limit``, no k may exceed it."""
     grid = tuple(as_integer(k, "k") for k in k_grid)
     if len(grid) == 0:
         raise ValidationError("k grid must be non-empty")
@@ -443,7 +445,7 @@ def _validate_k_grid(k_grid, limit: int) -> tuple[int, ...]:
         raise ValidationError("k grid values must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("k grid must be strictly increasing")
-    if grid[-1] > limit:
+    if limit is not None and grid[-1] > limit:
         raise ValidationError(
             f"largest k ({grid[-1]}) exceeds the available training size ({limit})"
         )
@@ -543,6 +545,42 @@ class TuneResult:
     utility_grid: dict[str, np.ndarray]
 
 
+def check_tune_options(
+    k_grid, repeats, n_folds, test_fraction, grid_size, n: int | None = None
+) -> tuple[tuple[int, ...], int, int, int, int | None]:
+    """The options of :func:`tune_and_compare` for ``n`` feature rows, checked.
+
+    Returns the k grid, ``repeats``, ``n_folds`` and ``grid_size`` as ints and
+    the training rows of a split.  Without ``n`` only the rules that need no
+    row count apply, and the training rows are None.
+    """
+    repeats = as_integer(repeats, "repeats")
+    if not 1 <= repeats <= MAX_REPEATS:
+        raise ValidationError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
+    grid_size = as_integer(grid_size, "grid_size")
+    if grid_size < 1:
+        raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
+    if not 0.0 < test_fraction < 1.0:
+        raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    n_train = None
+    if n is not None:
+        n_train = n - max(1, int(round(n * test_fraction)))
+        if n_train < 2:
+            raise ValidationError("training split is too small")
+    n_folds = as_integer(n_folds, "n_folds")
+    if n_train is None and n_folds < 2:
+        raise ValidationError(f"n_folds must be >= 2, got {n_folds}")
+    if n_train is not None and not 2 <= n_folds <= n_train:
+        raise ValidationError(f"n_folds must be in [2, {n_train}], got {n_folds}")
+    grid = _validate_k_grid(k_grid, None if n_train is None else n_train - (-(-n_train // n_folds)))
+    if repeats * max(grid_size, len(grid)) > MAX_TUNE_CELLS:
+        raise ValidationError(
+            f"repeats x grid_size and repeats x k grid length must be <= {MAX_TUNE_CELLS}, "
+            f"got {repeats} x {grid_size} and {repeats} x {len(grid)}"
+        )
+    return grid, repeats, n_folds, grid_size, n_train
+
+
 def tune_and_compare(
     features,
     labels,
@@ -567,31 +605,14 @@ def tune_and_compare(
     y = as_binary_vector(labels, "label", matrix.n)
     n = matrix.n
     seed = as_integer(seed, "seed")
-    repeats = as_integer(repeats, "repeats")
-    if not 1 <= repeats <= MAX_REPEATS:
-        raise ValidationError(f"repeats must be in [1, {MAX_REPEATS}], got {repeats}")
-    grid_size = as_integer(grid_size, "grid_size")
-    if grid_size < 1:
-        raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n_test = max(1, int(round(n * test_fraction)))
-    n_train = n - n_test
-    if n_train < 2:
-        raise ValidationError("training split is too small")
+    grid, repeats, n_folds, grid_size, n_train = check_tune_options(
+        k_grid, repeats, n_folds, test_fraction, grid_size, n
+    )
+    n_test = n - n_train
     own = coefficients.n_samples
     if own is not None and own != n:
         raise ValidationError(
             f"coefficient length {own} does not match feature rows {n}"
-        )
-    n_folds = as_integer(n_folds, "n_folds")
-    if not 2 <= n_folds <= n_train:
-        raise ValidationError(f"n_folds must be in [2, {n_train}], got {n_folds}")
-    grid = _validate_k_grid(k_grid, n_train - (-(-n_train // n_folds)))
-    if repeats * max(grid_size, len(grid)) > MAX_TUNE_CELLS:
-        raise ValidationError(
-            f"repeats x grid_size and repeats x k grid length must be <= {MAX_TUNE_CELLS}, "
-            f"got {repeats} x {grid_size} and {repeats} x {len(grid)}"
         )
     result = TuneResult(
         k_grid=grid,

@@ -37,7 +37,7 @@ from .metrics import (
     net_trust_terms,
 )
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through stats
-from .utility import max_utilities, per_sample_sweep
+from .utility import ContributionDigits, drawn_run_sums, max_utilities, per_sample_max
 from .utility import utility_curve  # noqa: F401  perfbench traces it through stats
 
 __all__ = [
@@ -93,14 +93,25 @@ class BootstrapConfig:
 class _Source:
     """What every draw of one dataset reads, made once per :func:`resample` call."""
 
-    def __init__(self, data: LabeledScores) -> None:
+    def __init__(self, data: LabeledScores, coefficients: CostCoefficients | None) -> None:
         self.data = data
+        self.coefficients = coefficients
         self._blocks: dict = {}
 
     @cached_property
     def key(self) -> np.ndarray:
         # one bincount of a draw's keys counts each run's negatives and positives
         return 2 * self.data.runs.run_of_row + self.data.labels
+
+    @cached_property
+    def digits(self) -> ContributionDigits:
+        """The exact per-sample contributions of the rows."""
+        return ContributionDigits(self.data.labels, self.coefficients)
+
+    @cached_property
+    def digit_positions(self) -> list:
+        """Every digit position of :attr:`digits`, made once for every draw."""
+        return list(self.digits)
 
     @cached_property
     def brier_terms(self) -> np.ndarray:
@@ -124,7 +135,8 @@ class _Source:
 class Replicate:
     """One bootstrap draw of one dataset, read as counts per run.
 
-    ``indices`` are the drawn rows of ``data``.  ``counts[k]`` holds the
+    ``indices`` are the drawn rows of ``data``, whose coefficients (the
+    source's) are those given to :func:`resample`.  ``counts[k]`` holds the
     draws of run ``k`` of ``data.runs`` that are negative and positive; a run
     the draw missed stays as an empty run, so the draw keeps the dataset's
     own run numbering.  ``starts`` and ``positives_before`` lay the draw's runs
@@ -165,9 +177,9 @@ class Replicate:
         return self._before[:, 1]
 
 
-def _whole(data: LabeledScores) -> Replicate:
+def _whole(data: LabeledScores, coefficients: CostCoefficients | None) -> Replicate:
     """The draw of every row once: statistics read the dataset itself."""
-    return Replicate(_Source(data), np.arange(data.n))
+    return Replicate(_Source(data, coefficients), np.arange(data.n))
 
 
 def _auc(replicate: Replicate, _coefficients, bins: int = 10) -> float:
@@ -213,14 +225,16 @@ def _max_utility(
         raise ValidationError("the u_max metric requires cost coefficients")
     if coefficients.is_constant:
         return max_utilities(replicate.starts, replicate.positives_before, [coefficients])[0]
-    # the drawn dataset's candidate rules start at the runs the draw hit, then
-    # the all-reject tail; the first maximum keeps a zero's sign
-    data, idx, drawn = replicate.data, replicate.indices, replicate.drawn
+    # the drawn rows' coefficients are the source's, so their exact
+    # contributions are the source's, made once and gathered per draw; the
+    # drawn dataset's candidate rules start at the runs the draw hit, then the
+    # all-reject tail
+    source, idx, drawn = replicate._source, replicate.indices, replicate.drawn
     run = np.append(np.flatnonzero(drawn), drawn.size)
-    utilities = per_sample_sweep(
-        data.runs.run_of_row[idx], data.labels[idx], coefficients, drawn.size, run
+    sums = drawn_run_sums(
+        source.digit_positions, idx, replicate.data.runs.run_of_row[idx], drawn.size
     )
-    return float(utilities[np.argmax(utilities)])
+    return per_sample_max(source.digits, sums, run)
 
 
 # name -> statistic(replicate, coefficients, bins=10), each equal bit for bit
@@ -262,7 +276,7 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     check_replicates(replicates)
     rng = np.random.default_rng(np.random.SeedSequence([as_integer(seed, "seed")]))
     n = datasets[0].n
-    sources = [_Source(data) for data in datasets]
+    sources = [_Source(data, coefficients) for data in datasets]
     values = [{name: [] for name in statistics} for _ in datasets]
     redraws = [dict.fromkeys(statistics, 0) for _ in datasets]
     pending = [(i, name) for i in range(len(datasets)) for name in statistics]
@@ -352,7 +366,7 @@ def bootstrap_ci(
             f"unknown metric {metric!r}; expected one of {sorted(BOOTSTRAP_METRICS)}"
         )
     evaluate = partial(BOOTSTRAP_METRICS[metric], bins=bins)
-    point = evaluate(_whole(data), coefficients)
+    point = evaluate(_whole(data, coefficients), coefficients)
     values, redraws = resample(
         [data], {metric: evaluate}, config.replicates, config.seed, coefficients
     )
@@ -417,7 +431,8 @@ def paired_max_utility_test(
         [data_a, data_b], {"u_max": _max_utility}, config.replicates, config.seed, coefficients
     )
     return PairedTestResult.from_diffs(
-        _max_utility(_whole(data_a), coefficients) - _max_utility(_whole(data_b), coefficients),
+        _max_utility(_whole(data_a, coefficients), coefficients)
+        - _max_utility(_whole(data_b, coefficients), coefficients),
         values[0]["u_max"] - values[1]["u_max"],
         config.level,
     )

@@ -18,15 +18,17 @@ the attainable utility exactly unchanged.
 Every threshold statistic reads the dataset's one sort, ``LabeledScores.runs``:
 the candidate thresholds are its run values, the constant-coefficient
 confusion counts are its run counts and the per-sample sums are per-run sums
-in exact integers, gathered through its run of each row, so no sweep sorts
-the scores again and every sweep takes O(n log n) time and O(n) memory.
+of the rows in run order, so no sweep sorts the scores again and every sweep
+takes O(n log n) time and O(n) memory.  The per-sample sweep sums exact
+integers as 24-bit digits in int64 (:class:`ContributionDigits`), one digit
+position at a time, and reads each rule's total back as one Python int only
+to divide it; the pointwise evaluator sums Python ints of the same mantissas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,7 +52,10 @@ __all__ = [
     "utility_curve",
     "utility_at_thresholds",
     "max_utilities",
+    "ContributionDigits",
+    "drawn_run_sums",
     "per_sample_sweep",
+    "per_sample_max",
     "bayes_threshold",
     "cost_family",
     "age_discounted_coeffs",
@@ -64,26 +69,39 @@ def _utility_from_counts(tp, fp, fn, tn, n, a11, a01, a10, a00):
     return (a11 * tp - a01 * fp - a10 * fn + a00 * tn) / n
 
 
+def _mantissas(
+    labels: np.ndarray, coefficients: CostCoefficients
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's utility contribution when predicted positive (row 0) and
+    negative (row 1), exactly, as ``mantissa * 2**exponent`` with int64
+    mantissas below 2**53 in magnitude."""
+    a11, a01, a10, a00 = coefficients.as_vectors(labels.size)
+    positive = labels == 1
+    values = np.empty((2, labels.size))
+    np.copyto(values[0], a11)
+    np.negative(a01, out=values[0], where=~positive)
+    np.negative(a10, out=values[1], where=positive)
+    np.copyto(values[1], a00, where=~positive)
+    mantissa, exponent = np.frexp(values, out=(values, None))
+    # |mantissa| is 0 or in [0.5, 1), so scaling by 2**53 gives an exact int64
+    mantissa *= 2.0**53
+    exponent -= 53
+    return mantissa.astype(np.int64), exponent
+
+
 def _contributions(
     labels: np.ndarray, coefficients: CostCoefficients
 ) -> tuple[list[int], list[int], int]:
     """Per-sample utility contribution when predicted positive / negative, as
-    integers ``accepted``, ``rejected`` and one shared ``scale``: the mean
+    Python ints ``accepted``, ``rejected`` and one shared ``scale``: the mean
     utility of a decision vector whose contributions sum to ``total`` is
     ``total / scale``.  Python's int / int rounds that correctly, subnormal
     results included, and the mean of finite values cannot overflow."""
-    n = labels.size
-    a11, a01, a10, a00 = coefficients.as_vectors(n)
-    positive = labels == 1
-    values = np.concatenate([np.where(positive, a11, -a01), np.where(positive, -a10, a00)])
-    mantissa, exponent = np.frexp(values)
-    # |mantissa| is 0 or in [0.5, 1), so scaling by 2**53 gives an exact int64
-    mantissa = (mantissa * 2.0**53).astype(np.int64)
-    exponent -= 53
+    mantissa, exponent = _mantissas(labels, coefficients)
     # row i contributes ints[i] * 2**lo exactly; lo <= 0 keeps scale an int
     lo = min(int(exponent.min()), 0)
-    ints = [m << s for m, s in zip(mantissa.tolist(), (exponent - lo).tolist())]
-    return ints[:n], ints[n:], n << -lo
+    ints = [m << s for m, s in zip(mantissa.ravel().tolist(), (exponent - lo).ravel().tolist())]
+    return ints[: labels.size], ints[labels.size :], labels.size << -lo
 
 
 def empirical_utility(
@@ -138,33 +156,167 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray)
         c = coefficients
         counts = rule_outcomes(runs.starts, runs.positives_before, run)
         return _utility_from_counts(*counts, data.n, c.a11, c.a01, c.a10, c.a00)
-    size = runs.starts.size - 1
-    return per_sample_sweep(runs.run_of_row, data.labels, coefficients, size, run)
+    digits = ContributionDigits(data.labels, coefficients)
+    return per_sample_sweep(digits, _run_sums(digits, runs.order, runs.starts), run)
 
 
-def per_sample_sweep(
-    run_of_row: np.ndarray,
-    labels: np.ndarray,
-    coefficients: CostCoefficients,
-    size: int,
-    run: np.ndarray,
-) -> np.ndarray:
-    """Utility under per-row ``coefficients`` of each rule that accepts every
-    run from ``run[i]`` on, for rows with ``labels`` that lie in runs
-    ``run_of_row`` of ``size`` runs; run ``size`` is the all-reject rule.
+# per-sample totals are summed in signed digits of this many bits: a sum of
+# fewer than 2**38 of them is exact in int64
+_DIGIT_BITS = 24
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+# rules whose exact totals are read as Python ints at a time
+_DIVIDE_BLOCK = 4096
+
+
+class ContributionDigits:
+    """Each row's utility contribution when accepted and when rejected, as
+    exact integer digits.
+
+    Row ``i`` contributes ``accepted[i] * 2**lo`` when predicted positive and
+    ``rejected[i] * 2**lo`` when predicted negative, for integers ``accepted``
+    and ``rejected`` (each value's 53-bit mantissa, shifted to the lowest
+    exponent ``lo``).  Iterating makes those integers' signed 24-bit digits
+    one position ``d`` (worth ``2**(24 * d)``) at a time, as two int32 arrays
+    by row: ``accepted``'s digits, and ``rejected``'s minus ``accepted``'s.
+    ``positions`` digits hold the total of any ``n`` of the contributions;
+    :meth:`mean` is the mean of such a total.
+    """
+
+    def __init__(self, labels: np.ndarray, coefficients: CostCoefficients) -> None:
+        mantissa, shift = _mantissas(labels, coefficients)
+        zero = mantissa == 0
+        self.n = labels.size
+        self.lo = int(shift[~zero].min()) if not zero.all() else 0
+        shift -= self.lo
+        shift[zero] = 0
+        self._shift = shift.astype(np.int16)  # below 2**12, the span of float exponents
+        self._negative = mantissa < 0
+        self._magnitude = np.abs(mantissa, out=mantissa).view(np.uint64)
+        # every |value| * 2**-lo is below 2**(shift + 53), so n of them sum below
+        # 2**(max shift + 53 + bit length of n)
+        bits = int(shift.max()) + 53 + self.n.bit_length()
+        self.positions = -(-bits // _DIGIT_BITS)
+
+    def __iter__(self):
+        # unlike a generator's locals, map keeps no position while making the next
+        return map(self._position, range(self.positions))
+
+    def _position(self, position: int) -> tuple[np.ndarray, np.ndarray]:
+        # bits low .. low + 23 of magnitude << shift: a left shift of at most
+        # 24 bits (the wrap past 64 bits leaves the low ones), or a right
+        # shift, past every bit from 53 on
+        low = _DIGIT_BITS * position
+        offset = self._shift - low
+        up = np.clip(offset, 0, _DIGIT_BITS, out=offset).astype(np.uint8)
+        offset = np.subtract(low, self._shift, out=offset)
+        down = np.clip(offset, 0, 63, out=offset).astype(np.uint8)
+        digit = self._magnitude << up
+        digit >>= down
+        digit &= _DIGIT_MASK
+        digit = digit.astype(np.int32)
+        np.negative(digit, out=digit, where=self._negative)
+        accepted, rejected = digit
+        rejected -= accepted
+        return accepted, rejected
+
+    def mean(self, total: int) -> float:
+        """``total * 2**lo / n``, correctly rounded, as Python's int / int is."""
+        if self.lo > 0:
+            return (total << self.lo) / self.n
+        return total / (self.n << -self.lo)
+
+
+def _run_sums(positions, order: np.ndarray, starts: np.ndarray):
+    """Per digit position of ``positions``, the all-accept total and the
+    prefix sums over the runs of the rejected-minus-accepted digits, for
+    every row once, in run order as :class:`~utileval.core.ScoreRuns` lays
+    it out."""
+    # before[i]: the sum over the first i rows in run order
+    before = np.zeros(order.size + 1, dtype=np.int64)
+    for accepted, change in positions:
+        np.cumsum(change[order], dtype=np.int64, out=before[1:])
+        yield int(accepted.sum(dtype=np.int64)), before[starts]
+
+
+def drawn_run_sums(positions, rows: np.ndarray, run_of_rows: np.ndarray, size: int):
+    """Per digit position of ``positions``, the all-accept total and the
+    prefix sums over ``size`` runs of the rejected-minus-accepted digits, of
+    the drawn ``rows`` (repeats count again) that lie in runs ``run_of_rows``."""
+    for accepted, change in positions:
+        prefix = np.zeros(size + 1, dtype=np.int64)
+        # values of the target's dtype keep np.add.at on its fast path
+        np.add.at(prefix[1:], run_of_rows, change[rows].astype(np.int64))
+        np.cumsum(prefix, out=prefix)
+        yield int(accepted[rows].sum(dtype=np.int64)), prefix
+
+
+def _exact_totals(digits: ContributionDigits, sums, run: np.ndarray) -> np.ndarray:
+    """The exact total of the rule that accepts every run from ``run[i]`` on,
+    as row ``i`` of little-endian two's complement bytes, 3 a digit and one of
+    sign; ``sums`` yields each digit position's total and prefix sums."""
+    totals = np.empty((run.size, 3 * digits.positions + 1), dtype=np.uint8)
+    carry = np.zeros(run.size, dtype=np.int64)
+    digit = np.empty(run.size, dtype="<i8")
+    for position, (total, prefix) in enumerate(sums):
+        carry += np.take(prefix, run, out=digit, mode="clip")
+        carry += total
+        np.bitwise_and(carry, _DIGIT_MASK, out=digit)
+        totals[:, 3 * position : 3 * position + 3] = digit.view(np.uint8).reshape(-1, 8)[:, :3]
+        carry >>= _DIGIT_BITS
+    # the total fits in the positions, so what is carried out is 0 or -1
+    totals[:, -1] = carry & 0xFF
+    return totals
+
+
+def _means(digits: ContributionDigits, totals: np.ndarray) -> np.ndarray:
+    """The correctly rounded mean of each total of :func:`_exact_totals`."""
+    out = np.empty(totals.shape[0])
+    width = totals.shape[1]
+    read, mean = int.from_bytes, digits.mean
+    for start in range(0, out.size, _DIVIDE_BLOCK):
+        block = memoryview(totals[start : start + _DIVIDE_BLOCK].tobytes())
+        out[start : start + _DIVIDE_BLOCK] = [
+            mean(read(block[i : i + width], "little", signed=True))
+            for i in range(0, len(block), width)
+        ]
+    return out
+
+
+def per_sample_sweep(digits: ContributionDigits, sums, run) -> np.ndarray:
+    """Utility of each rule that accepts every run from ``run[i]`` on, under
+    the per-row contributions ``digits``; ``sums`` yields, per digit position,
+    the all-accept total of the rows and the prefix sums over their runs of
+    the rejected-minus-accepted digits (:func:`drawn_run_sums`).  The last
+    run, past every row, is the all-reject rule.
 
     Each value is the correctly rounded mean of the rows' exact contributions.
     Runs no row lies in may stand in the run list: the rule that starts at an
     empty run is the rule that starts at the run after it.
     """
-    accepted, rejected, scale = _contributions(labels, coefficients)
-    # per_run[k]: how the all-accept total moves when run k is rejected
-    per_run = [0] * size
-    for k, a, r in zip(run_of_row.tolist(), accepted, rejected):
-        per_run[k] += r - a
-    change = [0, *accumulate(per_run)]
-    total = sum(accepted)
-    return np.array([(total + change[k]) / scale for k in run.tolist()])
+    return _means(digits, _exact_totals(digits, sums, np.asarray(run)))
+
+
+def per_sample_max(digits: ContributionDigits, sums, run) -> float:
+    """The first maximum of :func:`per_sample_sweep`, bit for bit, from one
+    division: correctly rounded division is monotone, so the largest exact
+    total has the largest mean."""
+    totals = _exact_totals(digits, sums, np.asarray(run))
+    # the largest total by its bytes from the top, the sign byte signed; the
+    # candidates stay in rule order, so the first is the first maximum
+    sign = totals[:, -1].view(np.int8)
+    rows = np.flatnonzero(sign == sign.max())
+    for byte in range(totals.shape[1] - 2, -1, -1):
+        if rows.size == 1:
+            break
+        column = totals[rows, byte]
+        rows = rows[column == column.max()]
+    best = digits.mean(int.from_bytes(totals[rows[0]].tobytes(), "little", signed=True))
+    if best == 0.0:
+        # a zero maximum may tie with a -0.0 of a negative total, and the
+        # first maximum sets its sign, as in utility_curve
+        utilities = _means(digits, totals)
+        best = utilities[np.argmax(utilities)]
+    return float(best)
 
 
 def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:

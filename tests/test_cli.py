@@ -309,6 +309,11 @@ def test_exit_codes(tmp_path, capsys):
         ),
         ("tune --utility columns", "--utility columns is not available for feature files"),
         ("tune --k-grid x", "invalid k grid 'x'"),
+        ("tune --repeats 0", "repeats must be in [1, 1000000], got 0"),
+        ("tune --folds 1", "n_folds must be >= 2, got 1"),
+        ("tune --test-fraction 2", "test_fraction must be in (0, 1), got 2.0"),
+        ("tune --grid 0", "grid_size must be >= 1, got 0"),
+        ("tune --k-grid 5.5", "k must be an integer, got 5.5"),
     ],
 )
 def test_options_are_checked_before_any_input_is_read(tmp_path, capsys, options, message):

@@ -470,6 +470,21 @@ def test_report_writing_holds_one_block_at_a_time(tmp_path, monkeypatch):
         assert peak < path.stat().st_size / 4, (path.name, peak)
 
 
+def test_report_writing_of_formatted_curves_holds_less_than_the_file(tmp_path):
+    # at the default block size: the curves' kept texts are about the size of
+    # their lines in the file, and one block's indented copies stay small
+    payload = _evaluate_payload(15_000, FormattedArray)
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        write_json(path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, peak
+    assert path.read_text() == reference_json_text(payload)
+
+
 def test_a_formatted_array_is_formatted_once_for_every_writer(tmp_path, monkeypatch):
     monkeypatch.setattr("utileval.dataio._BLOCK", 1000)
     payload = _evaluate_payload(2500, FormattedArray)

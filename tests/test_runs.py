@@ -8,6 +8,7 @@ and each comparison is bit for bit.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,8 @@ from utileval import (
 )
 from utileval import simstudy
 from utileval.core import rule_outcomes
-from utileval.stats import resample
+from utileval.stats import BOOTSTRAP_METRICS, resample
+from utileval.utility import ContributionDigits
 from utileval.cli import main
 from conftest import make_dataset
 
@@ -343,14 +345,101 @@ def test_per_sample_utility_of_huge_finite_coefficients_does_not_overflow():
     assert utility_at_thresholds(data, coefficients, [0.0, 0.85]).tolist() == [1e308, 5e307]
 
 
+def _per_sample_rows(n):
+    rng = np.random.default_rng(5)
+    data = LabeledScores(scores=rng.random(n), labels=(rng.random(n) < 0.5).astype(int))
+    return data, CostCoefficients(1.0, 3.0 * rng.random(n), 0.5 * rng.random(n), 1.0)
+
+
+def _traced_peak(function, *args):
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_per_sample_sweep_scales_to_100k_rows():
     # an O(n * u) sweep would visit 10**10 (row, threshold) cells at this size
-    rng = np.random.default_rng(5)
     n = 100_000
-    data = LabeledScores(scores=rng.random(n), labels=(rng.random(n) < 0.5).astype(int))
-    coefficients = CostCoefficients(1.0, 3.0 * rng.random(n), 0.5 * rng.random(n), 1.0)
+    data, coefficients = _per_sample_rows(n)
     start = time.perf_counter()
     curve = utility_curve(data, coefficients)
     assert time.perf_counter() - start < 5.0
     assert curve.utilities.size == n + 1
     assert np.all(np.isfinite(curve.utilities))
+
+
+def test_per_sample_sweep_memory_stays_bounded_at_100k_rows():
+    # the sweep holds no Python int per row: int32 digits, one position at a
+    # time, and the rules' exact totals at 3 bytes a digit (two Python ints
+    # per row and their lists held about 26 MB here)
+    data, coefficients = _per_sample_rows(100_000)
+    data.runs
+    curve, peak = _traced_peak(utility_curve, data, coefficients)
+    assert curve.utilities.size == data.n + 1
+    assert peak < 16e6, peak
+
+
+def test_per_sample_sweep_of_a_wide_coefficient_range_is_exact():
+    # 1e-300 beside 1e300 puts about 86 digit positions between the lowest
+    # and the highest bit of a total; each position is made and freed in turn
+    rng = np.random.default_rng(17)
+    n = 3000
+    labels = (rng.random(n) < 0.5).astype(int)
+    data = LabeledScores(scores=np.round(rng.random(n), 3), labels=labels)
+    pool = np.array([0.0, 5e-324, 1e-300, 0.1, 1.0, 3e299, 1e300])
+    coefficients = CostCoefficients(*(rng.choice(pool, n) for _ in range(4)))
+    assert ContributionDigits(data.labels, coefficients).positions >= 85
+    data.runs
+    curve, peak = _traced_peak(utility_curve, data, coefficients)
+    assert peak < 1e6, peak
+    picked = rng.choice(curve.thresholds.size, 60, replace=False)
+    for k in [*picked.tolist(), 0, curve.thresholds.size - 1]:
+        rule = DecisionRule(curve.thresholds[k])
+        assert curve.utilities[k].hex() == empirical_utility(data, coefficients, rule).hex()
+    best = int(np.argmax(curve.utilities))
+    assert curve.best_threshold == curve.thresholds[best]
+    rule = DecisionRule(curve.best_threshold)
+    assert curve.max_utility.hex() == empirical_utility(data, coefficients, rule).hex()
+    # where the accepted rows' huge contributions (odd mantissas) cancel, the
+    # lowest digits alone set the mean
+    huge = np.full(n, float.fromhex("0x1.0000000000001p+996"))
+    tiny = np.array([5e-324, 2.5e-310, 1e-300, 3e-300])
+    cancelling = CostCoefficients(huge, huge, rng.choice(tiny, n), rng.choice(tiny, n))
+    curve = utility_curve(data, cancelling)
+    small = np.flatnonzero(np.abs(curve.utilities) < 1e-200)
+    assert small.size > 5
+    for k in small.tolist():
+        rule = DecisionRule(curve.thresholds[k])
+        assert curve.utilities[k].hex() == empirical_utility(data, cancelling, rule).hex()
+    # bootstrap draws read the same digits, made once, gathered per draw
+    values, _ = resample([data], {"u_max": BOOTSTRAP_METRICS["u_max"]}, 3, 4, coefficients)
+    draws = np.random.default_rng(np.random.SeedSequence([4]))
+    for value in values[0]["u_max"]:
+        idx = draws.integers(0, n, n)
+        expected = utility_curve(data.take(idx), coefficients.take(idx)).max_utility
+        assert value.hex() == expected.hex()
+
+
+def test_contribution_digits_sum_back_to_each_contribution_exactly():
+    # every row's digits, weighted by their positions, give back its exact
+    # contribution when accepted and when rejected, over the whole float range
+    rng = np.random.default_rng(23)
+    n = 200
+    pool = np.array([0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1.0, 3e299, 1e300, 2.0**996 + 2.0**944])
+    labels = (rng.random(n) < 0.5).astype(int)
+    coefficients = CostCoefficients(*(rng.choice(pool, n) for _ in range(4)))
+    digits = ContributionDigits(labels, coefficients)
+    accepted, rejected = [0] * n, [0] * n
+    for position, (low, change) in enumerate(digits):
+        assert np.abs(low).max() < 2**24 and np.abs(change).max() < 2**25
+        for i, (a, c) in enumerate(zip(low.tolist(), change.tolist())):
+            accepted[i] += a << (24 * position)
+            rejected[i] += (a + c) << (24 * position)
+    a11, a01, a10, a00 = coefficients.as_vectors(n)
+    unit = Fraction(2) ** digits.lo
+    for i, label in enumerate(labels.tolist()):
+        assert accepted[i] * unit == Fraction(a11[i] if label else -a01[i])
+        assert rejected[i] * unit == Fraction(-a10[i] if label else a00[i])
