@@ -426,7 +426,7 @@ def cmd_sweep_c(args) -> int:
     check_replicates(args.replicates)
     datasets, names = _read_same_rows(args)
 
-    def sweep_maxima(runs, _=None) -> list[float]:
+    def sweep_maxima(runs) -> list[float]:
         return max_utilities(runs.starts, runs.positives_before, costs)
 
     points = {name: sweep_maxima(data.runs) for name, data in zip(names, datasets)}

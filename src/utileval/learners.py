@@ -24,7 +24,7 @@ from .core import (
 from .metrics import auc_from_runs
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through learners
 from .special import expit
-from .utility import utility_at_thresholds, utility_curve
+from .utility import utility_curve
 
 __all__ = [
     "ConvergenceError",
@@ -638,10 +638,10 @@ def tune_and_compare(
             data = LabeledScores(scores=scores[:, column], labels=y[test_idx])
             result.chosen_k[criterion][r] = k
             result.cv[criterion][r] = cv.mean[criterion]
-            result.max_utility[criterion][r] = utility_curve(
-                data, test_coefficients
-            ).max_utility
-            result.utility_grid[criterion][r] = utility_at_thresholds(
-                data, test_coefficients, result.thresholds
-            )
+            curve = utility_curve(data, test_coefficients)
+            result.max_utility[criterion][r] = curve.max_utility
+            # the grid's rules are among the curve's, so it is read, not swept
+            result.utility_grid[criterion][r] = curve.utilities[
+                data.runs.first_accepted(result.thresholds)
+            ]
     return result

@@ -5,9 +5,10 @@ side information stay aligned.  :func:`resample` draws each row sample once
 from the seeded stream and offers it to every statistic of every row-aligned
 dataset; a statistic undefined on a draw (AUC on a single-class sample) skips
 it, so each statistic gets exactly the values it would get if it were
-bootstrapped alone.  A draw is read as counts per run of the dataset's one sort
-(:class:`Replicate`), from which the built-in statistics compute what they
-would compute on the drawn dataset, bit for bit, without building it.
+bootstrapped alone.  A statistic takes only the draw (:class:`Replicate`),
+read as counts per run of the dataset's one sort, from which the built-in
+statistics compute what they would compute on the drawn dataset, bit for
+bit, without building it; u_max reads the coefficients its source holds.
 Intervals are plain percentile intervals of the replicate values; with a
 shared seed the replicate stream is identical across levels, which makes
 narrower intervals exact subsets of wider ones.
@@ -77,9 +78,9 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.replicates) != self.replicates or self.replicates < 1:
+        object.__setattr__(self, "replicates", as_integer(self.replicates, "replicates"))
+        if self.replicates < 1:
             raise ValidationError(f"replicates must be a positive integer, got {self.replicates}")
-        object.__setattr__(self, "replicates", int(self.replicates))
         if self.replicates < _MIN_INTERVAL_REPLICATES:
             raise ValidationError(
                 f"interval estimation requires >= {_MIN_INTERVAL_REPLICATES} replicates, "
@@ -135,10 +136,10 @@ class _Source:
 class Replicate:
     """One bootstrap draw of one dataset, read as counts per run.
 
-    ``indices`` are the drawn rows of ``data``, whose coefficients (the
-    source's) are those given to :func:`resample`.  ``counts[k]`` holds the
-    draws of run ``k`` of ``data.runs`` that are negative and positive; a run
-    the draw missed stays as an empty run, so the draw keeps the dataset's
+    ``indices`` are the drawn rows of ``data``, at which u_max reads the
+    coefficients given to :func:`resample` (the source's).  ``counts[k]`` holds
+    the draws of run ``k`` of ``data.runs`` that are negative and positive; a
+    run the draw missed stays as an empty run, so the draw keeps the dataset's
     own run numbering.  ``starts`` and ``positives_before`` lay the draw's runs
     out as in :class:`~utileval.core.ScoreRuns`.  :func:`resample` makes one
     per dataset and draw; every array is computed on first use.
@@ -182,7 +183,7 @@ def _whole(data: LabeledScores, coefficients: CostCoefficients | None) -> Replic
     return Replicate(_Source(data, coefficients), np.arange(data.n))
 
 
-def _auc(replicate: Replicate, _coefficients, bins: int = 10) -> float:
+def _auc(replicate: Replicate, bins: int = 10) -> float:
     n_pos = replicate.positives_before[-1]
     if n_pos == 0 or n_pos == replicate.data.n:
         raise DegenerateDataError("AUC undefined: dataset contains only one class")
@@ -191,7 +192,7 @@ def _auc(replicate: Replicate, _coefficients, bins: int = 10) -> float:
     )
 
 
-def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
+def _accuracy(replicate: Replicate, bins: int = 10) -> float:
     # the rule score >= 0.5 accepts every run from half_run on
     tp, _, _, tn = rule_outcomes(
         replicate.starts, replicate.positives_before, replicate._source.half_run
@@ -199,7 +200,7 @@ def _accuracy(replicate: Replicate, _coefficients, bins: int = 10) -> float:
     return float((tp + tn) / replicate.data.n)
 
 
-def _ece(replicate: Replicate, _coefficients, bins: int = 10) -> float:
+def _ece(replicate: Replicate, bins: int = 10) -> float:
     # metrics.ece of metrics.calibration_curve on the drawn dataset, summed in
     # the same order, from the running sums at the calibration block edges
     edges = replicate._source.blocks(bins)[1]
@@ -218,9 +219,9 @@ def _mean_of_drawn(terms: np.ndarray, replicate: Replicate) -> float:
     return float(terms[replicate.indices].sum() / replicate.data.n)
 
 
-def _max_utility(
-    replicate: Replicate, coefficients: CostCoefficients | None, bins: int = 10
-) -> float:
+def _max_utility(replicate: Replicate, bins: int = 10) -> float:
+    source = replicate._source
+    coefficients = source.coefficients
     if coefficients is None:
         raise ValidationError("the u_max metric requires cost coefficients")
     if coefficients.is_constant:
@@ -229,7 +230,7 @@ def _max_utility(
     # contributions are the source's, made once and gathered per draw; the
     # drawn dataset's candidate rules start at the runs the draw hit, then the
     # all-reject tail
-    source, idx, drawn = replicate._source, replicate.indices, replicate.drawn
+    idx, drawn = replicate.indices, replicate.drawn
     run = np.append(np.flatnonzero(drawn), drawn.size)
     sums = drawn_run_sums(
         source.digit_positions, idx, replicate.data.runs.run_of_row[idx], drawn.size
@@ -237,14 +238,14 @@ def _max_utility(
     return per_sample_max(source.digits, sums, run)
 
 
-# name -> statistic(replicate, coefficients, bins=10), each equal bit for bit
+# name -> statistic(replicate, bins=10), each equal bit for bit
 # to the metric of the drawn dataset
 BOOTSTRAP_METRICS = {
     "auc": _auc,
-    "brier": lambda r, _, bins=10: _mean_of_drawn(r._source.brier_terms, r),
+    "brier": lambda r, bins=10: _mean_of_drawn(r._source.brier_terms, r),
     "accuracy": _accuracy,
     "ece": _ece,
-    "net_trust": lambda r, _, bins=10: _mean_of_drawn(r._source.net_trust_terms, r),
+    "net_trust": lambda r, bins=10: _mean_of_drawn(r._source.net_trust_terms, r),
     "u_max": _max_utility,
 }
 
@@ -261,21 +262,27 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     """Bootstrap every statistic on every row-aligned dataset from one stream.
 
     Each step draws ``integers(0, n, n)`` row indices from the stream seeded
-    with ``SeedSequence([seed])`` and calls
-    ``statistics[name](replicate, coefficients)`` for every dataset and
-    statistic that still has fewer than ``replicates`` values, where
-    ``replicate`` is the dataset's :class:`Replicate` of the draw (shared by
-    the dataset's statistics) and ``coefficients`` are the drawn rows'
-    coefficients (constant ones as given).  A statistic raising
-    :class:`DegenerateDataError` skips the draw, which counts as one of its
-    redraws; 100 redraws per replicate exhaust its budget.  Returns
-    ``(values, redraws)``: per dataset, a mapping from statistic name to its
-    replicate array (one row per replicate) and to its redraw count.
-    ``replicates`` must pass :func:`check_replicates`.
+    with ``SeedSequence([seed])`` and calls ``statistics[name](replicate)``
+    for every dataset and statistic that still has fewer than ``replicates``
+    values, where ``replicate`` is the dataset's :class:`Replicate` of the
+    draw (shared by the dataset's statistics), whose source holds
+    ``coefficients``.  A statistic raising :class:`DegenerateDataError` skips
+    the draw, which counts as one of its redraws; 100 redraws per replicate
+    exhaust its budget.  Returns ``(values, redraws)``: per dataset, a
+    mapping from statistic name to its replicate array (one row per
+    replicate) and to its redraw count.  ``replicates`` must pass
+    :func:`check_replicates`, and every dataset and per-sample
+    ``coefficients`` must hold ``n`` rows.
     """
     check_replicates(replicates)
     rng = np.random.default_rng(np.random.SeedSequence([as_integer(seed, "seed")]))
     n = datasets[0].n
+    for data in datasets[1:]:
+        if data.n != n:
+            raise ValidationError(f"datasets must be row-aligned, got {n} and {data.n} rows")
+    own = None if coefficients is None else coefficients.n_samples
+    if own is not None and own != n:
+        raise ValidationError(f"coefficient length {own} does not match data length {n}")
     sources = [_Source(data, coefficients) for data in datasets]
     values = [{name: [] for name in statistics} for _ in datasets]
     redraws = [dict.fromkeys(statistics, 0) for _ in datasets]
@@ -283,10 +290,9 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     while pending := [(i, name) for i, name in pending if len(values[i][name]) < replicates]:
         idx = rng.integers(0, n, n)
         draws = [Replicate(source, idx) for source in sources]
-        sub = None if coefficients is None else coefficients.take(idx)
         for i, name in pending:
             try:
-                values[i][name].append(statistics[name](draws[i], sub))
+                values[i][name].append(statistics[name](draws[i]))
             except DegenerateDataError:
                 redraws[i][name] += 1
                 if redraws[i][name] >= 100 * replicates:
@@ -366,7 +372,7 @@ def bootstrap_ci(
             f"unknown metric {metric!r}; expected one of {sorted(BOOTSTRAP_METRICS)}"
         )
     evaluate = partial(BOOTSTRAP_METRICS[metric], bins=bins)
-    point = evaluate(_whole(data, coefficients), coefficients)
+    point = evaluate(_whole(data, coefficients))
     values, redraws = resample(
         [data], {metric: evaluate}, config.replicates, config.seed, coefficients
     )
@@ -431,8 +437,7 @@ def paired_max_utility_test(
         [data_a, data_b], {"u_max": _max_utility}, config.replicates, config.seed, coefficients
     )
     return PairedTestResult.from_diffs(
-        _max_utility(_whole(data_a, coefficients), coefficients)
-        - _max_utility(_whole(data_b, coefficients), coefficients),
+        _max_utility(_whole(data_a, coefficients)) - _max_utility(_whole(data_b, coefficients)),
         values[0]["u_max"] - values[1]["u_max"],
         config.level,
     )

@@ -18,11 +18,12 @@ the attainable utility exactly unchanged.
 Every threshold statistic reads the dataset's one sort, ``LabeledScores.runs``:
 the candidate thresholds are its run values, the constant-coefficient
 confusion counts are its run counts and the per-sample sums are per-run sums
-of the rows in run order, so no sweep sorts the scores again and every sweep
-takes O(n log n) time and O(n) memory.  The per-sample sweep sums exact
-integers as 24-bit digits in int64 (:class:`ContributionDigits`), one digit
-position at a time, and reads each rule's total back as one Python int only
-to divide it; the pointwise evaluator sums Python ints of the same mantissas.
+of the dataset read as the draw of every row once (:func:`drawn_run_sums`),
+so no sweep sorts the scores again and every sweep takes O(n log n) time and
+O(n) memory.  The per-sample sweep sums exact integers, in any order, as
+24-bit digits in int64 (:class:`ContributionDigits`), one digit position at
+a time, and reads each rule's total back as one Python int only to divide
+it; the pointwise evaluator sums Python ints of the same mantissas.
 """
 
 from __future__ import annotations
@@ -156,8 +157,10 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray)
         c = coefficients
         counts = rule_outcomes(runs.starts, runs.positives_before, run)
         return _utility_from_counts(*counts, data.n, c.a11, c.a01, c.a10, c.a00)
+    # the dataset itself is the draw of every row once
     digits = ContributionDigits(data.labels, coefficients)
-    return per_sample_sweep(digits, _run_sums(digits, runs.order, runs.starts), run)
+    sums = drawn_run_sums(digits, slice(None), runs.run_of_row, runs.starts.size - 1)
+    return per_sample_sweep(digits, sums, run)
 
 
 # per-sample totals are summed in signed digits of this many bits: a sum of
@@ -226,22 +229,11 @@ class ContributionDigits:
         return total / (self.n << -self.lo)
 
 
-def _run_sums(positions, order: np.ndarray, starts: np.ndarray):
-    """Per digit position of ``positions``, the all-accept total and the
-    prefix sums over the runs of the rejected-minus-accepted digits, for
-    every row once, in run order as :class:`~utileval.core.ScoreRuns` lays
-    it out."""
-    # before[i]: the sum over the first i rows in run order
-    before = np.zeros(order.size + 1, dtype=np.int64)
-    for accepted, change in positions:
-        np.cumsum(change[order], dtype=np.int64, out=before[1:])
-        yield int(accepted.sum(dtype=np.int64)), before[starts]
-
-
-def drawn_run_sums(positions, rows: np.ndarray, run_of_rows: np.ndarray, size: int):
+def drawn_run_sums(positions, rows, run_of_rows: np.ndarray, size: int):
     """Per digit position of ``positions``, the all-accept total and the
     prefix sums over ``size`` runs of the rejected-minus-accepted digits, of
-    the drawn ``rows`` (repeats count again) that lie in runs ``run_of_rows``."""
+    the drawn ``rows`` (an index array, where repeats count again, or
+    ``slice(None)``, every row once) that lie in runs ``run_of_rows``."""
     for accepted, change in positions:
         prefix = np.zeros(size + 1, dtype=np.int64)
         # values of the target's dtype keep np.add.at on its fast path

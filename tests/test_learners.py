@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from utileval import learners
 from utileval.dataio import read_features
 from utileval.metrics import auc_from_runs
+from utileval.utility import ContributionDigits
 from utileval import (
     ConvergenceError,
     CostCoefficients,
@@ -488,6 +489,22 @@ def test_tune_per_sample_coefficients_follow_rows(rng):
             seed=5,
             n_folds=3,
         )
+
+
+def test_tune_builds_the_per_sample_digits_once_per_repeat_and_criterion(rng, monkeypatch):
+    # the threshold grid is read from the swept curve, not swept again
+    X, y = _blobs(rng, 50)
+    coefficients = CostCoefficients(1.0, rng.random(len(y)), rng.random(len(y)), 1.0)
+    builds = []
+    original = ContributionDigits.__init__
+
+    def counting_init(self, labels, coefficients):
+        builds.append(labels.size)
+        original(self, labels, coefficients)
+
+    monkeypatch.setattr(ContributionDigits, "__init__", counting_init)
+    tune_and_compare(X, y, k_grid=[3, 5], coefficients=coefficients, repeats=3, seed=5, n_folds=3)
+    assert len(builds) == 2 * 3
 
 
 def test_knn_refuses_features_whose_distances_overflow():

@@ -182,7 +182,7 @@ def test_rule_outcomes_match_confusion_at(seed, n, kind):
     # a bootstrap draw's layout keeps the dataset's run numbering
     draws = []
 
-    def record(replicate, _coefficients):
+    def record(replicate):
         outcomes = rule_outcomes(replicate.starts, replicate.positives_before, run)
         draws.append((replicate.indices, outcomes))
         return 0.0
@@ -191,6 +191,40 @@ def test_rule_outcomes_match_confusion_at(seed, n, kind):
     assert len(draws) == 4
     for indices, outcomes in draws:
         assert _same_outcomes(outcomes, _outcome_reference(data.take(indices), candidates))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    kind=st.sampled_from(["continuous", "1-decimal ties", "signed zeros"]),
+    costs=st.sampled_from(["constant", "per-sample", "extreme"]),
+)
+def test_the_curve_read_at_a_grid_is_the_grid_sweep(seed, n, kind, costs):
+    # every rule of a threshold grid is a rule of the curve, so the curve read
+    # at the run each grid threshold first accepts is the grid's sweep
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    if kind != "continuous":
+        scores = np.round(scores, 1)
+    if kind == "signed zeros":
+        zero = rng.random(n) < 0.5
+        scores[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+    data = LabeledScores(scores=scores, labels=(rng.random(n) < 0.5).astype(np.int64))
+    if costs == "constant":
+        coefficients = CostCoefficients.constant(*(rng.random(4) * 3))
+    elif costs == "per-sample":
+        coefficients = CostCoefficients(1.0, rng.random(n) * 3, rng.random(n), 1.0)
+    else:
+        pool = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300])
+        coefficients = CostCoefficients(*(rng.choice(pool, n) for _ in range(3)), 1.0)
+    unique = np.unique(data.scores)
+    grid = np.concatenate(
+        [[-0.0, 0.0, -0.5, 1.5, np.nextafter(unique[-1], 2.0)], unique, np.linspace(0.0, 1.0, 11)]
+    )
+    rng.shuffle(grid)
+    read = utility_curve(data, coefficients).utilities[data.runs.first_accepted(grid)]
+    assert _same_bits(read, utility_at_thresholds(data, coefficients, grid))
 
 
 def _stable_runs(scores, labels):

@@ -117,7 +117,7 @@ def test_resample_matches_separate_loops_per_statistic(rng):
     statistics = {
         "auc": BOOTSTRAP_METRICS["auc"],
         "accuracy": BOOTSTRAP_METRICS["accuracy"],
-        "sample_auc": lambda replicate, _: auc_rank(replicate.data.take(replicate.indices)),
+        "sample_auc": lambda replicate: auc_rank(replicate.data.take(replicate.indices)),
     }
     reference = {
         "auc": auc_rank,
@@ -274,22 +274,55 @@ def test_bootstrap_point_estimates_are_the_metrics_of_the_data(rng):
 def test_resample_vector_statistic_and_validation(rng):
     data = make_dataset(rng, 30)
 
-    def extremes(replicate, _):
+    def extremes(replicate):
         drawn = replicate.data.scores[replicate.indices]
         return [drawn.min(), drawn.max()]
 
     values, _ = resample([data], {"pair": extremes}, 7, 0)
     assert values[0]["pair"].shape == (7, 2)
-    empty, _ = resample([data], {"pair": lambda r, _: [0.0, 1.0]}, 0, 0)
+    empty, _ = resample([data], {"pair": lambda r: [0.0, 1.0]}, 0, 0)
     assert empty[0]["pair"].size == 0
     with pytest.raises(ValidationError, match="replicates must be >= 0"):
         resample([data], {}, -1, 0)
 
 
+def test_resample_refuses_inputs_that_are_not_row_aligned(rng):
+    a, b = make_dataset(rng, 10), make_dataset(rng, 6)
+    drawn = []
+    statistics = {"record": lambda replicate: drawn.append(replicate.indices) or 0.0}
+    aligned = "^datasets must be row-aligned, got {} and {} rows$"
+    with pytest.raises(ValidationError, match=aligned.format(10, 6)):
+        resample([a, b], statistics, 5, 0)
+    with pytest.raises(ValidationError, match=aligned.format(6, 10)):
+        resample([b, a], statistics, 5, 0)
+    short = CostCoefficients(1.0, rng.random(6), 0.5, 1.0)
+    with pytest.raises(ValidationError, match="^coefficient length 6 does not match data length 10$"):
+        resample([a], statistics, 5, 0, short)
+    # each is refused before the first draw
+    assert drawn == []
+
+
+def test_resample_gathers_no_coefficients_per_draw(rng, monkeypatch):
+    # per-sample u_max reads the contributions its source made once
+    data = make_dataset(rng, 40)
+    coefficients = CostCoefficients(1.0, rng.random(40), rng.random(40), 1.0)
+    taken = []
+    original = CostCoefficients.take
+
+    def counting_take(self, indices):
+        taken.append(indices)
+        return original(self, indices)
+
+    monkeypatch.setattr(CostCoefficients, "take", counting_take)
+    values, _ = resample([data], {"u_max": BOOTSTRAP_METRICS["u_max"]}, 5, 3, coefficients)
+    assert values[0]["u_max"].shape == (5,)
+    assert taken == []
+
+
 def test_resample_redraw_budget_is_exhausted():
     data = LabeledScores(scores=[0.2, 0.8], labels=[0, 1])
 
-    def never(_data, _coefficients):
+    def never(_replicate):
         raise DegenerateDataError("undefined")
 
     with pytest.raises(DegenerateDataError, match="'never' exhausted its redraw budget"):
@@ -393,5 +426,9 @@ def test_paired_test_with_per_sample_coefficients(rng):
 def test_bootstrap_config_validation():
     with pytest.raises(ValidationError):
         BootstrapConfig(replicates=0, level=0.95, seed=0)
+    for replicates in (math.inf, -math.inf, math.nan, 150.5):
+        with pytest.raises(ValidationError, match=f"^replicates must be an integer, got {replicates}"):
+            BootstrapConfig(replicates=replicates, level=0.95, seed=0)
+    assert BootstrapConfig(replicates=150.0).replicates == 150
     with pytest.raises(ValidationError):
         BootstrapConfig(replicates=100, level=0.0, seed=0)
