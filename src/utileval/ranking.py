@@ -51,7 +51,9 @@ def preserves_ranking(candidate, reference, tol: float = 0.0) -> bool:
         raise ValidationError(f"tolerance must be a finite value >= 0, got {tol}")
     if cand.size == 1:
         return True
-    order = np.lexsort((cand, ref))
+    # exactly tied references must share one candidate value, so at tol 0
+    # their order inside a tie cannot change the answer
+    order = np.argsort(ref) if tol == 0.0 else np.lexsort((cand, ref))
     ref_step = np.diff(ref[order])
     cand_step = np.diff(cand[order])
     tied = ref_step <= tol

@@ -271,11 +271,13 @@ def resample(datasets, statistics, replicates: int, seed: int, coefficients=None
     exhaust its budget.  Returns ``(values, redraws)``: per dataset, a
     mapping from statistic name to its replicate array (one row per
     replicate) and to its redraw count.  ``replicates`` must pass
-    :func:`check_replicates`, and every dataset and per-sample
-    ``coefficients`` must hold ``n`` rows.
+    :func:`check_replicates`, ``datasets`` must hold at least one dataset,
+    and every dataset and per-sample ``coefficients`` must hold ``n`` rows.
     """
     check_replicates(replicates)
     rng = np.random.default_rng(np.random.SeedSequence([as_integer(seed, "seed")]))
+    if not datasets:
+        raise ValidationError("resample requires at least one dataset")
     n = datasets[0].n
     for data in datasets[1:]:
         if data.n != n:

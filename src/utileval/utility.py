@@ -22,8 +22,10 @@ of the dataset read as the draw of every row once (:func:`drawn_run_sums`),
 so no sweep sorts the scores again and every sweep takes O(n log n) time and
 O(n) memory.  The per-sample sweep sums exact integers, in any order, as
 24-bit digits in int64 (:class:`ContributionDigits`), one digit position at
-a time, and reads each rule's total back as one Python int only to divide
-it; the pointwise evaluator sums Python ints of the same mantissas.
+a time, and divides every rule's total by long division in int64, a block of
+rules at a time, rounding as Python's int / int does; the pointwise
+evaluator sums Python ints of the same mantissas and divides them as Python
+ints, an independent reference.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ def candidate_thresholds(data: LabeledScores) -> np.ndarray:
     return np.append(values, math.nextafter(float(values[-1]), math.inf))
 
 
-def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray) -> np.ndarray:
-    """Utility of each rule that accepts every run of ``data.runs`` from ``run[i]`` on."""
+def _sweep(data: LabeledScores, coefficients: CostCoefficients, run) -> np.ndarray:
+    """Utility of each rule that accepts every run of ``data.runs`` from ``run[i]`` on,
+    or from each run in turn where ``run`` is ``slice(None)``."""
     runs = data.runs
     if coefficients.is_constant:
         c = coefficients
@@ -167,8 +170,14 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run: np.ndarray)
 # fewer than 2**38 of them is exact in int64
 _DIGIT_BITS = 24
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
-# rules whose exact totals are read as Python ints at a time
-_DIVIDE_BLOCK = 4096
+# rows whose digits at one position are made, or summed, at a time
+_ROW_BLOCK = 1 << 16
+# zero digits appended below a total before it is divided: a nonzero total
+# over n < 2**38 then has a quotient of at least 2**(24 * 4 - 38) = 2**58
+_GUARD_DIGITS = 4
+# bytes of digits (4 of each total's and 4 of its quotient's a digit) of
+# the rules divided at a time
+_DIVIDE_BYTES = 1 << 17
 
 
 class ContributionDigits:
@@ -181,8 +190,7 @@ class ContributionDigits:
     exponent ``lo``).  Iterating makes those integers' signed 24-bit digits
     one position ``d`` (worth ``2**(24 * d)``) at a time, as two int32 arrays
     by row: ``accepted``'s digits, and ``rejected``'s minus ``accepted``'s.
-    ``positions`` digits hold the total of any ``n`` of the contributions;
-    :meth:`mean` is the mean of such a total.
+    ``positions`` digits hold the total of any ``n`` of the contributions.
     """
 
     def __init__(self, labels: np.ndarray, coefficients: CostCoefficients) -> None:
@@ -207,26 +215,26 @@ class ContributionDigits:
     def _position(self, position: int) -> tuple[np.ndarray, np.ndarray]:
         # bits low .. low + 23 of magnitude << shift: a left shift of at most
         # 24 bits (the wrap past 64 bits leaves the low ones), or a right
-        # shift, past every bit from 53 on
+        # shift, past every bit from 53 on; made a block of rows at a time,
+        # so no uint64 array of every row is made
         low = _DIGIT_BITS * position
-        offset = self._shift - low
-        up = np.clip(offset, 0, _DIGIT_BITS, out=offset).astype(np.uint8)
-        offset = np.subtract(low, self._shift, out=offset)
-        down = np.clip(offset, 0, 63, out=offset).astype(np.uint8)
-        digit = self._magnitude << up
-        digit >>= down
-        digit &= _DIGIT_MASK
-        digit = digit.astype(np.int32)
-        np.negative(digit, out=digit, where=self._negative)
-        accepted, rejected = digit
+        digits = np.empty(self.n, dtype=np.int32), np.empty(self.n, dtype=np.int32)
+        for start in range(0, self.n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            offset = self._shift[:, rows] - low
+            up = np.clip(offset, 0, _DIGIT_BITS, out=offset).astype(np.uint8)
+            offset = np.subtract(low, self._shift[:, rows], out=offset)
+            down = np.clip(offset, 0, 63, out=offset).astype(np.uint8)
+            bits = self._magnitude[:, rows] << up
+            bits >>= down
+            bits &= _DIGIT_MASK
+            for digit, half in zip(digits, bits):
+                digit[rows] = half
+        for digit, negative in zip(digits, self._negative):
+            np.negative(digit, out=digit, where=negative)
+        accepted, rejected = digits
         rejected -= accepted
         return accepted, rejected
-
-    def mean(self, total: int) -> float:
-        """``total * 2**lo / n``, correctly rounded, as Python's int / int is."""
-        if self.lo > 0:
-            return (total << self.lo) / self.n
-        return total / (self.n << -self.lo)
 
 
 def drawn_run_sums(positions, rows, run_of_rows: np.ndarray, size: int):
@@ -235,48 +243,115 @@ def drawn_run_sums(positions, rows, run_of_rows: np.ndarray, size: int):
     the drawn ``rows`` (an index array, where repeats count again, or
     ``slice(None)``, every row once) that lie in runs ``run_of_rows``."""
     for accepted, change in positions:
+        total = int(accepted[rows].sum(dtype=np.int64))
+        # no digits of a position stay longer than they are read
+        del accepted
         prefix = np.zeros(size + 1, dtype=np.int64)
-        # values of the target's dtype keep np.add.at on its fast path
-        np.add.at(prefix[1:], run_of_rows, change[rows].astype(np.int64))
+        change = change[rows]
+        for start in range(0, change.size, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            # values of the target's dtype keep np.add.at on its fast path
+            np.add.at(prefix[1:], run_of_rows[block], change[block].astype(np.int64))
+        del change
         np.cumsum(prefix, out=prefix)
-        yield int(accepted[rows].sum(dtype=np.int64)), prefix
+        yield total, prefix
+        del prefix
 
 
-def _exact_totals(digits: ContributionDigits, sums, run: np.ndarray) -> np.ndarray:
-    """The exact total of the rule that accepts every run from ``run[i]`` on,
-    as row ``i`` of little-endian two's complement bytes, 3 a digit and one of
-    sign; ``sums`` yields each digit position's total and prefix sums."""
-    totals = np.empty((run.size, 3 * digits.positions + 1), dtype=np.uint8)
-    carry = np.zeros(run.size, dtype=np.int64)
-    digit = np.empty(run.size, dtype="<i8")
+def _exact_totals(digits: ContributionDigits, sums, run) -> np.ndarray:
+    """The exact total of the rule that accepts every run from ``run[i]`` on
+    (from each run in turn where ``run`` is ``slice(None)``), as row ``i`` of
+    little-endian two's complement bytes, 3 a digit and one of sign; ``sums``
+    yields each digit position's total and prefix sums."""
     for position, (total, prefix) in enumerate(sums):
-        carry += np.take(prefix, run, out=digit, mode="clip")
-        carry += total
-        np.bitwise_and(carry, _DIGIT_MASK, out=digit)
-        totals[:, 3 * position : 3 * position + 3] = digit.view(np.uint8).reshape(-1, 8)[:, :3]
+        if position == 0:
+            carry = prefix[run] + total
+            totals = np.empty((carry.size, 3 * digits.positions + 1), dtype=np.uint8)
+        else:
+            carry += prefix[run]
+            carry += total
+        del prefix
+        # the low 3 bytes of the carry are its low digit in two's complement
+        low = carry.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :3]
+        totals[:, 3 * position : 3 * position + 3] = low
         carry >>= _DIGIT_BITS
     # the total fits in the positions, so what is carried out is 0 or -1
     totals[:, -1] = carry & 0xFF
     return totals
 
 
-def _means(digits: ContributionDigits, totals: np.ndarray) -> np.ndarray:
-    """The correctly rounded mean of each total of :func:`_exact_totals`."""
+def _means(totals: np.ndarray, n: int, lo: int) -> np.ndarray:
+    """``total * 2**lo / n`` for each total of :func:`_exact_totals`, rounded
+    to nearest, ties to even, subnormals included, bit for bit as Python's
+    int / int is (a negative total that underflows gives -0.0), a block of
+    rules at a time."""
     out = np.empty(totals.shape[0])
-    width = totals.shape[1]
-    read, mean = int.from_bytes, digits.mean
-    for start in range(0, out.size, _DIVIDE_BLOCK):
-        block = memoryview(totals[start : start + _DIVIDE_BLOCK].tobytes())
-        out[start : start + _DIVIDE_BLOCK] = [
-            mean(read(block[i : i + width], "little", signed=True))
-            for i in range(0, len(block), width)
-        ]
+    width = (totals.shape[1] - 1) // 3 + _GUARD_DIGITS
+    step = max(1, _DIVIDE_BYTES // (8 * width))
+    for start in range(0, out.size, step):
+        out[start : start + step] = _divide(totals[start : start + step], n, lo)
     return out
 
 
+def _divide(totals: np.ndarray, n: int, lo: int) -> np.ndarray:
+    """One block of :func:`_means`: long division of each |total| by ``n``
+    in int64, one digit at a time from the top, then the quotient's top 54
+    bits rounded half to even, with a sticky bit for every bit below."""
+    rules, positions = totals.shape[0], (totals.shape[1] - 1) // 3
+    negative = totals[:, -1] != 0
+    # digit i of a rule: the 4 bytes from its byte 3i on, less the top one
+    digits = np.ndarray((rules, positions), "<u4", totals, strides=(totals.strides[0], 3))
+    digits = digits & np.uint32(_DIGIT_MASK)
+    # a negative total's magnitude, without a carry: 0 below the total's
+    # lowest nonzero digit d, 2**24 - d at it and 0xFFFFFF - d above it
+    lowest = np.argmax(digits != 0, axis=1)
+    flip = np.arange(positions) >= lowest[:, None]
+    flip &= negative[:, None]
+    np.subtract(np.uint32(_DIGIT_MASK), digits, out=digits, where=flip)
+    digits.ravel()[np.arange(0, digits.size, positions) + lowest] += negative
+    width = positions + _GUARD_DIGITS
+    # row j holds the quotient's digit worth 2**(24 * (positions - 1 - j) + lo);
+    # three zero rows below the last pad the window read below
+    quotient = np.zeros((width + 3, rules), dtype=np.int32)
+    remainder = np.zeros(rules, dtype=np.int64)
+    product = np.empty(rules, dtype=np.int64)
+    for j in range(width):
+        # remainder < n <= 2**38, so remainder * 2**24 + digit < 2**62
+        remainder <<= _DIGIT_BITS
+        if j < positions:
+            remainder += digits[:, positions - 1 - j]
+        np.floor_divide(remainder, n, out=quotient[j])
+        remainder -= np.multiply(quotient[j], n, out=product, dtype=np.int64)
+    # the quotient's four digits from its top nonzero one, which has ``bits``
+    # bits; a zero total reads zeros
+    nonzero = quotient[:width] != 0
+    top = np.argmax(nonzero, axis=0)
+    first = top * rules + np.arange(rules)
+    window = np.take(quotient, first + np.arange(0, 4 * rules, rules)[:, None]).astype(np.int64)
+    sticky = np.count_nonzero(nonzero, axis=0) > np.count_nonzero(window, axis=0)
+    sticky |= remainder != 0
+    bits = np.frexp(window[0].astype(np.float64))[1].astype(np.int64)
+    # the window's top 54 of its 72 + bits bits
+    high = window[0] << _DIGIT_BITS | window[1]
+    low = window[2] << _DIGIT_BITS | window[3]
+    head = high << (30 - bits) | low >> (bits + 18)
+    sticky |= low & ((1 << (bits + 18)) - 1) != 0
+    # the mean lies in [2**(scale - 1), 2**scale); a subnormal one keeps only
+    # its bits from 2**-1074 up
+    scale = _DIGIT_BITS * (positions - 1 - top) + bits + lo
+    extra = np.clip(-1021 - scale, 0, 54)
+    sticky |= head & ((1 << extra) - 1) != 0
+    head >>= extra
+    mantissa = head >> 1
+    mantissa += head & 1 & (sticky | mantissa)
+    out = np.ldexp(mantissa.astype(np.float64), scale - 53 + extra)
+    return np.negative(out, out=out, where=negative)
+
+
 def per_sample_sweep(digits: ContributionDigits, sums, run) -> np.ndarray:
-    """Utility of each rule that accepts every run from ``run[i]`` on, under
-    the per-row contributions ``digits``; ``sums`` yields, per digit position,
+    """Utility of each rule that accepts every run from ``run[i]`` on (from
+    each run in turn where ``run`` is ``slice(None)``), under the per-row
+    contributions ``digits``; ``sums`` yields, per digit position,
     the all-accept total of the rows and the prefix sums over their runs of
     the rejected-minus-accepted digits (:func:`drawn_run_sums`).  The last
     run, past every row, is the all-reject rule.
@@ -285,14 +360,14 @@ def per_sample_sweep(digits: ContributionDigits, sums, run) -> np.ndarray:
     Runs no row lies in may stand in the run list: the rule that starts at an
     empty run is the rule that starts at the run after it.
     """
-    return _means(digits, _exact_totals(digits, sums, np.asarray(run)))
+    return _means(_exact_totals(digits, sums, run), digits.n, digits.lo)
 
 
 def per_sample_max(digits: ContributionDigits, sums, run) -> float:
     """The first maximum of :func:`per_sample_sweep`, bit for bit, from one
     division: correctly rounded division is monotone, so the largest exact
     total has the largest mean."""
-    totals = _exact_totals(digits, sums, np.asarray(run))
+    totals = _exact_totals(digits, sums, run)
     # the largest total by its bytes from the top, the sign byte signed; the
     # candidates stay in rule order, so the first is the first maximum
     sign = totals[:, -1].view(np.int8)
@@ -302,11 +377,11 @@ def per_sample_max(digits: ContributionDigits, sums, run) -> float:
             break
         column = totals[rows, byte]
         rows = rows[column == column.max()]
-    best = digits.mean(int.from_bytes(totals[rows[0]].tobytes(), "little", signed=True))
+    best = _means(totals[rows[:1]], digits.n, digits.lo)[0]
     if best == 0.0:
         # a zero maximum may tie with a -0.0 of a negative total, and the
         # first maximum sets its sign, as in utility_curve
-        utilities = _means(digits, totals)
+        utilities = _means(totals, digits.n, digits.lo)
         best = utilities[np.argmax(utilities)]
     return float(best)
 
@@ -315,7 +390,7 @@ def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> Utilit
     """Evaluate the utility of every achievable threshold rule on ``data``."""
     thresholds = candidate_thresholds(data)
     # candidate k accepts every run from k on
-    utilities = _sweep(data, coefficients, np.arange(thresholds.size))
+    utilities = _sweep(data, coefficients, slice(None))
     best = int(np.argmax(utilities))
     return UtilityCurve(
         thresholds=thresholds,

@@ -357,10 +357,23 @@ def test_scalar_inputs_that_are_not_numbers_are_validation_errors(entry_point, v
 
 
 def test_no_module_imports_a_private_name_from_another():
+    # a module's private helpers stay its own: no module of the package
+    # imports one (``from .core import _x``) or reads one through a package
+    # module it imported (``core._x`` after ``from . import core``, or
+    # ``utileval.core._x`` after ``import utileval``)
     package = Path(utileval.__file__).parent
+    modules = {source.stem for source in package.glob("*.py")}
     private = []
     for source in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        tree = ast.parse(source.read_text(), str(source))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "utileval"
+                }
             own = isinstance(node, ast.ImportFrom) and (
                 node.level > 0 or (node.module or "").split(".")[0] == "utileval"
             )
@@ -370,6 +383,17 @@ def test_no_module_imports_a_private_name_from_another():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+                imported |= {alias.asname or alias.name for alias in node.names if alias.name in modules}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__"):
+                continue
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in imported:
+                private.append(f"{source.name}:{node.lineno}: {ast.unparse(node)}")
     assert private == []
 
 

@@ -51,16 +51,32 @@ def test_preserves_ranking_tolerance():
         preserves_ranking([0.1, 0.2], [0.1])
 
 
-@settings(max_examples=120)
+# a coarse grid forces plenty of ties in both vectors, and -0.0 ties 0.0
+_GRID = st.sampled_from([-0.25, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=300)
 @given(st.data())
 def test_preserves_ranking_matches_definition(data):
     n = data.draw(st.integers(min_value=1, max_value=12))
-    # coarse grids force plenty of ties in both vectors
-    ref = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    cand = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    ref = np.asarray(ref) / 4.0
-    cand = np.asarray(cand) / 4.0
+    ref = np.array(data.draw(st.lists(_GRID, min_size=n, max_size=n)))
+    cand = np.array(data.draw(st.lists(_GRID, min_size=n, max_size=n)))
     assert preserves_ranking(cand, ref) == _preserves_by_definition(cand, ref)
+    # a candidate that is a strictly increasing map of the reference keeps
+    # every tie (-0.0 and 0.0 map alike) and every strict step
+    mapped = 2.0 * ref + 1.0
+    assert preserves_ranking(mapped, ref) and _preserves_by_definition(mapped, ref)
+    if n == 1:
+        return
+    # tied candidates: equal references (zeros of either sign) at any rows
+    # whose candidates differ break it; sharing one candidate value does not
+    tied = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    zeros = st.lists(st.sampled_from([-0.0, 0.0]), min_size=len(tied), max_size=len(tied))
+    ref[tied] = data.draw(zeros)
+    cand = 2.0 * ref + 1.0
+    assert preserves_ranking(cand, ref) and _preserves_by_definition(cand, ref)
+    cand[tied[0]] += 0.125
+    assert not preserves_ranking(cand, ref) and not _preserves_by_definition(cand, ref)
 
 
 def test_preserves_ranking_by_group():

@@ -30,7 +30,7 @@ from utileval import (
 from utileval import simstudy
 from utileval.core import rule_outcomes
 from utileval.stats import BOOTSTRAP_METRICS, resample
-from utileval.utility import ContributionDigits
+from utileval.utility import ContributionDigits, _means
 from utileval.cli import main
 from conftest import make_dataset
 
@@ -477,3 +477,93 @@ def test_contribution_digits_sum_back_to_each_contribution_exactly():
     for i, label in enumerate(labels.tolist()):
         assert accepted[i] * unit == Fraction(a11[i] if label else -a01[i])
         assert rejected[i] * unit == Fraction(-a10[i] if label else a00[i])
+
+
+def _packed(totals, positions):
+    # little-endian two's complement, 3 bytes a digit and one of sign, as the
+    # sweep packs each rule's exact total
+    width = 3 * positions + 1
+    rows = [(t % (1 << (8 * width))).to_bytes(width, "little") for t in totals]
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(totals), width)
+
+
+def _python_means(totals, n, lo):
+    return [(t << lo) / n if lo > 0 else t / (n << -lo) for t in totals]
+
+
+def _same_floats(got, expected):
+    # hex tells -0.0 from 0.0
+    return [float(g).hex() for g in got] == [e.hex() for e in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_means_of_packed_totals_are_python_int_divisions(data):
+    positions = data.draw(st.integers(1, 90), label="positions")
+    n = data.draw(st.integers(1, 2**37), label="n")
+    lo = data.draw(st.integers(-1200, 60), label="lo")
+    # a total below 2**bits has a mean below 2**1023, so none overflows;
+    # small ones with a low lo give subnormal means and zeros of either sign
+    most = min(24 * positions, 1022 + n.bit_length() - lo)
+    total = st.integers(0, max(most, 0)).flatmap(
+        lambda bits: st.integers(-(2**bits) + 1, 2**bits - 1)
+    )
+    # n times an odd 54-bit integer M times 2**k has the mean M * 2**(k + lo),
+    # halfway between two floats where it is normal; one more or less lies
+    # just beside the tie
+    room = min(24 * positions - 55 - n.bit_length(), 969 - lo)
+    if room >= 0:
+        odd = st.integers(2**52, 2**53 - 1).map(lambda m: 2 * m + 1)
+        tie = st.tuples(odd, st.integers(0, room), st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 1]))
+        total |= tie.map(lambda t: t[3] * ((n * t[0] << t[1]) + t[2]))
+    totals = data.draw(st.lists(total, min_size=1, max_size=20), label="totals")
+    expected = _python_means(totals, n, lo)
+    assert _same_floats(_means(_packed(totals, positions), n, lo), expected)
+
+
+def test_means_of_packed_totals_at_exact_halves_zero_and_the_largest_total():
+    cases = [
+        # (2**53 + 1) and (2**53 + 3) lie halfway between two floats: ties go to even
+        (3, 3, 0, [3 * (2**53 + 1), 3 * (2**53 + 3), -3 * (2**53 + 1), -3 * (2**53 + 3)]),
+        (4, 1, -1, [2**54 + 2, 2**54 + 6, -(2**54 + 2), -(2**54 + 6)]),
+        # just above halfway, by a remainder, by a quotient bit inside the
+        # digits read or by one far below them: each rounds away from even
+        (3, 3, 0, [3 * (2**53 + 1) + 1, -3 * (2**53 + 1) - 1]),
+        (5, 1, -30, [(2**53 + 1) * 2**30 + 1, -(2**53 + 1) * 2**30 - 1]),
+        (10, 1, -100, [(2**53 + 1) * 2**100 + 1, -(2**53 + 1) * 2**100 - 1]),
+        (2, 1, -1115, [2**40 + 1, -(2**40) - 1, 2**40]),
+        # halfway in every quotient bit, above it only by the remainder left
+        # after the last one
+        (1, 130622469238, 0, [56, -56]),
+        (1, 131048460735, 0, [9, -9]),
+        # a half of the smallest subnormal rounds to 0.0 and -0.0, three halves to two
+        (1, 1, -1075, [1, -1, 3, -3, 5, 2]),
+        (2, 7, -1075, [7, -7, 21, -21, 7 * 2**25 + 1, 7 * 2**25 - 1]),
+        # a zero total is 0.0, and -n * 2**k is exact
+        (3, 5, -10, [0, -5 * 2**40, -5, 5 * 2**30]),
+        (90, 2**37, 0, [0, -(2**37) * 2**1000, -(2**37)]),
+        # the largest total the positions hold, of either sign
+        (40, 1, 0, [2**960 - 1, -(2**960) + 1]),
+        (90, 2**37 - 1, -1200, [2**2160 - 1, -(2**2160) + 1]),
+        (1, 1, -1100, [2**24 - 1, -(2**24) + 1]),
+    ]
+    for positions, n, lo, totals in cases:
+        expected = _python_means(totals, n, lo)
+        assert _same_floats(_means(_packed(totals, positions), n, lo), expected), (n, lo)
+    assert [float(v).hex() for v in _means(_packed([1, -1, 0], 2), 1, -1075)] == [
+        "0x0.0p+0",
+        "-0x0.0p+0",
+        "0x0.0p+0",
+    ]
+
+
+def test_means_of_many_packed_totals_are_divided_block_by_block():
+    # more rules than one block holds, at the widest totals, in rule order
+    rng = np.random.default_rng(29)
+    positions, n, lo = 90, 3001, -1150
+    totals = [int(t) * int(m) - (1 << 1800) for t, m in zip(
+        rng.integers(0, 2**62, 1500), rng.integers(1, 2**31, 1500)
+    )]
+    totals = [t << int(s) for t, s in zip(totals, rng.integers(0, 300, 1500))]
+    totals = [t if abs(t) < 2 ** (24 * positions) else t >> 400 for t in totals]
+    assert _same_floats(_means(_packed(totals, positions), n, lo), _python_means(totals, n, lo))

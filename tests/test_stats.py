@@ -302,6 +302,12 @@ def test_resample_refuses_inputs_that_are_not_row_aligned(rng):
     assert drawn == []
 
 
+def test_resample_refuses_an_empty_dataset_list():
+    for statistics in ({}, {"auc": BOOTSTRAP_METRICS["auc"]}):
+        with pytest.raises(ValidationError, match="^resample requires at least one dataset$"):
+            resample([], statistics, 1, 0)
+
+
 def test_resample_gathers_no_coefficients_per_draw(rng, monkeypatch):
     # per-sample u_max reads the contributions its source made once
     data = make_dataset(rng, 40)
