@@ -31,15 +31,7 @@ from .core import (
     LabeledScores,
     ValidationError,
 )
-from .dataio import (
-    FormattedArray,
-    file_digest,
-    read_bonus_table,
-    read_features,
-    read_scores,
-    write_csv,
-    write_json,
-)
+from .dataio import file_digest, read_bonus_table, read_features, read_scores, write_json
 from .metrics import (
     accuracy,
     auc_rank,
@@ -126,7 +118,8 @@ def _make_out_dir(args) -> None:
 
 def _write_reports(args, inputs, report: str, payload: dict, tables: dict) -> None:
     """Write ``payload`` to ``report`` and each ``{name: (header, rows)}`` table
-    to ``name`` in ``--out-dir``; the manifest lists exactly those files."""
+    to ``name`` in ``--out-dir``, in one pass; the manifest lists exactly those
+    files.  A table whose rows are an array of ``payload`` is formatted once."""
     out = Path(args.out_dir)
     options = {key: value for key, value in vars(args).items() if key != "func"}
     payload["manifest"] = {
@@ -136,9 +129,7 @@ def _write_reports(args, inputs, report: str, payload: dict, tables: dict) -> No
         "inputs": {str(path): file_digest(path) for path in inputs},
         "outputs": sorted([report, *tables]),
     }
-    write_json(out / report, payload)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
+    write_json(out / report, payload, {out / name: table for name, table in tables.items()})
 
 
 def _unique_names(paths) -> list[str]:
@@ -200,15 +191,17 @@ def cmd_evaluate(args) -> int:
     config, utility = _bootstrap_options(args)
     data = read_scores(args.scores, delimiter=args.delimiter)
     coefficients = _row_utility(utility, data)
+    # the per-row means first: their n-row temporaries are then not live
+    # beside the sort and the curves
+    row_means = {"brier": brier(data), "net_trust": net_trust(data)}
     curve = utility_curve(data, coefficients)
     roc = roc_points(data)
     calibration = calibration_curve(data, bins=args.bins)
     metrics = {
         "auc": auc_rank(data),
-        "brier": brier(data),
+        **row_means,
         "accuracy": accuracy(data, DecisionRule(0.5)),
         "ece": ece(calibration),
-        "net_trust": net_trust(data),
         "u_max": curve.max_utility,
         "argmax_threshold": curve.best_threshold,
     }
@@ -229,13 +222,14 @@ def cmd_evaluate(args) -> int:
             checks["preserves_reference_ranking_by_group"] = preserves_ranking_by_group(
                 data.scores, data.reference_scores, data.group
             )
-    # each curve is formatted once for the JSON report and for its CSV table
+    # the ROC and utility tables are these arrays, so each block of them is
+    # formatted once for the JSON report and the CSV table
     curves = {
-        "roc": FormattedArray(roc),
-        "calibration": FormattedArray(
-            [(b.mean_predicted, b.observed_frequency) for b in calibration.bins]
+        "roc": roc,
+        "calibration": np.array(
+            [(b.mean_predicted, b.observed_frequency) for b in calibration.bins], dtype=np.float64
         ),
-        "utility": FormattedArray(np.column_stack([curve.thresholds, curve.utilities])),
+        "utility": np.column_stack([curve.thresholds, curve.utilities]),
     }
     body = {"metrics": metrics, "curves": curves, "intervals": intervals}
     payload = {"report": body, "checks": checks, "bootstrap": diagnostics}

@@ -18,14 +18,16 @@ exactly.  They are written by one encoder: its bytes equal
 ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy arrays
 and scalars turned into Python lists and numbers, NaN into ``null`` and keys
 into strings.  A 2-D float array of finite values is formatted in blocks of
-at most ``_BLOCK`` (4 096) rows, each block in one pass over its values, and
+at most ``_BLOCK`` (1 024) rows, each block in one pass over its values, and
 each block goes to the file before the next is formatted: no text of the
 whole report is held.  A CSV table given as a 2-D float array is written the
-same way.  A :class:`FormattedArray` keeps its blocks' texts, so a curve in
-the JSON report and in a CSV table is formatted once.  The JSON list of a
-block is made from its CSV text by three ``str.replace`` copies that live
-with it, so blocks are kept small: 4 096 rows of a two-column curve are about
-160 KB of CSV text.
+same way.  :func:`write_json` also writes a report's CSV tables.  A curve
+that is in the report and in a table is formatted once a block: the block's
+CSV lines go to the table, and its JSON list, made from them by three
+``str.replace`` copies, to the report, before the next block is formatted;
+no text is kept.  1 024 rows of a two-column curve are about 40 KB of CSV text.  A Tier-1 test
+keeps the traced peak of ``evaluate --utility c:2`` on 100 000 rows, the
+whole command, below 14 MB.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import os
 import re
 import stat
 from array import array
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -48,7 +50,6 @@ from .core import CostCoefficients, LabeledScores, ValidationError, as_binary_ve
 from .learners import FeatureMatrix
 
 __all__ = [
-    "FormattedArray",
     "read_scores",
     "FeatureTable",
     "read_features",
@@ -307,29 +308,9 @@ def _json_float(value) -> str:
     return float.__repr__(value)
 
 
-# rows of a float array formatted, and written, at a time: a block's text
-# and its JSON copies live at once, beside every kept text of a curve
-_BLOCK = 1 << 12
-
-
-class FormattedArray(np.ndarray):
-    """A 2-D float array whose values are formatted once for every writer.
-
-    :func:`write_json` and :func:`write_csv` write it as they write the plain
-    array.  The first of them keeps the round-trip text of its values, as CSV
-    lines in blocks of at most ``_BLOCK`` rows, and every later one reuses it,
-    so a curve written to a JSON report and to a CSV table goes through
-    ``float.__repr__`` once.  It is a read-only view of ``array``, whose values
-    must not change while it is in use.
-    """
-
-    def __new__(cls, array):
-        view = np.asarray(array, dtype=np.float64).view(cls)
-        view.flags.writeable = False
-        return view
-
-    def __array_finalize__(self, obj) -> None:
-        self._blocks: dict[int, str] = {}
+# rows of a float array formatted, and written, at a time: a block's CSV
+# text and the JSON copies made from it live at once
+_BLOCK = 1 << 10
 
 
 def _float_lines(block: np.ndarray) -> str:
@@ -354,46 +335,43 @@ def _float_lines(block: np.ndarray) -> str:
     return (",".join(["%s"] * width) + "\n") * rows % tuple(texts.ravel().tolist())
 
 
-def _is_float_array(value) -> bool:
-    """Whether ``value`` is an array whose ``tolist()`` gives Python floats
-    (not masked, no longdouble)."""
+def _is_float_table(value) -> bool:
+    """Whether ``value`` is written in blocks: a non-empty 2-D array whose
+    ``tolist()`` gives Python floats (not masked, no longdouble)."""
     return (
-        type(value) in (np.ndarray, FormattedArray)
+        type(value) is np.ndarray
         and value.dtype.kind == "f"
         and value.dtype.itemsize <= 8
+        and value.ndim == 2
+        and value.size > 0
     )
 
 
-def _line_blocks(rows: np.ndarray):
-    """The CSV lines of the 2-D float array ``rows``, at most ``_BLOCK`` rows
-    a block; a :class:`FormattedArray` formats each block once and keeps it."""
-    kept = rows._blocks if isinstance(rows, FormattedArray) else None
-    for start in range(0, rows.shape[0], _BLOCK):
-        lines = None if kept is None else kept.get(start)
-        if lines is None:
-            lines = _float_lines(rows[start : start + _BLOCK])
-            if kept is not None:
-                kept[start] = lines
-        yield lines
-
-
-def _write_float_list(blocks, indent: str, write) -> None:
-    """Write the JSON list at ``indent`` of the rows in the non-empty CSV line
-    ``blocks`` of finite floats, one list of floats a row."""
+def _write_float_list(rows: np.ndarray, indent: str, write, table=None) -> None:
+    """Write the JSON list at ``indent`` of the rows of the float table
+    ``rows``, all finite, one list of floats a row.  Each block is formatted
+    once, and its CSV lines go to ``table`` too when it is given."""
     inner = indent + "  "
     cell = inner + "  "
-    separator = "[\n" + inner
-    for lines in blocks:
-        # "\0" holds the cell breaks while the row breaks, which hold commas, go in
-        rows = lines[:-1].replace(",", "\0")
-        rows = rows.replace("\n", "\n" + inner + "],\n" + inner + "[\n" + cell)
-        write(separator)
-        write("[\n" + cell + rows.replace("\0", ",\n" + cell) + "\n" + inner + "]")
-        separator = ",\n" + inner
-    write("\n" + indent + "]")
+    row_break = inner + "],\n" + inner + "[\n" + cell
+    write("[\n" + inner + "[\n" + cell)
+    for start in range(0, rows.shape[0], _BLOCK):
+        block = rows[start : start + _BLOCK]
+        lines = _float_lines(block)
+        if table is not None:
+            table(lines)
+        if start:
+            write(row_break)
+        # "\0" holds the cell breaks while the row breaks, which hold commas,
+        # go in; the last line's end stays for what follows the block
+        text = lines.replace(",", "\0")
+        del lines
+        text = text.replace("\n", "\n" + row_break, block.shape[0] - 1)
+        write(text.replace("\0", ",\n" + cell))
+    write(inner + "]\n" + indent + "]")
 
 
-def _encode_list(items, indent: str, write) -> None:
+def _encode_list(items, indent: str, write, tables: dict) -> None:
     if not items:
         write("[]")
         return
@@ -401,24 +379,26 @@ def _encode_list(items, indent: str, write) -> None:
     separator = "[\n" + inner
     for item in items:
         write(separator)
-        _encode(item, inner, write)
+        _encode(item, inner, write, tables)
         separator = ",\n" + inner
     write("\n" + indent + "]")
 
 
-def _encode_array(value: np.ndarray, indent: str, write) -> None:
-    # a float table goes in its own blocks, not as a list copy, so a
-    # FormattedArray's kept texts are used
-    if _is_float_array(value) and value.ndim == 2 and value.size and np.isfinite(value).all():
-        _write_float_list(_line_blocks(value), indent, write)
+def _encode_array(value: np.ndarray, indent: str, write, tables: dict) -> None:
+    # a float table goes in its own blocks, not as a list copy, and to its
+    # CSV table when ``tables`` holds one
+    if _is_float_table(value) and np.isfinite(value).all():
+        _write_float_list(value, indent, write, tables.pop(id(value), None))
         return
     # list() fails on a 0-d array's scalar as iterating it always did
-    _encode_list(list(value.tolist()), indent, write)
+    _encode_list(list(value.tolist()), indent, write, tables)
 
 
-def _encode(value, indent: str, write) -> None:
+def _encode(value, indent: str, write, tables: dict) -> None:
     """Pass the JSON text of ``value``, whose line is indented by ``indent``,
-    to ``write`` piece by piece."""
+    to ``write`` piece by piece.  A float table whose ``id`` is a key of
+    ``tables`` also goes, as CSV lines, to the ``write`` of its table there,
+    which is then removed."""
     if isinstance(value, dict):
         items = {str(key): item for key, item in value.items()}
         if not items:
@@ -428,13 +408,13 @@ def _encode(value, indent: str, write) -> None:
         separator = "{\n" + inner
         for key in sorted(items):
             write(separator + encode_basestring_ascii(key) + ": ")
-            _encode(items[key], inner, write)
+            _encode(items[key], inner, write, tables)
             separator = ",\n" + inner
         write("\n" + indent + "}")
     elif isinstance(value, (list, tuple)):
-        _encode_list(value, indent, write)
+        _encode_list(value, indent, write, tables)
     elif isinstance(value, np.ndarray):
-        _encode_array(value, indent, write)
+        _encode_array(value, indent, write, tables)
     elif isinstance(value, (np.bool_, bool)):
         write("true" if value else "false")
     elif isinstance(value, (np.floating, float)):
@@ -458,7 +438,7 @@ def encode_json(payload) -> str:
     round-trip ``repr`` formatting.
     """
     out: list[str] = []
-    _encode(payload, "", out.append)
+    _encode(payload, "", out.append, {})
     return "".join(out)
 
 
@@ -471,20 +451,51 @@ def _writing(path):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def write_json(path, payload) -> None:
-    """:func:`encode_json` of ``payload`` plus a final newline.
+def _write_float_rows(rows: np.ndarray, write) -> None:
+    """Write the CSV lines of the float table ``rows``, a block at a time."""
+    # float.__repr__ is format_number for every float, NaN included
+    for start in range(0, rows.shape[0], _BLOCK):
+        write(_float_lines(rows[start : start + _BLOCK]))
+
+
+def write_json(path, payload, tables=None) -> None:
+    """:func:`encode_json` of ``payload`` plus a final newline, and each CSV
+    table ``{path: (header, rows)}`` of ``tables`` as :func:`write_csv` writes it.
 
     The text goes to the file piece by piece, a 2-D float array in blocks of at
-    most ``_BLOCK`` rows, so no text of the whole report is held.  A payload
-    that cannot be encoded leaves no file.
+    most ``_BLOCK`` rows, so no text of the whole report is held.  A table
+    whose rows are a 2-D float array of finite values in ``payload`` is
+    written in the same pass: each block is formatted once, for the report and
+    for the table, and no text is kept once it is written.  A payload that
+    cannot be encoded leaves no file.
     """
+    tables = tables or {}
+    # the first table of each float array goes with the report
+    shared: dict[int, object] = {}
+    for table, (header, rows) in tables.items():
+        if _is_float_table(rows):
+            shared.setdefault(id(rows), table)
     try:
-        with _writing(path) as handle:
-            _encode(payload, "", handle.write)
-            handle.write("\n")
+        with ExitStack() as stack:
+            pending = {}
+            for key, table in shared.items():
+                handle = stack.enter_context(_writing(table))
+                # not kept: a csv writer holds a 128 KiB buffer once it has written
+                csv.writer(handle, lineterminator="\n").writerow(tables[table][0])
+                pending[key] = handle.write
+            with _writing(path) as handle:
+                _encode(payload, "", handle.write, pending)
+                handle.write("\n")
+            # the arrays that are not in the report, or not finite
+            for key, write in pending.items():
+                _write_float_rows(tables[shared[key]][1], write)
     except TypeError:
-        Path(path).unlink(missing_ok=True)
+        for written in [path, *shared.values()]:
+            Path(written).unlink(missing_ok=True)
         raise
+    for table, (header, rows) in tables.items():
+        if table not in shared.values():
+            write_csv(table, header, rows)
 
 
 def _cell_text(value) -> str:
@@ -504,9 +515,7 @@ def write_csv(path, header, rows) -> None:
     with _writing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        if _is_float_array(rows) and rows.ndim == 2 and rows.size:
-            # float.__repr__ is format_number for every float, NaN included
-            for lines in _line_blocks(rows):
-                handle.write(lines)
+        if _is_float_table(rows):
+            _write_float_rows(rows, handle.write)
             return
         writer.writerows([_cell_text(value) for value in row] for row in rows)

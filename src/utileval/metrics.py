@@ -111,6 +111,10 @@ def auc_from_runs(starts, positives_before, positives=None):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / np.multiply(n_pos, n_neg, dtype=np.float64)
 
 
+# runs whose rule counts roc_points makes at a time
+_ROC_BLOCK = 1 << 16
+
+
 def roc_points(data: LabeledScores) -> np.ndarray:
     """ROC curve as an (m, 2) array of (fpr, tpr) points.
 
@@ -121,11 +125,17 @@ def roc_points(data: LabeledScores) -> np.ndarray:
     """
     if data.n_positive == 0 or data.n_negative == 0:
         raise DegenerateDataError("ROC undefined: dataset contains only one class")
-    # one point per run, from the highest score down
-    tp, fp, _, _ = rule_outcomes(data.runs.starts, data.runs.positives_before, slice(-2, None, -1))
-    tpr = tp / data.n_positive
-    fpr = fp / data.n_negative
-    return np.concatenate([[[0.0, 0.0]], np.column_stack([fpr, tpr])])
+    runs = data.runs
+    points = np.zeros((runs.starts.size, 2))
+    # one point per run, from the highest score down: run k is row -1 - k,
+    # and its rates are divided straight into the rows a block of runs at a time
+    by_run = points[:0:-1]
+    for start in range(0, by_run.shape[0], _ROC_BLOCK):
+        block = slice(start, min(start + _ROC_BLOCK, by_run.shape[0]))
+        tp, fp, _, _ = rule_outcomes(runs.starts, runs.positives_before, block)
+        np.divide(fp, data.n_negative, out=by_run[block, 0])
+        np.divide(tp, data.n_positive, out=by_run[block, 1])
+    return points
 
 
 def brier_terms(data: LabeledScores) -> np.ndarray:

@@ -51,13 +51,11 @@ from .special import expit, logit
 __all__ = [
     "UtilityCurve",
     "empirical_utility",
-    "candidate_thresholds",
     "utility_curve",
     "utility_at_thresholds",
     "max_utilities",
     "ContributionDigits",
     "drawn_run_sums",
-    "per_sample_sweep",
     "per_sample_max",
     "bayes_threshold",
     "cost_family",
@@ -146,7 +144,7 @@ class UtilityCurve:
     max_utility: float
 
 
-def candidate_thresholds(data: LabeledScores) -> np.ndarray:
+def _candidate_thresholds(data: LabeledScores) -> np.ndarray:
     """Every unique score, ascending, then a sentinel just above the largest."""
     values = data.runs.values
     return np.append(values, math.nextafter(float(values[-1]), math.inf))
@@ -163,7 +161,7 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run) -> np.ndarr
     # the dataset itself is the draw of every row once
     digits = ContributionDigits(data.labels, coefficients)
     sums = drawn_run_sums(digits, slice(None), runs.run_of_row, runs.starts.size - 1)
-    return per_sample_sweep(digits, sums, run)
+    return _per_sample_sweep(digits, sums, run)
 
 
 # per-sample totals are summed in signed digits of this many bits: a sum of
@@ -348,7 +346,7 @@ def _divide(totals: np.ndarray, n: int, lo: int) -> np.ndarray:
     return np.negative(out, out=out, where=negative)
 
 
-def per_sample_sweep(digits: ContributionDigits, sums, run) -> np.ndarray:
+def _per_sample_sweep(digits: ContributionDigits, sums, run) -> np.ndarray:
     """Utility of each rule that accepts every run from ``run[i]`` on (from
     each run in turn where ``run`` is ``slice(None)``), under the per-row
     contributions ``digits``; ``sums`` yields, per digit position,
@@ -364,7 +362,7 @@ def per_sample_sweep(digits: ContributionDigits, sums, run) -> np.ndarray:
 
 
 def per_sample_max(digits: ContributionDigits, sums, run) -> float:
-    """The first maximum of :func:`per_sample_sweep`, bit for bit, from one
+    """The first maximum of :func:`_per_sample_sweep`, bit for bit, from one
     division: correctly rounded division is monotone, so the largest exact
     total has the largest mean."""
     totals = _exact_totals(digits, sums, run)
@@ -388,7 +386,7 @@ def per_sample_max(digits: ContributionDigits, sums, run) -> float:
 
 def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:
     """Evaluate the utility of every achievable threshold rule on ``data``."""
-    thresholds = candidate_thresholds(data)
+    thresholds = _candidate_thresholds(data)
     # candidate k accepts every run from k on
     utilities = _sweep(data, coefficients, slice(None))
     best = int(np.argmax(utilities))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,16 @@ def make_dataset(rng, n, tie_decimals=None):
     if labels.min() == labels.max():
         labels[rng.integers(0, n)] = 1 - labels[0]
     return LabeledScores(scores=scores, labels=labels)
+
+
+def traced_peak(function, *args):
+    """``function(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

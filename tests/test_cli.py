@@ -26,8 +26,9 @@ from utileval import (
 )
 from utileval import simstudy
 from utileval.cli import _make_out_dir, build_parser, main
-from utileval.dataio import file_digest, write_csv, write_json
+from utileval.dataio import file_digest, write_json
 
+from conftest import traced_peak
 from reference_writers import reference_csv_text, reference_json_text
 
 
@@ -510,6 +511,22 @@ def test_evaluate_keeps_calibration_bins_whose_means_are_out_of_order(tmp_path):
     assert curve == [[0.09999999999999999, 0.0], [0.09999999999999998, 0.5]]
 
 
+def test_evaluate_memory_stays_bounded_at_100k_rows(tmp_path):
+    # the whole command, from reading the scores to writing the report and
+    # its tables, keeps no curve's text; a gate whose bound is never raised
+    rng = np.random.default_rng(11)
+    scores = rng.random(100_000)
+    labels = (rng.random(scores.size) < scores).astype(int)
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "score,label\n" + "".join(map("%r,%d\n".__mod__, zip(scores.tolist(), labels.tolist())))
+    )
+    argv = ["evaluate", str(path), "--utility", "c:2", "--out-dir", str(tmp_path / "out")]
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    assert peak < 14e6, peak
+
+
 def test_simulate_small(tmp_path):
     out = tmp_path / "sim"
     argv = [
@@ -839,18 +856,18 @@ def _run_golden_commands(monkeypatch) -> dict[str, bytes]:
     _write_golden_inputs()
     expected = {}
 
-    def json_writer(path, payload):
+    def writer(path, payload, tables):
         expected[Path(path).as_posix()] = reference_json_text(payload).encode()
-        write_json(path, payload)
+        tables = {
+            table: (header, rows if isinstance(rows, np.ndarray) else list(rows))
+            for table, (header, rows) in tables.items()
+        }
+        for table, (header, rows) in tables.items():
+            expected[Path(table).as_posix()] = reference_csv_text(header, rows).encode()
+        write_json(path, payload, tables)
 
-    def csv_writer(path, header, rows):
-        if not isinstance(rows, np.ndarray):
-            rows = list(rows)
-        expected[Path(path).as_posix()] = reference_csv_text(header, rows).encode()
-        write_csv(path, header, rows)
-
-    monkeypatch.setattr("utileval.cli.write_json", json_writer)
-    monkeypatch.setattr("utileval.cli.write_csv", csv_writer)
+    # every report and table goes through the one report writer
+    monkeypatch.setattr("utileval.cli.write_json", writer)
     for name, argv in _GOLDEN_COMMANDS.items():
         assert main([*argv, "--out-dir", f"out/{name}"]) == 0, name
     return expected

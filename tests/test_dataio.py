@@ -2,7 +2,6 @@ import json
 import math
 import os
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,8 +21,9 @@ from utileval import (
     write_json,
 )
 from utileval import dataio
-from utileval.dataio import FormattedArray, _read_table, encode_json, format_number
+from utileval.dataio import _read_table, encode_json, format_number
 
+from conftest import traced_peak
 from reference_reader import reference_read_table
 from reference_writers import (
     reference_csv_text,
@@ -441,58 +441,65 @@ def test_clean_files_are_parsed_without_the_row_loop(tmp_path, monkeypatch):
         read_scores(path)
 
 
-def _evaluate_payload(rows: int, curve=np.asarray) -> dict:
+def _evaluate_payload(rows: int) -> dict:
     """A payload shaped like ``evaluate``'s, with two curves of ``rows`` points."""
     rng = np.random.default_rng(2)
     rates = np.cumsum(rng.random((rows, 2)) < 0.5, axis=0) / rows
-    roc = curve(np.vstack([[0.0, 0.0], rates]))
-    utility = curve(np.column_stack([np.sort(rng.random(rows + 1)), rng.random(rows + 1)]))
+    roc = np.vstack([[0.0, 0.0], rates])
+    utility = np.column_stack([np.sort(rng.random(rows + 1)), rng.random(rows + 1)])
     curves = {"roc": roc, "calibration": np.array([[0.05, 0.1], [0.95, 0.9]]), "utility": utility}
     report = {"metrics": {"auc": 0.75, "u_max": 0.5}, "curves": curves, "intervals": {}}
     return {"report": report, "checks": {}, "bootstrap": {}, "manifest": {"outputs": ["a"]}}
 
 
-def test_report_writing_holds_one_block_at_a_time(tmp_path, monkeypatch):
-    monkeypatch.setattr("utileval.dataio._BLOCK", 1024)
+def _curve_tables(payload) -> dict:
+    """The CSV tables ``evaluate`` writes beside a payload of
+    :func:`_evaluate_payload`: its ROC and utility arrays, and calibration rows."""
+    curves = payload["report"]["curves"]
+    return {
+        "roc.csv": (["fpr", "tpr"], curves["roc"]),
+        "calibration.csv": (["mean_predicted", "observed_frequency"], [(0.05, 0.1), (0.95, 0.9)]),
+        "utility.csv": (["threshold", "utility"], curves["utility"]),
+    }
+
+
+def _write_with_tables(directory, payload, tables) -> None:
+    write_json(directory / "report.json", payload, {directory / n: t for n, t in tables.items()})
+
+
+def _assert_written_as_before(directory, payload, tables) -> None:
+    assert (directory / "report.json").read_text() == reference_json_text(payload)
+    for name, (header, rows) in tables.items():
+        assert (directory / name).read_text() == reference_csv_text(header, rows), name
+
+
+def test_report_writing_holds_one_block_at_a_time(tmp_path):
     payload = _evaluate_payload(50_000)
     curve = payload["report"]["curves"]["utility"]
     for path, write in (
         (tmp_path / "report.json", lambda path: write_json(path, payload)),
         (tmp_path / "utility.csv", lambda path: write_csv(path, ["threshold", "utility"], curve)),
     ):
-        tracemalloc.start()
-        try:
-            write(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(write, path)
         # the whole text would be at least the size of the file
         assert peak < path.stat().st_size / 4, (path.name, peak)
 
 
-def test_report_writing_of_formatted_curves_holds_less_than_the_file(tmp_path):
-    # at the default block size: the curves' kept texts are about the size of
-    # their lines in the file, and one block's indented copies stay small
-    payload = _evaluate_payload(15_000, FormattedArray)
-    path = tmp_path / "report.json"
-    tracemalloc.start()
-    try:
-        write_json(path, payload)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size, peak
-    assert path.read_text() == reference_json_text(payload)
+def test_a_report_and_its_tables_hold_less_than_a_table(tmp_path):
+    # at the default block size, with the report's curves written to their
+    # tables in the same pass: no curve's text is kept, so the peak is a
+    # block's text and its JSON copies, under the smallest curve table
+    payload = _evaluate_payload(15_000)
+    tables = _curve_tables(payload)
+    _, peak = traced_peak(_write_with_tables, tmp_path, payload, tables)
+    assert peak < (tmp_path / "roc.csv").stat().st_size, peak
+    _assert_written_as_before(tmp_path, payload, tables)
 
 
-def test_a_formatted_array_is_formatted_once_for_every_writer(tmp_path, monkeypatch):
+def test_each_curve_block_is_formatted_once_for_the_report_and_its_table(tmp_path, monkeypatch):
     monkeypatch.setattr("utileval.dataio._BLOCK", 1000)
-    payload = _evaluate_payload(2500, FormattedArray)
-    curves = payload["report"]["curves"]
-    tables = {
-        "roc.csv": (["fpr", "tpr"], curves["roc"]),
-        "utility.csv": (["threshold", "utility"], curves["utility"]),
-    }
+    payload = _evaluate_payload(2500)
+    tables = _curve_tables(payload)
     formatted = []
     original = dataio._float_lines
 
@@ -501,14 +508,56 @@ def test_a_formatted_array_is_formatted_once_for_every_writer(tmp_path, monkeypa
         return original(block)
 
     monkeypatch.setattr("utileval.dataio._float_lines", counting)
-    write_json(tmp_path / "report.json", payload)
-    for name, (header, rows) in tables.items():
-        write_csv(tmp_path / name, header, rows)
-    # each 2501-point curve once, in three blocks, and the calibration array
+    _write_with_tables(tmp_path, payload, tables)
+    # the report's calibration array, then each 2501-point curve once, in
+    # three blocks; the calibration table is rows, not an array
     assert formatted == [2, 1000, 1000, 501, 1000, 1000, 501]
-    assert (tmp_path / "report.json").read_text() == reference_json_text(payload)
-    for name, (header, rows) in tables.items():
-        assert (tmp_path / name).read_text() == reference_csv_text(header, rows)
+    _assert_written_as_before(tmp_path, payload, tables)
+
+
+def test_a_table_whose_curve_is_not_finite_is_written_as_before(tmp_path, monkeypatch):
+    # a report curve holding NaN or inf goes through the generic encoder, and
+    # an array in no report is written as a table alone; both tables stay as
+    # write_csv writes them
+    monkeypatch.setattr("utileval.dataio._BLOCK", 3)
+    payload = _evaluate_payload(7)
+    curves = payload["report"]["curves"]
+    curves["roc"][2, 0] = math.nan
+    curves["utility"][5, 1] = -math.inf
+    tables = _curve_tables(payload)
+    tables["other.csv"] = (["a", "b"], np.array([[0.5, -0.0], [math.inf, 0.0]]))
+    _write_with_tables(tmp_path, payload, tables)
+    _assert_written_as_before(tmp_path, payload, tables)
+
+
+def test_a_report_that_cannot_be_encoded_leaves_no_table(tmp_path):
+    payload = _evaluate_payload(5)
+    payload["checks"] = {"z": 1j}
+    with pytest.raises(TypeError):
+        _write_with_tables(tmp_path, payload, _curve_tables(payload))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _float_tables(payload):
+    """Every 2-D array in ``payload``."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, np.ndarray):
+        return [payload] if payload.ndim == 2 else []
+    if isinstance(payload, (list, tuple)):
+        return [table for item in payload for table in _float_tables(item)]
+    return []
+
+
+@settings(max_examples=100, deadline=None)
+@given(_payloads)
+def test_a_report_with_every_array_as_a_table_is_written_as_before(tmp_path_factory, payload):
+    directory = tmp_path_factory.mktemp("tables")
+    tables = {
+        f"t{i}.csv": (["x"] * rows.shape[1], rows) for i, rows in enumerate(_float_tables(payload))
+    }
+    _write_with_tables(directory, payload, tables)
+    _assert_written_as_before(directory, payload, tables)
 
 
 def test_read_scores_reads_a_pipe_once(tmp_path):

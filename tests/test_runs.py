@@ -8,7 +8,6 @@ and each comparison is bit for bit.
 
 import math
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +31,7 @@ from utileval.core import rule_outcomes
 from utileval.stats import BOOTSTRAP_METRICS, resample
 from utileval.utility import ContributionDigits, _means
 from utileval.cli import main
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 
 def _auc_reference(data):
@@ -385,15 +384,6 @@ def _per_sample_rows(n):
     return data, CostCoefficients(1.0, 3.0 * rng.random(n), 0.5 * rng.random(n), 1.0)
 
 
-def _traced_peak(function, *args):
-    tracemalloc.start()
-    try:
-        result = function(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_per_sample_sweep_scales_to_100k_rows():
     # an O(n * u) sweep would visit 10**10 (row, threshold) cells at this size
     n = 100_000
@@ -411,7 +401,7 @@ def test_per_sample_sweep_memory_stays_bounded_at_100k_rows():
     # per row and their lists held about 26 MB here)
     data, coefficients = _per_sample_rows(100_000)
     data.runs
-    curve, peak = _traced_peak(utility_curve, data, coefficients)
+    curve, peak = traced_peak(utility_curve, data, coefficients)
     assert curve.utilities.size == data.n + 1
     assert peak < 16e6, peak
 
@@ -427,7 +417,7 @@ def test_per_sample_sweep_of_a_wide_coefficient_range_is_exact():
     coefficients = CostCoefficients(*(rng.choice(pool, n) for _ in range(4)))
     assert ContributionDigits(data.labels, coefficients).positions >= 85
     data.runs
-    curve, peak = _traced_peak(utility_curve, data, coefficients)
+    curve, peak = traced_peak(utility_curve, data, coefficients)
     assert peak < 1e6, peak
     picked = rng.choice(curve.thresholds.size, 60, replace=False)
     for k in [*picked.tolist(), 0, curve.thresholds.size - 1]:
