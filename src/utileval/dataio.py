@@ -18,10 +18,14 @@ exactly.  They are written by one encoder: its bytes equal
 ``json.dumps(value, sort_keys=True, indent=2)`` of the value with NumPy arrays
 and scalars turned into Python lists and numbers, NaN into ``null`` and keys
 into strings.  A 2-D float array of finite values is formatted in blocks of
-at most ``_BLOCK`` (1 024) rows, each block in one pass over its values, and
-each block goes to the file before the next is formatted: no text of the
-whole report is held.  A CSV table given as a 2-D float array is written the
-same way.  :func:`write_json` also writes a report's CSV tables.  A curve
+at most ``_BLOCK`` (1 024) rows, and each block goes to the file before the
+next is formatted: no text of the whole report is held.  A block's values
+are formatted together in NumPy (:func:`_float_rows`): Schubfach picks the
+shortest digits of every value at once, and a table lays them out, so each
+text equals ``float.__repr__`` of the value, byte for byte (a Tier-1 test
+compares them on random bit patterns and on the edges of the algorithm and
+of repr's layout).  A CSV table given as a 2-D float array is written the
+same way, NaN and infinities included.  :func:`write_json` also writes a report's CSV tables.  A curve
 that is in the report and in a table is formatted once a block: the block's
 CSV lines go to the table, and its JSON list, made from them by three
 ``str.replace`` copies, to the report, before the next block is formatted;
@@ -33,6 +37,7 @@ whole command, below 14 MB.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -312,27 +317,308 @@ def _json_float(value) -> str:
 # text and the JSON copies made from it live at once
 _BLOCK = 1 << 10
 
+# Float text.  Each double's digits are those of float.__repr__: the shortest
+# decimal that reads back as the same double, and of those the nearest, ties
+# to an even last digit.  They are chosen as Schubfach chooses them
+# (Giulietti, "The Schubfach way to render doubles", 2020, as the JDK's
+# DoubleToDecimal does it), for a whole array of bit patterns at once in
+# uint64 arithmetic, and laid out as repr lays them out: fixed notation where
+# the value is 0.ddd * 10**d for d from -3 to 16, else d.ddde+XX.  Each text
+# is a row of four little-endian uint64 words, 32 bytes of pieces padded with
+# NUL bytes, and one bytes.translate drops the NULs of a whole block.
+_WORD = np.dtype("<u8")
+_LOW32 = (1 << 32) - 1
+_LOW63 = (1 << 63) - 1
+_INF = 310  # the d that inf is laid out at, and nan at one more
+_NO_SIGN = 32  # the point piece of nan, which has neither point nor sign
+
+
+def _flog2pow10(e):
+    """floor(log2(10**e)) for |e| <= 325, of an int or an int64 array."""
+    return (e * 913124641741) >> 38
+
+
+def _words(pieces) -> np.ndarray:
+    """The bytes ``pieces``, joined, as little-endian uint64 words."""
+    return np.frombuffer(b"".join(pieces), dtype=_WORD)
+
+
+def _g_table() -> np.ndarray:
+    """g of 10**-k for k in [-324, 292]: 10**-k = beta * 2**r with
+    2**125 <= beta < 2**126 and g = floor(beta) + 1, as rows (g1, g0) of
+    g = g1 * 2**63 + g0."""
+    powers = [1]
+    for _ in range(324):
+        powers.append(powers[-1] * 10)
+    g = []
+    for k in range(-324, 293):
+        shift = 125 - _flog2pow10(-k)
+        if k > 0:
+            beta = (1 << shift) // powers[k]
+        else:
+            beta = powers[-k] << shift if shift >= 0 else powers[-k] >> -shift
+        g.append([(beta + 1) >> 63, (beta + 1) & _LOW63])
+    return np.array(g, dtype=np.uint64)
+
+
+def _exponent_tables() -> dict:
+    """What depends on the exponent field bq alone, indexed by 2 bq + (t == 0)
+    for the fraction field t: t == 0 above the subnormals is a power of 2,
+    whose neighbours below are half as far as those above."""
+    key = np.arange(4096)
+    bq = key >> 1
+    irregular = (key & 1) & (bq > 1)
+    q = np.maximum(bq, 1) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = q + _flog2pow10(-k) + 2
+    # a value c 2**q below 2**53 is the integer c >> integer where shifting
+    # that back gives c (63 shifts every other c > 0 to 0); nan and inf keep
+    # c, 16 digits, and their e puts d at _INF and _INF + 1
+    integer = np.where((bq > 1022) & (bq < 1075), 1075 - bq, 63)
+    special = bq == 2047
+    g = _g_table()
+    return {
+        "hidden": (bq > 0).astype(np.uint64) << 52,
+        # c << shift is 4 c 2**h, the value's middle; the interval's ends
+        # are 2**right above it and 2**left below it
+        "shift": (h + 2).astype(np.uint64),
+        "right": (h + 1).astype(np.uint64),
+        "left": (h + 1 - irregular).astype(np.uint64),
+        "integer": np.where(special, 0, integer).astype(np.uint64),
+        "k": k,
+        "integer_k": np.where(special, _INF - 15 - (key & 1), 0),
+        "g1": g[k + 324, 0],
+        "g0": g[k + 324, 1],
+    }
+
+
+def _layout_tables() -> dict:
+    """What depends on the value's d (it is 0.ddd * 10**d) and its
+    significant digit count n, indexed by (d + 323) * 18 + n, with d past the
+    finite values' for nan and inf: the 17 digits are bytes 7-23 of a row,
+    after "0000000"; the bytes [a, p) go first, then a point, then [p, b)
+    one byte on."""
+    d, n = np.meshgrid(
+        np.arange(-323, _INF + 2, dtype=np.int16), np.arange(18, dtype=np.int16), indexing="ij"
+    )
+    fixed = (d > -4) & (d < 17)
+    d1 = np.where(fixed, d, 1)
+    a, p = 6 + np.minimum(d1, 1), 7 + d1
+    b = 7 + np.where(fixed, np.maximum(n, d1 + 1), n)
+    special = d >= _INF
+    point = np.where(special, np.where(d > _INF, _NO_SIGN, 0), np.where(fixed | (n > 1), p, 0))
+    layout = {
+        "left": np.where(special, 0, a * 33 + p),
+        "right": np.where(special, 0, p * 33 + b),
+        "point": 2 * point,
+        "suffix": np.where(special, d - _INF + 1, np.where(fixed, 0, d + 326)),
+    }
+    return {name: column.astype(np.int16).ravel() for name, column in layout.items()}
+
+
+@functools.cache
+def _text_tables() -> dict:
+    """The tables of :func:`_float_rows`, built on first use (about 1.5 ms)."""
+    # the bytes [lo, hi) of a row, indexed by lo * 33 + hi
+    places = np.arange(33, dtype=np.int8)
+    lo, hi = places[:, None, None], places[:, None]
+    masks = ((lo <= places[:32]) & (places[:32] < hi)).astype(np.uint8) * np.uint8(0xFF)
+    # the sign at byte 0 and the point at byte p, indexed by 2 p + sign
+    pieces = [b"-"[:sign].ljust(p, b"\0") + b"." for p in range(_NO_SIGN) for sign in (0, 1)]
+    pieces[:2] = [b"", b"-"]
+    pieces += [b"", b""]
+    # bytes 26-30 of a row: nothing, inf, nan, then e-324 to e+308
+    suffixes = [b"", b"inf", b"nan"] + [b"e%+03d" % x for x in range(-324, 309)]
+    number = np.arange(10000, dtype=np.int32)
+    quads = np.zeros((10000, 8), dtype=np.uint8)
+    for place, power in enumerate((1000, 100, 10, 1)):
+        quads[:, place] = number // power % 10 + ord("0")
+    return {
+        **{f"exponent_{name}": column for name, column in _exponent_tables().items()},
+        **{f"layout_{name}": column for name, column in _layout_tables().items()},
+        "masks": masks.view(_WORD).reshape(-1, 4),
+        "pieces": _words(piece.ljust(32, b"\0") for piece in pieces).reshape(-1, 4),
+        "suffixes": _words(b"\0\0" + suffix.ljust(6, b"\0") for suffix in suffixes),
+        "pow10": 10 ** np.arange(18, dtype=np.uint64),
+        # the 4 ASCII digits of 0-9999 in bytes 0-3 of a word, and of 0-9 in
+        # byte 7 after 7 zeros
+        "quads": quads.view(_WORD).ravel(),
+        "first": _words(b"0000000%d" % x for x in range(10)),
+        # the trailing zeros of the 4 digits of 0-9999
+        "trailing": sum(number % power == 0 for power in (10, 100, 1000, 10000)).astype(np.int8),
+    }
+
+
+def _high64(a, b_high, b_low):
+    """The high 64 bits of a * b, for a < 2**63 and b = b_high * 2**32 +
+    b_low < 2**59, from products of 32-bit halves."""
+    a_high, a_low = a >> 32, a & _LOW32
+    middle = a_high * b_low
+    middle += a_low * b_high
+    a_low *= b_low
+    a_low >>= 32
+    a_low += middle & _LOW32
+    a_low >>= 32
+    middle >>= 32
+    middle += a_low
+    a_high *= b_high
+    a_high += middle
+    return a_high
+
+
+def _rop(y1, y0, x1):
+    """The JDK's rop(g1, g0, cp) from y1 * 2**64 + y0 = g1 * cp and x1, the
+    high 64 bits of g0 * cp: floor(g cp 2**-127), its last bit set where the
+    floor drops anything (as the JDK approximates it, which its proof needs)."""
+    z = y0 >> 1
+    z += x1
+    vb = z >> 63
+    vb += y1
+    z &= _LOW63
+    z += _LOW63
+    z >>= 63
+    vb |= z
+    return vb
+
+
+def _rop_moved(products, g1, g0, j, sign):
+    """:func:`_rop` of g (cp + sign 2**j) from ``products`` (y1, y0, x1, p0)
+    of g * cp, where p0 is the low 64 bits of g0 * cp; ``j`` is overwritten."""
+    y1, y0, x1, p0 = products
+    # g1 2**j and g0 2**j as high and low words, then moved by the products
+    y0j, p0j = g1 << j, g0 << j
+    j = np.subtract(64, j, out=j)
+    y1j, x1j = g1 >> j, g0 >> j
+    if sign > 0:
+        y0j += y0
+        p0j += p0
+        y1j += y1
+        x1j += x1
+        y1j += y0j < y0
+        x1j += p0j < p0
+    else:
+        np.subtract(y0, y0j, out=y0j)
+        np.subtract(p0, p0j, out=p0j)
+        np.subtract(y1, y1j, out=y1j)
+        np.subtract(x1, x1j, out=x1j)
+        y1j -= y0j > y0
+        x1j -= p0j > p0
+    del p0j
+    return _rop(y1j, y0j, x1j)
+
+
+def _shortest(bits: np.ndarray, tables: dict):
+    """(f, e), a uint64 and an int64 array: each finite double of the uint64
+    bit patterns ``bits`` is f * 10**e with the digits of its repr, f
+    perhaps with trailing zeros.  A zero gives f = 0,
+    e = 0; nan and inf give their 16-digit c and the e that puts them past
+    the finite values' decimal points."""
+    key = ((bits >> 51) & 0xFFE).view(np.int64)
+    c = bits & ((1 << 52) - 1)
+    key |= c == 0
+    c |= tables["exponent_hidden"].take(key)
+    g1 = tables["exponent_g1"].take(key)
+    g0 = tables["exponent_g0"].take(key)
+    cp = c << tables["exponent_shift"].take(key)
+    # g1 * cp = y1 * 2**64 + y0 and g0 * cp = x1 * 2**64 + p0
+    y0, p0 = g1 * cp, g0 * cp
+    cp_high = cp >> 32
+    cp &= _LOW32
+    products = (_high64(g1, cp_high, cp), y0, _high64(g0, cp_high, cp), p0)
+    del cp, cp_high, y0, p0
+    vb = _rop(*products[:3])
+    # the interval's ends; an even c includes them
+    vbr = _rop_moved(products, g1, g0, tables["exponent_right"].take(key), 1)
+    vbl = _rop_moved(products, g1, g0, tables["exponent_left"].take(key), -1)
+    del products, g1, g0
+    out = c & 1
+    vbr -= out
+    vbl += out
+    del out
+    # one multiple of 10 in the interval has the fewest digits; else, of s
+    # and s + 1, the one in it, or, both in it, the nearer, ties to even
+    s4 = vb & ~np.uint64(3)
+    sp4 = s4 // 40 * 40
+    upin = vbl <= sp4
+    wpin = sp4 + 40 <= vbr
+    up = (vbl > s4) | ((s4 + 4 <= vbr) & ((vb & 3) + ((vb >> 2) & 1) > 2))
+    s4 >>= 2
+    sp4 >>= 2
+    f = np.where(upin | wpin, sp4 + wpin * np.uint64(10), s4 + up)
+    shift = tables["exponent_integer"].take(key)
+    integer = c >> shift
+    exact = (integer << shift) == c
+    f = np.where(exact, integer, f)
+    # 5e-324 and 1e-323 (c = 1 and 2), which the JDK's proof leaves out,
+    # get repr's digits too: the tests check both
+    e = np.where(exact, tables["exponent_integer_k"].take(key), tables["exponent_k"].take(key))
+    return f, e
+
+
+def _float_rows(bits: np.ndarray) -> np.ndarray:
+    """The repr texts of the doubles of the uint64 bit patterns ``bits``, as an
+    (n, 4) array of little-endian 32-byte rows padded with NUL bytes; byte 31
+    of each row is NUL, for a separator."""
+    tables = _text_tables()
+    f, e = _shortest(bits, tables)
+    length = np.searchsorted(tables["pow10"], f, side="right")
+    # 17 digits, in bytes 7-23 of a row, after "0000000"
+    f *= tables["pow10"].take(17 - length)
+    f = f.view(np.int64)
+    high = f // 10**8
+    low = f - high * 10**8
+    first = high // 10**8
+    high -= first * 10**8
+    g2 = high // 10**4
+    g3 = high - g2 * 10**4
+    g4 = low // 10**4
+    g5 = low - g4 * 10**4
+    quads = tables["quads"]
+    digits = np.empty((bits.size, 4), dtype=_WORD)
+    digits[:, 0] = tables["first"].take(first)
+    digits[:, 1] = quads.take(g2) | (quads.take(g3) << 32)
+    digits[:, 2] = quads.take(g4) | (quads.take(g5) << 32)
+    digits[:, 3] = 0
+    trailing = tables["trailing"]
+    zeros = trailing.take(g5) + (g5 == 0) * trailing.take(g4)
+    zeros += (low == 0) * (trailing.take(g3) + (g3 == 0) * trailing.take(g2))
+    del f, high, low, first, g2, g3, g4, g5
+    key = (e + length + 323) * 18 + 17 - zeros
+    del e, length, zeros
+    masks = tables["masks"]
+    rows = masks.take(tables["layout_left"].take(key), axis=0)
+    rows &= digits
+    digits &= masks.take(tables["layout_right"].take(key), axis=0)
+    # the digits after the point go one byte on, past it
+    rows.view(np.uint8).reshape(-1)[1:] |= digits.view(np.uint8).reshape(-1)[:-1]
+    del digits
+    sign = (bits >> 63).view(np.int64)
+    rows |= tables["pieces"].take(tables["layout_point"].take(key) + sign, axis=0)
+    rows[:, 3] |= tables["suffixes"].take(tables["layout_suffix"].take(key))
+    return rows
+
 
 def _float_lines(block: np.ndarray) -> str:
-    """CSV lines of the round-trip texts of the 2-D float array ``block``.
+    """CSV lines of the repr texts of the 2-D float array ``block``.
 
     A run of one value down a column, as each rate of a ROC curve repeats, is
     formatted once; runs are of equal bits, so -0.0 and 0.0 keep their texts.
     """
-    values = np.asarray(block, dtype=np.float64)
-    rows, width = values.shape
-    bits = values.view(np.int64)
-    starts = np.ones(values.shape, dtype=bool)
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
+    rows, width = bits.shape
+    starts = np.ones(bits.shape, dtype=bool)
     starts[1:] = bits[1:] != bits[:-1]
     if starts.all():
-        # the %r of a Python float is float.__repr__
-        return (",".join(["%r"] * width) + "\n") * rows % tuple(values.ravel().tolist())
-    texts = np.empty(values.shape, dtype=object)
-    for column in range(width):
-        first = np.flatnonzero(starts[:, column])
-        unique = np.array(list(map(float.__repr__, values[first, column].tolist())), dtype=object)
-        texts[:, column] = np.repeat(unique, np.diff(first, append=rows))
-    return (",".join(["%s"] * width) + "\n") * rows % tuple(texts.ravel().tolist())
+        texts = _float_rows(bits.ravel())
+    else:
+        # each value's text is that of its run's start: the latest start at
+        # or above it in its column, which has the largest rank of those
+        rank = (np.cumsum(starts) - 1).reshape(rows, width) * starts
+        texts = _float_rows(bits[starts]).take(np.maximum.accumulate(rank, axis=0).ravel(), axis=0)
+    # byte 31 of each row: a comma, or a line end after the last column
+    separators = _words([b"\0" * 7 + b","] * (width - 1) + [b"\0" * 7 + b"\n"])
+    texts.reshape(rows, width, 4)[:, :, 3] |= separators
+    return texts.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _is_float_table(value) -> bool:
@@ -453,7 +739,8 @@ def _writing(path):
 
 def _write_float_rows(rows: np.ndarray, write) -> None:
     """Write the CSV lines of the float table ``rows``, a block at a time."""
-    # float.__repr__ is format_number for every float, NaN included
+    # the text of every float, NaN and infinities included, is repr's, which
+    # is format_number's
     for start in range(0, rows.shape[0], _BLOCK):
         write(_float_lines(rows[start : start + _BLOCK]))
 

@@ -24,7 +24,7 @@ from .core import (
 from .metrics import auc_from_runs
 from .metrics import auc_rank  # noqa: F401  perfbench traces it through learners
 from .special import expit
-from .utility import utility_curve
+from .utility import ContributionDigits, utility_curve
 
 __all__ = [
     "ConvergenceError",
@@ -634,11 +634,15 @@ def tune_and_compare(
         test_coefficients = coefficients.take(test_idx)
         chosen = list(cv.best_k.values())
         scores = _knn_counts(matrix.values, y, permutation, [n_train], n_test, chosen)[0] / chosen
+        # the per-sample digits depend on the held-out labels, not the scores
+        digits = None
+        if not test_coefficients.is_constant:
+            digits = ContributionDigits(y[test_idx], test_coefficients)
         for column, (criterion, k) in enumerate(cv.best_k.items()):
             data = LabeledScores(scores=scores[:, column], labels=y[test_idx])
             result.chosen_k[criterion][r] = k
             result.cv[criterion][r] = cv.mean[criterion]
-            curve = utility_curve(data, test_coefficients)
+            curve = utility_curve(data, test_coefficients, digits)
             result.max_utility[criterion][r] = curve.max_utility
             # the grid's rules are among the curve's, so it is read, not swept
             result.utility_grid[criterion][r] = curve.utilities[

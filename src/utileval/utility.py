@@ -150,7 +150,7 @@ def _candidate_thresholds(data: LabeledScores) -> np.ndarray:
     return np.append(values, math.nextafter(float(values[-1]), math.inf))
 
 
-def _sweep(data: LabeledScores, coefficients: CostCoefficients, run) -> np.ndarray:
+def _sweep(data: LabeledScores, coefficients: CostCoefficients, run, digits=None) -> np.ndarray:
     """Utility of each rule that accepts every run of ``data.runs`` from ``run[i]`` on,
     or from each run in turn where ``run`` is ``slice(None)``."""
     runs = data.runs
@@ -159,7 +159,8 @@ def _sweep(data: LabeledScores, coefficients: CostCoefficients, run) -> np.ndarr
         counts = rule_outcomes(runs.starts, runs.positives_before, run)
         return _utility_from_counts(*counts, data.n, c.a11, c.a01, c.a10, c.a00)
     # the dataset itself is the draw of every row once
-    digits = ContributionDigits(data.labels, coefficients)
+    if digits is None:
+        digits = ContributionDigits(data.labels, coefficients)
     sums = drawn_run_sums(digits, slice(None), runs.run_of_row, runs.starts.size - 1)
     return _per_sample_sweep(digits, sums, run)
 
@@ -384,11 +385,18 @@ def per_sample_max(digits: ContributionDigits, sums, run) -> float:
     return float(best)
 
 
-def utility_curve(data: LabeledScores, coefficients: CostCoefficients) -> UtilityCurve:
-    """Evaluate the utility of every achievable threshold rule on ``data``."""
+def utility_curve(
+    data: LabeledScores, coefficients: CostCoefficients, digits: ContributionDigits | None = None
+) -> UtilityCurve:
+    """Evaluate the utility of every achievable threshold rule on ``data``.
+
+    ``digits``, for per-sample ``coefficients``, is
+    ``ContributionDigits(data.labels, coefficients)`` when it is made already,
+    as for several score columns of one labelled sample.
+    """
     thresholds = _candidate_thresholds(data)
     # candidate k accepts every run from k on
-    utilities = _sweep(data, coefficients, slice(None))
+    utilities = _sweep(data, coefficients, slice(None), digits)
     best = int(np.argmax(utilities))
     return UtilityCurve(
         thresholds=thresholds,

@@ -345,6 +345,62 @@ def test_write_csv_float_arrays_as_before(tmp_path_factory, rows):
     _assert_csv_as_before(tmp_path_factory.getbasetemp(), ["a", "b", "c"][: rows.shape[1]], rows)
 
 
+def _repr_lines(block: np.ndarray) -> str:
+    """The CSV lines of ``block`` as ``'%r'`` writes them, value by value."""
+    rows, width = block.shape
+    return (",".join(["%r"] * width) + "\n") * rows % tuple(block.ravel().tolist())
+
+
+def _assert_repr_text(values, width: int = 1) -> None:
+    """The formatter's text of ``values`` and of their negatives, in rows of
+    ``width`` and blocks of ``_BLOCK`` rows, is the ``'%r'`` text."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.concatenate([values, -values])
+    block = values[: values.size // width * width].reshape(-1, width)
+    for start in range(0, block.shape[0], dataio._BLOCK):
+        rows = block[start : start + dataio._BLOCK]
+        assert dataio._float_lines(rows) == _repr_lines(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=48), st.integers(1, 3))
+def test_float_text_equals_repr_for_any_bit_pattern(patterns, width):
+    _assert_repr_text(np.array(patterns, dtype=np.uint64).view(np.float64), width)
+
+
+def test_float_text_equals_repr_at_its_edges():
+    rng = np.random.default_rng(27)
+    powers_of_2 = 2.0 ** np.arange(-1074, 1024)
+    powers_of_10 = np.array([float(f"1e{i}") for i in range(-323, 309)])
+    _assert_repr_text(powers_of_2)
+    _assert_repr_text(np.nextafter(powers_of_2, 0.0))
+    for direction in (0.0, 1.0, math.inf):
+        _assert_repr_text(np.nextafter(powers_of_10, direction), 3)
+    # subnormals, 5e-324 and 1e-323 (c = 1 and 2) among them
+    _assert_repr_text(np.arange(1, 4000, dtype=np.uint64).view(np.float64), 2)
+    _assert_repr_text(rng.integers(1, 2**52, 4000, dtype=np.uint64).view(np.float64), 2)
+    for limit in (2**53, 2**62):
+        _assert_repr_text(rng.integers(0, limit, 4000).astype(np.float64), 2)
+    # where repr turns from fixed to scientific notation
+    edges = [0.0, 1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 0.0001234, 1.5e16, 123456789.0]
+    _assert_repr_text(edges + list(np.nextafter(edges, math.inf)), 3)
+    _assert_repr_text(rng.integers(0, 10**5, 6000) / rng.integers(1, 10**5, 6000), 2)
+    _assert_repr_text(np.round(rng.random(3000) * 1000, 3), 3)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, dataio._BLOCK])
+def test_float_text_of_runs_and_specials_equals_repr(tmp_path, width, rows):
+    rng = np.random.default_rng(width)
+    # runs down a column, -0.0 beside 0.0, NaN with either sign bit, and inf
+    pool = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 0.5, 1 / 3, 5e-324])
+    runs = np.repeat(rng.choice(pool, rows * width), rng.integers(1, 4, rows * width))
+    for values in (runs, rng.random(rows * width)):
+        block = values[: rows * width].reshape(rows, width)
+        assert dataio._float_lines(block) == _repr_lines(block)
+        _assert_csv_as_before(tmp_path, ["x"] * width, block)
+
+
 _PADDING = st.sampled_from(["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f"])
 _ODD_CELLS = st.sampled_from(
     ["1_0", "inf", "-inf", "nan", "+nan", "Infinity", '"0.5"', '"1,5"', "#1", "1#", "", "0x1", "1e"]

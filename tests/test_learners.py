@@ -491,8 +491,9 @@ def test_tune_per_sample_coefficients_follow_rows(rng):
         )
 
 
-def test_tune_builds_the_per_sample_digits_once_per_repeat_and_criterion(rng, monkeypatch):
-    # the threshold grid is read from the swept curve, not swept again
+def test_tune_builds_the_per_sample_digits_once_per_repeat(rng, monkeypatch):
+    # the threshold grid is read from the swept curve, not swept again, and
+    # both criteria's curves share the digits of the held-out labels
     X, y = _blobs(rng, 50)
     coefficients = CostCoefficients(1.0, rng.random(len(y)), rng.random(len(y)), 1.0)
     builds = []
@@ -504,7 +505,7 @@ def test_tune_builds_the_per_sample_digits_once_per_repeat_and_criterion(rng, mo
 
     monkeypatch.setattr(ContributionDigits, "__init__", counting_init)
     tune_and_compare(X, y, k_grid=[3, 5], coefficients=coefficients, repeats=3, seed=5, n_folds=3)
-    assert len(builds) == 2 * 3
+    assert len(builds) == 3
 
 
 def test_knn_refuses_features_whose_distances_overflow():
